@@ -37,10 +37,8 @@ def _service_times(dataset, enclave):
         memory.charge(costs.aes_setup_cycles
                       + blocks * costs.aes_block_cycles)
         decoded = decode_header(plaintext)
-        _m, visited, evaluated = sweep.forest.match_traced(decoded)
-        memory.charge(visited * costs.node_visit_cycles
-                      + evaluated * costs.predicate_eval_cycles
-                      + costs.eexit_cycles)
+        sweep.engine.match(decoded)
+        memory.charge(costs.eexit_cycles)
         times.append(sweep.spec.cycles_to_us(memory.cycles - start))
     return times
 

@@ -12,7 +12,7 @@ Two entry points:
 * ``pytest benchmarks/bench_parallel_cluster.py --benchmark-only`` —
   the usual harness, emits a result table under benchmarks/results/.
 * ``python benchmarks/bench_parallel_cluster.py [--reduced] [--record]
-  [--require-speedup X]`` — standalone runner for CI's perf-smoke job;
+  [--require-speedup X]`` — standalone runner for CI's parallel-smoke job;
   ``--require-speedup`` exits non-zero when the process backend does
   not reach the given multiple of serial throughput *and* at least two
   cores are available (with one core there is no parallelism to gain,

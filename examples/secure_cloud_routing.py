@@ -35,7 +35,7 @@ class TamperedEngine(ScbrEnclaveLibrary):
     @ecall
     def leak(self):  # pragma: no cover - never reached
         return [node.subscription for node in
-                self._forest.iter_nodes()]
+                self._engine.forest.iter_nodes()]
 
 
 def main() -> None:

@@ -102,7 +102,7 @@ def main() -> None:
     assert len(clients["day-trader"].received) == before["day-trader"]
 
     # -- index shape: why containment matters ------------------------------
-    stats = forest_stats(router.enclave._library._forest)
+    stats = forest_stats(router.enclave._library._engine.forest)
     print(f"enclave index shape: {stats.describe()}")
     print(f"simulated platform time: {platform.simulated_us():,.0f} us")
 

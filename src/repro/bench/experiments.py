@@ -30,6 +30,7 @@ from repro.aspe.scheme import AspeScheme
 from repro.core.messages import (SecureChannel, decode_header,
                                  encode_header)
 from repro.matching.events import Event
+from repro.matching.matcher import MatchingEngine
 from repro.matching.naive import NaiveMatcher
 from repro.matching.poset import ContainmentForest
 from repro.matching.stats import forest_stats
@@ -103,7 +104,9 @@ class FilterSweep:
     The database is filled progressively (1 k, 2.5 k, ... as in Fig. 5)
     and a publication batch is matched at each size. Registration is
     excluded from the measurement and — for speed — untraced; matching
-    is fully traced through the cache/EPC/MEE models.
+    is fully traced through the cache/EPC/MEE models by the same
+    :class:`MatchingEngine` the routing enclave runs — only the arena
+    (enclave or untrusted) differs between "In" and "Out".
     """
 
     def __init__(self, dataset: Dataset, enclave: bool, encrypted: bool,
@@ -114,9 +117,9 @@ class FilterSweep:
         self.encrypted = encrypted
         self.spec = spec if spec is not None else bench_spec()
         self.platform = SgxPlatform(spec=self.spec)
-        arena = self.platform.memory.new_arena(enclave=enclave)
-        self.forest = ContainmentForest(arena=arena,
-                                        trace_inserts=False)
+        self.engine = MatchingEngine(
+            arena=self.platform.memory.new_arena(enclave=enclave),
+            trace_inserts=False)
         self._registered = 0
         publications = dataset.publications
         if n_publications is not None:
@@ -131,16 +134,16 @@ class FilterSweep:
         if n_subscriptions < self._registered:
             raise ValueError("sweep sizes must be non-decreasing")
         for index in range(self._registered, n_subscriptions):
-            self.forest.insert(self.dataset.subscriptions[index], index)
+            self.engine.register(self.dataset.subscriptions[index],
+                                 index)
         self._registered = n_subscriptions
         # Registration ran untraced: reconstruct the page residency it
         # would have produced so the measured matching phase does not
         # pay registration's first-touch faults.
-        arena = self.forest.arena
-        self.platform.memory.prefault(arena.base, arena.allocated_bytes,
-                                      self.enclave)
-
+        arena = self.engine.arena
         memory = self.platform.memory
+        memory.prefault(arena.base, arena.allocated_bytes, self.enclave)
+
         costs = self.spec.costs
         # Warm-up pass: the paper averages 1 000 publications, which
         # amortises compulsory misses to nothing; with our smaller
@@ -148,7 +151,7 @@ class FilterSweep:
         for event in self.publications if not self.encrypted else (
                 decode_header(self._channel.open(blob)[0])
                 for blob in self._wire):
-            self.forest.match_traced(event)
+            self.engine.match(event)
         memory.cache.reset_counters()
         memory.epc.reset_counters()
         start_cycles = memory.cycles
@@ -164,10 +167,7 @@ class FilterSweep:
                 memory.charge(costs.aes_setup_cycles
                               + blocks * costs.aes_block_cycles)
                 event = decode_header(plaintext)
-            _match, visited, evaluated = self.forest.match_traced(event)
-            visited_total += visited
-            memory.charge(visited * costs.node_visit_cycles
-                          + evaluated * costs.predicate_eval_cycles)
+            visited_total += self.engine.match(event).nodes_visited
             if self.enclave:
                 memory.charge(costs.eexit_cycles)
         wall_elapsed = time.perf_counter() - wall_start
@@ -184,7 +184,7 @@ class FilterSweep:
             wall_us=wall_elapsed / n * 1e6,
             llc_miss_rate=memory.cache.miss_rate,
             epc_faults=memory.epc.faults,
-            index_bytes=self.forest.index_bytes,
+            index_bytes=self.engine.index_bytes,
             nodes_visited=visited_total / n,
         )
 
@@ -353,16 +353,19 @@ class RegistrationPoint:
 
 def run_fig8(n_subscriptions: Optional[int] = None,
              bin_count: int = 24,
-             workload: str = "e80a1") -> List[RegistrationPoint]:
+             workload: str = "e80a1",
+             spec: Optional[PlatformSpec] = None
+             ) -> List[RegistrationPoint]:
     """Populate the store in/out of an enclave; ratio vs DB size.
 
-    Uses the EPC-scaled platform spec: the usable EPC is
+    Uses the EPC-scaled platform spec by default: the usable EPC is
     ``BENCH_EPC_BYTES - BENCH_EPC_RESERVED``; the paging cliff appears
     once the index outgrows it (paper: >90 MB; here scaled down).
     """
     if n_subscriptions is None:
         n_subscriptions = 60000 if full_mode() else 25000
-    spec = bench_spec(epc=True)
+    if spec is None:
+        spec = bench_spec(epc=True)
     dataset = build_dataset(workload, n_subscriptions, 1)
     subscriptions = dataset.subscriptions
 

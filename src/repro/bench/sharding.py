@@ -195,7 +195,7 @@ def run_sharding_bench(max_subs: int = 1_000_000,
                 "p99_us": _percentile(unsharded_lat, 0.99),
                 "epc_faults_per_event":
                     unsharded_faults_seen / probes,
-                "index_bytes": unsharded.forest.index_bytes,
+                "index_bytes": unsharded.engine.index_bytes,
             }
             row["match_sets_equal"] = all(
                 result.subscribers == expected

@@ -61,9 +61,9 @@ from repro.core.sharding import (MigrationTicket, RoutingKey,
                                  SliceSample)
 from repro.crypto.encoding import pack_fields, unpack_fields
 from repro.errors import RoutingError, WalError
-from repro.matching.columnar import ColumnarMatchPlane, validate_backend
+from repro.matching.columnar import validate_backend
 from repro.matching.events import Event
-from repro.matching.poset import ContainmentForest
+from repro.matching.matcher import MatchingEngine
 from repro.matching.subscriptions import Subscription
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.wal import WriteAheadLog
@@ -74,27 +74,25 @@ __all__ = ["MatcherSlice", "MatcherCluster", "ClusterMatchResult"]
 
 
 class MatcherSlice:
-    """One matcher replica: its own platform, enclave arena and index."""
+    """One matcher replica: its own platform, enclave arena and engine."""
 
     def __init__(self, slice_id: int, spec: PlatformSpec,
                  matcher_backend: str = "forest") -> None:
         self.slice_id = slice_id
-        self.matcher_backend = validate_backend(matcher_backend)
         self.platform = SgxPlatform(spec=spec)
         self.arena = self.platform.memory.new_arena(
             enclave=True, name=f"slice-{slice_id}")
-        self.forest = ContainmentForest(arena=self.arena,
-                                        trace_inserts=False)
-        # Columnar match plane over this slice's forest. Matching stays
-        # one-event-per-ecall in the cluster (latency semantics are
-        # per-publication), so the plane runs batches of one here; the
-        # compiled tables still amortise across the event stream.
-        self.plane = ColumnarMatchPlane(self.forest, arena=self.arena) \
-            if self.matcher_backend == "columnar" else None
+        # Registration is untraced (a slice measures matching only).
+        # Matching stays one-event-per-ecall in the cluster (latency
+        # is per publication), so a columnar plane runs batches of one
+        # here; the compiled tables still amortise across the stream.
+        self.engine = MatchingEngine(arena=self.arena,
+                                     backend=matcher_backend,
+                                     trace_inserts=False)
 
     def register(self, subscription: Subscription,
                  subscriber: object) -> None:
-        self.forest.insert(subscription, subscriber)
+        self.engine.register(subscription, subscriber)
 
     def unregister(self, subscription: Subscription,
                    subscriber: object) -> bool:
@@ -104,7 +102,7 @@ class MatcherSlice:
         allocation when its last subscriber leaves — so a migrated-out
         or unsubscribed slice's modelled working set genuinely shrinks.
         """
-        return self.forest.remove_subscriber(subscription, subscriber)
+        return self.engine.unregister(subscription, subscriber)
 
     def apply(self, ops: Sequence[Tuple[str, Subscription, object]]
               ) -> int:
@@ -132,27 +130,22 @@ class MatcherSlice:
         live bytes, arena allocated bytes, EPC resident bytes,
         cumulative EPC faults)."""
         epc = self.platform.memory.epc
-        return (self.forest.n_subscriptions, self.forest.index_bytes,
+        return (self.engine.n_subscriptions, self.engine.index_bytes,
                 self.arena.live_bytes, self.arena.allocated_bytes,
                 epc.resident_bytes, epc.faults)
 
     def match(self, event: Event) -> Tuple[Set[object], float]:
-        """Match one event; returns (subscribers, simulated µs)."""
+        """Match one event; returns (subscribers, simulated µs).
+
+        The engine charges the index walk; the slice adds the enclave
+        transition around it.
+        """
         memory = self.platform.memory
         costs = self.platform.spec.costs
         start = memory.cycles
         memory.charge(costs.eenter_cycles)
-        if self.plane is not None:
-            sets, visits, consults = self.plane.match_batch_traced(
-                [event])
-            matched, visited, evaluated = \
-                sets[0], visits[0], consults[0]
-        else:
-            matched, visited, evaluated = self.forest.match_traced(
-                event)
-        memory.charge(visited * costs.node_visit_cycles
-                      + evaluated * costs.predicate_eval_cycles
-                      + costs.eexit_cycles)
+        matched = self.engine.match(event).subscribers
+        memory.charge(costs.eexit_cycles)
         return matched, self.platform.spec.cycles_to_us(
             memory.cycles - start)
 

@@ -18,10 +18,12 @@ registration/matching entry points the untrusted router calls:
   across restarts without a fresh remote attestation, with monotonic-
   counter rollback protection (paper §2, last paragraph).
 
-Every cryptographic and index operation charges the platform cost
-model, so running the *same library* in an enclave or in a plain
-process (see :class:`repro.matching.MatchingEngine`) reproduces the
-paper's in/out comparison.
+The index itself is a :class:`repro.matching.MatchingEngine` built on
+the enclave's arena — the same engine, with the same match loop and
+cycle charges, that the cluster slices and the Fig. 5-7 sweeps build
+on theirs, which is what makes the paper's in/out comparison valid.
+This library adds what only the enclave has: the SK channel and its
+AES charges, the ecall surface, and the sorted client-id wire form.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ from repro.core.messages import (SecureChannel, decode_header,
 from repro.crypto.encoding import pack_fields, unpack_fields
 from repro.crypto.rsa import RsaPublicKey, _generate_keypair_unchecked
 from repro.errors import EnclaveError, RoutingError
-from repro.matching.columnar import ColumnarMatchPlane, validate_backend
-from repro.matching.matcher import MatchMemo
-from repro.matching.poset import ContainmentForest
+from repro.matching.matcher import MatchingEngine
 from repro.matching.summaries import covering_antichain
 from repro.obs.metrics import MetricsRegistry
 from repro.sgx.platform import KeyPolicy
@@ -100,20 +100,17 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
                  memo_capacity: int = 0,
                  matcher_backend: str = "forest") -> None:
         super().__init__(runtime)
-        self._matcher_backend = validate_backend(matcher_backend)
-        self._forest = ContainmentForest(arena=runtime.arena)
-        # Columnar match plane, compiled lazily from the forest when
-        # selected. Registration, covering antichains and sealing all
-        # stay on the forest; only match-time evaluation changes, so
+        # The engine keeps its own registry (trusted code must not
+        # hold references to untrusted mutable state); the untrusted
+        # host reads it through the engine_metrics ecall.
+        self.metrics = MetricsRegistry()
+        # Covering antichains, sealing and digests all read the
+        # engine's forest, whichever backend evaluates matches, so
         # adverts, seal blobs and registration digests are backend-
         # independent by construction.
-        self._plane = self._new_plane()
-        # Optional in-enclave match memo (event-key -> sorted client
-        # tuple). Generation-stamped: any registration change or state
-        # restore bumps it, so a recovered or churned engine can never
-        # serve a stale subscriber set. Off by default so the simulated
-        # cost accounting of existing figures is untouched.
-        self._memo = MatchMemo(memo_capacity) if memo_capacity else None
+        self._engine = MatchingEngine(
+            arena=runtime.arena, memo_capacity=memo_capacity,
+            backend=matcher_backend, metrics=self.metrics)
         # Ephemeral key pair generated inside the enclave; its hash is
         # bound into the attestation report so the provider knows the
         # matching private key lives behind the measurement it checked.
@@ -132,22 +129,11 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         # falls back to full adverts, which is always correct.
         self._advert_history: Dict[
             str, "OrderedDict[bytes, List[bytes]]"] = {}
-        # The engine keeps its own registry (trusted code must not
-        # hold references to untrusted mutable state); the untrusted
-        # host reads it through the engine_metrics ecall.
-        self.metrics = MetricsRegistry()
         m = self.metrics
         self._m_registers = m.counter(
             "engine.register_total", "subscriptions registered")
         self._m_unregisters = m.counter(
             "engine.unregister_total", "withdrawals processed")
-        self._m_matches = m.counter(
-            "engine.match_total", "publication headers matched")
-        self._m_visited = m.histogram(
-            "engine.match_visited", "index nodes visited per match")
-        self._m_memo_hits = m.counter(
-            "engine.memo_hits_total",
-            "publications answered from the in-enclave match memo")
         self._m_advert_exports = m.counter(
             "engine.advert_exports_total",
             "neighbour-facing summary adverts computed")
@@ -167,32 +153,8 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         m.gauge("engine.link_subscriptions",
                 "remote-interest entries installed from neighbour "
                 "adverts", fn=self._count_link_subscriptions)
-        m.gauge("engine.memo_entries", "entries held in the match memo",
-                fn=lambda: len(self._memo) if self._memo else 0)
-        m.gauge("engine.subscriptions", "stored subscriptions",
-                fn=lambda: self._forest.n_subscriptions)
-        m.gauge("engine.index_nodes", "containment index nodes",
-                fn=lambda: self._forest.n_nodes)
-        m.gauge("engine.index_bytes", "modelled index bytes",
-                fn=lambda: self._forest.index_bytes)
-        # Working-set legs the EPC-aware sharding tracker samples per
-        # slice — exposed here too so a flat (unsharded) engine's
-        # distance from the Fig. 8 cliff is observable the same way.
-        m.gauge("engine.arena_live_bytes",
-                "live enclave-arena allocation",
-                fn=lambda: self.runtime.arena.live_bytes)
-        m.gauge("engine.epc_resident_bytes",
-                "EPC-resident bytes on this enclave's platform",
-                fn=lambda: self.runtime.memory.epc.resident_bytes)
 
     # -- internal helpers -------------------------------------------------------
-
-    def _new_plane(self) -> Optional[ColumnarMatchPlane]:
-        """Columnar plane over the *current* forest (or None)."""
-        if self._matcher_backend != "columnar":
-            return None
-        return ColumnarMatchPlane(self._forest,
-                                  arena=self.runtime.arena)
 
     def _charge_aes(self, n_bytes: int) -> None:
         """Charge AES-CTR work over ``n_bytes`` (SDK crypto cost)."""
@@ -206,9 +168,18 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
             raise EnclaveError("engine not provisioned with SK yet")
         return self._sk_channel
 
+    def _registration_entries(self) -> List[bytes]:
+        """One packed (subscription blob, client) pair per registration."""
+        entries: List[bytes] = []
+        for node in self._engine.forest.iter_nodes():
+            blob = encode_subscription(node.subscription)
+            for client in sorted(str(c) for c in node.subscribers):
+                entries.append(pack_fields([blob, client.encode()]))
+        return entries
+
     def _count_link_subscriptions(self) -> int:
         return sum(
-            1 for node in self._forest.iter_nodes()
+            1 for node in self._engine.forest.iter_nodes()
             for subscriber in node.subscribers
             if str(subscriber).startswith(LINK_PREFIX))
 
@@ -273,13 +244,7 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
             raise RoutingError(
                 f"client id {client_id!r} uses the reserved overlay "
                 f"link prefix")
-        costs = self.runtime.costs
-        self.runtime.memory.charge(
-            costs.node_visit_cycles
-            + costs.predicate_eval_cycles * subscription.n_constraints)
-        self._forest.insert(subscription, client_id)
-        if self._memo is not None:
-            self._memo.bump()
+        self._engine.register(subscription, client_id)
         self._m_registers.inc()
         return client_id
 
@@ -291,76 +256,20 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         self._provider_pk.verify(envelope, signature)
         plaintext, aad = channel.open(envelope)
         subscription = decode_subscription(plaintext)
-        if self._memo is not None:
-            self._memo.bump()
         self._m_unregisters.inc()
-        return self._forest.remove_subscriber(subscription,
-                                              aad.decode("utf-8"))
+        return self._engine.unregister(subscription,
+                                       aad.decode("utf-8"))
 
     # -- matching (Fig. 4, step 5) ------------------------------------------------------
 
-    def _match_decoded(self, event) -> List[str]:
-        """Match one already-decrypted header (memo-aware)."""
-        memo = self._memo
-        if memo is not None:
-            cached = memo.lookup(event.key())
-            if cached is not None:
-                self._m_matches.inc()
-                self._m_memo_hits.inc()
-                return list(cached)
-        matched, visited, evaluated = self._forest.match_traced(event)
-        costs = self.runtime.costs
-        self.runtime.memory.charge(
-            visited * costs.node_visit_cycles
-            + evaluated * costs.predicate_eval_cycles)
-        self._m_matches.inc()
-        self._m_visited.observe(visited)
-        clients = sorted(str(client) for client in matched)
-        if memo is not None:
-            # The memo stores the *sorted tuple* the ecall returns, so
-            # hits are byte-identical to misses on the wire.
-            memo.store(event.key(), tuple(clients))
-        return clients
+    def _match_decoded(self, events) -> List[List[str]]:
+        """Match decrypted headers; one sorted client list per header.
 
-    def _match_decoded_batch(self, events) -> List[List[str]]:
-        """Match decoded headers with the configured backend.
-
-        The forest backend walks the index per event; the columnar
-        backend answers all memo misses with shared column passes.
-        Both return the same sorted client lists in input order.
+        The sort is the ecall's wire form, applied to memo hits and
+        misses alike, so a hit is byte-identical to a miss outside.
         """
-        if self._plane is None:
-            return [self._match_decoded(event) for event in events]
-        memo = self._memo
-        results: List[Optional[List[str]]] = [None] * len(events)
-        pending = []
-        pending_slots = []
-        for slot, event in enumerate(events):
-            if memo is not None:
-                cached = memo.lookup(event.key())
-                if cached is not None:
-                    self._m_matches.inc()
-                    self._m_memo_hits.inc()
-                    results[slot] = list(cached)
-                    continue
-            pending.append(event)
-            pending_slots.append(slot)
-        if pending:
-            matched, visited, consulted = \
-                self._plane.match_batch_traced(pending)
-            costs = self.runtime.costs
-            self.runtime.memory.charge(
-                sum(visited) * costs.node_visit_cycles
-                + sum(consulted) * costs.predicate_eval_cycles)
-            for slot, event, subscribers, n_visited in zip(
-                    pending_slots, pending, matched, visited):
-                self._m_matches.inc()
-                self._m_visited.observe(n_visited)
-                clients = sorted(str(c) for c in subscribers)
-                if memo is not None:
-                    memo.store(event.key(), tuple(clients))
-                results[slot] = clients
-        return results
+        return [sorted(str(client) for client in result.subscribers)
+                for result in self._engine.match_batch(events)]
 
     @ecall
     def match_publication(self, header_envelope: bytes) -> List[str]:
@@ -369,7 +278,7 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         plaintext, _aad = channel.open(header_envelope)
         self._charge_aes(len(header_envelope))
         event = decode_header(plaintext)
-        return self._match_decoded_batch([event])[0]
+        return self._match_decoded([event])[0]
 
     @ecall
     def match_publications(self, header_envelopes: List[bytes]
@@ -396,7 +305,7 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
                                                opened):
             self._charge_aes(len(envelope))
             events.append(decode_header(plaintext))
-        return self._match_decoded_batch(events)
+        return self._match_decoded(events)
 
     # -- persistence -----------------------------------------------------------------
 
@@ -424,15 +333,10 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         self._require_provisioned()
         if self._counter_id is None:
             self._counter_id = self.runtime.create_monotonic_counter()
-        entries: List[bytes] = []
-        for node in self._forest.iter_nodes():
-            blob = encode_subscription(node.subscription)
-            for client in sorted(str(c) for c in node.subscribers):
-                entries.append(pack_fields([blob, client.encode()]))
         payload = pack_fields([
             self._sk,
             encode_public_key(self._provider_pk),
-            pack_fields(entries),
+            pack_fields(self._registration_entries()),
             app_data,
         ])
         sealed = seal(self.runtime, payload, policy=policy,
@@ -459,23 +363,14 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         self._sk = sk
         self._sk_channel = SecureChannel(sk)
         self._provider_pk = decode_public_key(provider_pk_blob)
-        self._forest = ContainmentForest(arena=self.runtime.arena)
-        # The plane holds compiled references into the *old* forest;
-        # release its modelled memory and rebuild it over the
-        # replacement (still lazy: nothing compiles until a match).
-        if self._plane is not None:
-            self._plane.release()
-        self._plane = self._new_plane()
-        for entry in unpack_fields(entries_blob):
-            sub_blob, client = unpack_fields(entry)
-            self._forest.insert(decode_subscription(sub_blob),
-                                client.decode("utf-8"))
-        if self._memo is not None:
-            # A restored engine must start cold: whatever this instance
-            # cached before the restore no longer describes the index.
-            self._memo.bump()
+        # A restored engine starts cold: whatever this instance indexed
+        # or memoised before the restore is dropped.
+        self._engine.reset(
+            (decode_subscription(sub_blob), client.decode("utf-8"))
+            for sub_blob, client in map(unpack_fields,
+                                        unpack_fields(entries_blob)))
         self._restored_app_data = app_data
-        return self._forest.n_subscriptions
+        return self._engine.n_subscriptions
 
     @ecall
     def restored_app_data(self) -> bytes:
@@ -492,8 +387,9 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
     @ecall
     def engine_stats(self) -> Tuple[int, int, int]:
         """(subscriptions, index nodes, modelled index bytes)."""
-        return (self._forest.n_subscriptions, self._forest.n_nodes,
-                self._forest.index_bytes)
+        engine = self._engine
+        return (engine.n_subscriptions, engine.n_nodes,
+                engine.index_bytes)
 
     @ecall
     def engine_metrics(self) -> Dict[str, float]:
@@ -515,13 +411,8 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         state produce byte-identical digests — the check the
         determinism tests pin recovery on.
         """
-        entries: List[bytes] = []
-        for node in self._forest.iter_nodes():
-            blob = encode_subscription(node.subscription)
-            for client in sorted(str(c) for c in node.subscribers):
-                entries.append(pack_fields([blob, client.encode()]))
         digest = hashlib.sha256()
-        for entry in sorted(entries):
+        for entry in sorted(self._registration_entries()):
             digest.update(entry)
         return digest.digest()
 
@@ -534,7 +425,7 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         prove the restored poset is not merely the right size but
         structurally sound.
         """
-        self._forest.check_invariants()
+        self._engine.forest.check_invariants()
         return True
 
     # -- overlay: neighbour summary adverts ---------------------------------------------
@@ -558,27 +449,23 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         included — which is what makes propagation transitive across
         the overlay.
         """
-        channel = self._require_provisioned()
-        entries = self._current_entries(exclude_link)
-        canonical = pack_fields(entries)
-        self._charge_aes(len(canonical))
-        blob = channel.protect(canonical,
-                               aad=ADVERT_AAD_PREFIX + origin.encode())
-        self._m_advert_exports.inc()
-        digest = advert_digest(exclude_link, entries)
-        self._remember_export(exclude_link, digest, entries)
-        return digest, blob
+        self._require_provisioned()
+        digest, entries = self._export_entries(exclude_link)
+        return digest, self._full_advert_blob(origin, entries)
 
-    def _current_entries(self, exclude_link: str) -> List[bytes]:
-        """Sorted encoded covering antichain for one link's advert."""
-        antichain = covering_antichain(self._forest,
+    def _export_entries(self, exclude_link: str
+                        ) -> Tuple[bytes, List[bytes]]:
+        """``(digest, entries)`` of one link's current advert.
+
+        The entries are the sorted encoded covering antichain; the set
+        is remembered in a bounded per-link history so the next change
+        on this link can go out as a delta against it.
+        """
+        antichain = covering_antichain(self._engine.forest,
                                        exclude=(exclude_link,))
-        return sorted(encode_subscription(subscription)
-                      for subscription in antichain)
-
-    def _remember_export(self, exclude_link: str, digest: bytes,
-                         entries: List[bytes]) -> None:
-        """Keep a bounded per-link history of exported covering sets."""
+        entries = sorted(encode_subscription(subscription)
+                         for subscription in antichain)
+        digest = advert_digest(exclude_link, entries)
         history = self._advert_history.setdefault(exclude_link,
                                                   OrderedDict())
         if digest in history:
@@ -586,6 +473,16 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         history[digest] = list(entries)
         while len(history) > ADVERT_HISTORY_DEPTH:
             history.popitem(last=False)
+        return digest, entries
+
+    def _full_advert_blob(self, origin: str,
+                          entries: List[bytes]) -> bytes:
+        """Seal a full advert under SK, bound to ``origin``."""
+        canonical = pack_fields(entries)
+        self._charge_aes(len(canonical))
+        self._m_advert_exports.inc()
+        return self._require_provisioned().protect(
+            canonical, aad=ADVERT_AAD_PREFIX + origin.encode())
 
     @ecall
     def export_link_advert_delta(self, origin: str, exclude_link: str,
@@ -610,20 +507,14 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         on this link can go out as a delta.
         """
         channel = self._require_provisioned()
-        entries = self._current_entries(exclude_link)
-        digest = advert_digest(exclude_link, entries)
-        self._remember_export(exclude_link, digest, entries)
+        digest, entries = self._export_entries(exclude_link)
         if digest == base_digest:
             return "noop", digest, b""
         baseline = self._advert_history.get(exclude_link,
                                             {}).get(base_digest)
         if baseline is None:
-            canonical = pack_fields(entries)
-            self._charge_aes(len(canonical))
-            blob = channel.protect(
-                canonical, aad=ADVERT_AAD_PREFIX + origin.encode())
-            self._m_advert_exports.inc()
-            return "full", digest, blob
+            return "full", digest, self._full_advert_blob(origin,
+                                                          entries)
         base_set = set(baseline)
         current_set = set(entries)
         adds = sorted(current_set - base_set)
@@ -658,22 +549,15 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
             raise RoutingError(
                 "summary advert bound to a different broker")
         sentinel = LINK_PREFIX + from_broker
+        engine = self._engine
         stale = [node.subscription
-                 for node in self._forest.iter_nodes()
+                 for node in engine.forest.iter_nodes()
                  if sentinel in node.subscribers]
         for subscription in stale:
-            self._forest.remove_subscriber(subscription, sentinel)
+            engine.unregister(subscription, sentinel)
         entries = unpack_fields(plaintext)
-        costs = self.runtime.costs
         for entry in entries:
-            subscription = decode_subscription(entry)
-            self.runtime.memory.charge(
-                costs.node_visit_cycles
-                + costs.predicate_eval_cycles
-                * subscription.n_constraints)
-            self._forest.insert(subscription, sentinel)
-        if self._memo is not None:
-            self._memo.bump()
+            engine.register(decode_subscription(entry), sentinel)
         self._m_advert_installs.inc()
         return len(entries)
 
@@ -681,7 +565,7 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         """Sorted encoded subscriptions held under one link sentinel."""
         return sorted(
             encode_subscription(node.subscription)
-            for node in self._forest.iter_nodes()
+            for node in self._engine.forest.iter_nodes()
             if sentinel in node.subscribers)
 
     @ecall
@@ -738,18 +622,10 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         if advert_digest(exclude_link, result) != new_digest:
             raise RoutingError(
                 "delta advert does not reproduce its stated digest")
-        costs = self.runtime.costs
         for entry in removals:
-            self._forest.remove_subscriber(decode_subscription(entry),
-                                           sentinel)
+            self._engine.unregister(decode_subscription(entry),
+                                    sentinel)
         for entry in adds:
-            subscription = decode_subscription(entry)
-            self.runtime.memory.charge(
-                costs.node_visit_cycles
-                + costs.predicate_eval_cycles
-                * subscription.n_constraints)
-            self._forest.insert(subscription, sentinel)
-        if self._memo is not None:
-            self._memo.bump()
+            self._engine.register(decode_subscription(entry), sentinel)
         self._m_delta_installs.inc()
         return True, new_digest

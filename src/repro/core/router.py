@@ -358,20 +358,18 @@ class Router:
                 local_clients.append(client_id)
         return local_clients, links
 
-    def handle_publish(self, frame: bytes) -> List[str]:
-        """PUB frame -> match ecall -> forward payload to subscribers.
+    def _fan_out(self, matched: List[str], payload_envelope: bytes,
+                 publish_frame: bytes,
+                 incoming_link: Optional[str] = None,
+                 **opub_identity) -> None:
+        """Deliver one matched publication and forward it onward.
 
-        The payload envelope is forwarded byte-for-byte: the router
-        cannot read it (group key) nor the header (SK). With an overlay
-        attached, matched ``link:`` sentinels additionally fan the
-        publication out to the neighbour brokers whose advertised
-        covering set it satisfies.
+        Local clients get the payload envelope byte-for-byte; with an
+        overlay attached, matched ``link:`` sentinels fan the PUB
+        frame out to the neighbour brokers whose advertised covering
+        set it satisfies. ``opub_identity`` is the parsed
+        ``origin``/``sequence``/``ttl`` of a transit publication.
         """
-        header_envelope, payload_envelope = parse_publish(frame)
-        matched = self.enclave.ecall("match_publication",
-                                     header_envelope)
-        self.publications += 1
-        self._m_publications.inc()
         self._m_fanout.observe(len(matched))
         local_clients, links = self._split_matched(matched)
         deliver_frame = build_deliver(payload_envelope)
@@ -379,8 +377,22 @@ class Router:
             self._attempt_delivery(client_id, deliver_frame,
                                    attempts_made=0)
         if self.overlay is not None:
-            self.overlay.forward_publication(frame, links,
-                                             incoming_link=None)
+            self.overlay.forward_publication(
+                publish_frame, links, incoming_link=incoming_link,
+                **opub_identity)
+
+    def handle_publish(self, frame: bytes) -> List[str]:
+        """PUB frame -> match ecall -> forward payload to subscribers.
+
+        The payload envelope is forwarded byte-for-byte: the router
+        cannot read it (group key) nor the header (SK).
+        """
+        header_envelope, payload_envelope = parse_publish(frame)
+        matched = self.enclave.ecall("match_publication",
+                                     header_envelope)
+        self.publications += 1
+        self._m_publications.inc()
+        self._fan_out(matched, payload_envelope, frame)
         return matched
 
     def handle_publish_batch(self, frames: List[bytes],
@@ -458,15 +470,7 @@ class Router:
             pub_bound.inc()
             self.publications += 1
             self._m_publications.inc()
-            self._m_fanout.observe(len(matched))
-            local_clients, links = self._split_matched(matched)
-            deliver_frame = build_deliver(payloads[position])
-            for client_id in local_clients:
-                self._attempt_delivery(client_id, deliver_frame,
-                                       attempts_made=0)
-            if self.overlay is not None:
-                self.overlay.forward_publication(frames[index], links,
-                                                 incoming_link=None)
+            self._fan_out(matched, payloads[position], frames[index])
             results[index] = matched
             progress.append(index)
         return results
@@ -548,16 +552,9 @@ class Router:
         matched = self.enclave.ecall("match_publication",
                                      header_envelope)
         self._m_overlay_publications.inc()
-        self._m_fanout.observe(len(matched))
-        local_clients, links = self._split_matched(matched)
-        deliver_frame = build_deliver(payload_envelope)
-        for client_id in local_clients:
-            self._attempt_delivery(client_id, deliver_frame,
-                                   attempts_made=0)
-        overlay.forward_publication(publish_frame, links,
-                                    incoming_link=sender,
-                                    origin=origin, sequence=sequence,
-                                    ttl=ttl)
+        self._fan_out(matched, payload_envelope, publish_frame,
+                      incoming_link=sender, origin=origin,
+                      sequence=sequence, ttl=ttl)
         overlay.mark_seen(origin, sequence)
         return matched
 

@@ -15,7 +15,7 @@ benchmarks read simulated matching time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.matching.columnar import ColumnarMatchPlane, validate_backend
 from repro.matching.events import Event
@@ -50,6 +50,10 @@ class MatchMemo:
     stop matching on lookup and are dropped lazily. Capacity is
     enforced FIFO: dict insertion order makes the oldest entry the
     first key.
+
+    Only :class:`MatchingEngine` holds one, and it stores the frozen
+    set as matched; a host that needs another form (the enclave's
+    sorted client-id list) derives it from hit and miss alike.
     """
 
     __slots__ = ("capacity", "generation", "_entries", "hits", "misses",
@@ -98,79 +102,128 @@ class MatchMemo:
 class MatchingEngine:
     """Containment-based filter bound to a simulated memory arena.
 
-    ``enclave=True`` places the index in protected memory: traversals
-    then pay MEE costs on LLC misses and EPC faults when the index
-    outgrows the protected region.
+    The one match loop of the repository: the routing enclave, the
+    cluster slices and the Fig. 5-7 sweeps each hold an engine over
+    their own ``arena`` (without one, a fresh arena is taken from
+    ``platform`` in the ``enclave`` or untrusted space). An arena in
+    protected memory makes traversals pay MEE costs on LLC misses and
+    EPC faults when the index outgrows the protected region.
+
+    The engine owns the forest, the optional columnar plane (compiled
+    lazily from it; registration, covering and sealing stay on the
+    forest), the optional memo, the compute-cycle charges, the
+    :class:`MatchCounters` and the ``engine.*`` metrics.
     """
 
-    def __init__(self, platform: SgxPlatform, enclave: bool,
+    def __init__(self, platform: Optional[SgxPlatform] = None,
+                 enclave: bool = True,
                  name: str = "scbr-engine",
                  memo_capacity: int = 0,
                  root_gate: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
-                 backend: str = "forest") -> None:
-        self.platform = platform
-        self.enclave = enclave
+                 backend: str = "forest",
+                 arena: Optional[MemoryArena] = None,
+                 trace_inserts: bool = True) -> None:
         self.backend = validate_backend(backend)
-        self.arena: MemoryArena = platform.memory.new_arena(
-            enclave=enclave, name=name)
+        self.arena: MemoryArena = arena if arena is not None \
+            else platform.memory.new_arena(enclave=enclave, name=name)
+        self.memory = self.arena.memory
+        self._root_gate = root_gate
+        #: False for hosts that exclude registration from what they
+        #: measure (slices, sweeps): inserts then neither touch the
+        #: memory model nor charge compute cycles.
+        self._trace_inserts = trace_inserts
         #: Hot-path work counters (see :class:`MatchCounters`); tests
         #: and benchmarks read them to quantify gate/memo savings.
         self.counters = MatchCounters()
-        self.forest = ContainmentForest(arena=self.arena,
-                                        root_gate=root_gate,
-                                        counters=self.counters)
-        #: Columnar match plane, compiled lazily from the forest when
-        #: ``backend="columnar"``. Registration always goes through the
-        #: forest (covering stays authoritative); only the match-time
-        #: evaluation strategy changes.
-        self.plane = ColumnarMatchPlane(self.forest, arena=self.arena) \
-            if self.backend == "columnar" else None
         #: ``memo_capacity > 0`` enables the match memo. Off by default:
         #: a hit skips the traversal entirely (simulated time ~0), which
         #: is the point, but would silently change the figure
         #: benchmarks' latency semantics if always on.
         self.memo = MatchMemo(memo_capacity) if memo_capacity else None
+        self.plane: Optional[ColumnarMatchPlane] = None
+        self.reset()
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         m = self.metrics
         # Counters are pre-bound once here; the per-event path performs
         # plain attribute calls, never registry lookups.
         self._m_matches = m.counter(
-            "matching.match_total", "events matched by the engine")
+            "engine.match_total", "events matched by the engine")
+        self._m_visited = m.histogram(
+            "engine.match_visited", "index nodes visited per match")
         self._m_memo_hits = m.counter(
-            "matching.memo_hits_total",
+            "engine.memo_hits_total",
             "events answered from the match memo")
         self._m_memo_misses = m.counter(
-            "matching.memo_misses_total",
+            "engine.memo_misses_total",
             "memo lookups that fell through to the index")
-        m.gauge("matching.memo_entries", "entries held in the memo",
+        m.gauge("engine.memo_entries", "entries held in the match memo",
                 fn=lambda: len(self.memo) if self.memo else 0)
-        m.gauge("matching.memo_generation",
+        m.gauge("engine.memo_generation",
                 "registration generation stamp",
                 fn=lambda: self.memo.generation if self.memo else 0)
-        m.gauge("matching.memo_evictions",
+        m.gauge("engine.memo_evictions",
                 "memo entries evicted by capacity",
                 fn=lambda: self.memo.evictions if self.memo else 0)
+        m.gauge("engine.subscriptions", "stored subscriptions",
+                fn=lambda: self.forest.n_subscriptions)
+        m.gauge("engine.index_nodes", "containment index nodes",
+                fn=lambda: self.forest.n_nodes)
+        m.gauge("engine.index_bytes", "modelled index bytes",
+                fn=lambda: self.forest.index_bytes)
+        # Working-set legs the EPC-aware sharding tracker samples per
+        # slice — exposed on every engine so a flat (unsharded) one's
+        # distance from the Fig. 8 cliff is observable the same way.
+        m.gauge("engine.arena_live_bytes", "live arena allocation",
+                fn=lambda: self.arena.live_bytes)
+        m.gauge("engine.epc_resident_bytes",
+                "EPC-resident bytes on this engine's platform",
+                fn=lambda: self.memory.epc.resident_bytes)
 
     # -- registration -----------------------------------------------------------
+
+    def reset(self, entries: Iterable[Tuple[Subscription, object]] = ()
+              ) -> None:
+        """Replace the index with ``entries`` on the same arena.
+
+        The restore path of a sealed snapshot: the plane holds
+        compiled references into the old forest, so it releases its
+        modelled memory and is rebuilt over the replacement (lazily:
+        nothing compiles until a match), and the memo starts cold.
+        Loading is not registration: inserts are traced like any other
+        but charge no compute cycles.
+        """
+        if self.plane is not None:
+            self.plane.release()
+        self.forest = ContainmentForest(
+            arena=self.arena, trace_inserts=self._trace_inserts,
+            root_gate=self._root_gate, counters=self.counters)
+        if self.backend == "columnar":
+            self.plane = ColumnarMatchPlane(self.forest,
+                                            arena=self.arena)
+        for subscription, subscriber in entries:
+            self.forest.insert(subscription, subscriber)
+        if self.memo is not None:
+            self.memo.bump()
 
     def register(self, subscription: Subscription,
                  subscriber: object) -> float:
         """Insert a subscription; returns simulated microseconds spent."""
-        memory = self.platform.memory
+        memory = self.memory
         start_cycles = memory.cycles
         self.forest.insert(subscription, subscriber)
         if self.memo is not None:
             self.memo.bump()
-        # Rough compute charge: one covering check per node the descent
-        # touched is already accounted via arena touches; charge the
-        # constraint comparisons themselves.
-        costs = self.platform.spec.costs
-        memory.charge(costs.node_visit_cycles
-                      + costs.predicate_eval_cycles
-                      * subscription.n_constraints)
-        return self.platform.spec.cycles_to_us(memory.cycles - start_cycles)
+        if self._trace_inserts:
+            # One covering check per node the descent touched is
+            # already accounted via arena touches; charge the
+            # constraint comparisons themselves.
+            costs = memory.costs
+            memory.charge(costs.node_visit_cycles
+                          + costs.predicate_eval_cycles
+                          * subscription.n_constraints)
+        return memory.spec.cycles_to_us(memory.cycles - start_cycles)
 
     def unregister(self, subscription: Subscription,
                    subscriber: object) -> bool:
@@ -182,102 +235,80 @@ class MatchingEngine:
     # -- matching ----------------------------------------------------------------
 
     def match(self, event: Event) -> MatchResult:
-        """Match one event, with full cost accounting.
+        """Match one event: a batch of one."""
+        return self._match_group([event])[0]
 
-        With the memo enabled, a repeated header is answered from the
-        cached frozen subscriber set: no traversal, no predicate
-        evaluations, no simulated memory traffic.
-        """
-        if self.plane is not None:
-            return self._match_columnar([event])[0]
-        memo = self.memo
-        if memo is not None:
-            cached = memo.lookup(event.key())
-            if cached is not None:
-                self._m_matches.inc()
-                self._m_memo_hits.inc()
-                counters = self.counters
-                counters.matches += 1
-                counters.memo_hits += 1
-                return MatchResult(cached, 0, 0, 0.0)
-        memory = self.platform.memory
-        costs = self.platform.spec.costs
-        start_cycles = memory.cycles
-        subscribers, visited, evaluated = self.forest.match_traced(event)
-        memory.charge(visited * costs.node_visit_cycles
-                      + evaluated * costs.predicate_eval_cycles)
-        elapsed = self.platform.spec.cycles_to_us(
-            memory.cycles - start_cycles)
-        self._m_matches.inc()
-        if memo is not None:
-            subscribers = frozenset(subscribers)
-            memo.store(event.key(), subscribers)
-            self._m_memo_misses.inc()
-            self.counters.memo_misses += 1
-        return MatchResult(subscribers, visited, evaluated, elapsed)
-
-    def match_batch(self, events) -> list:
-        """Match a batch of events (memo and counters apply per event).
+    def match_batch(self, events: Iterable[Event]) -> List[MatchResult]:
+        """Match a batch of events, with full cost accounting.
 
         The columnar backend answers the whole batch with one column
         pass per attribute; the forest backend walks the index once
-        per event.
+        per event, so an event repeated within the batch already finds
+        its first occurrence in the memo.
         """
         if self.plane is not None:
-            return self._match_columnar(list(events))
+            return self._match_group(list(events))
         return [self.match(event) for event in events]
 
-    def _match_columnar(self, events) -> list:
-        """Batch matching through the columnar plane.
+    def _match_group(self, events: List[Event]) -> List[MatchResult]:
+        """Memo partition -> index walk over the misses -> charge.
 
-        The memo is consulted first, per event; only the misses enter
-        the column passes. The batch charges simulated cycles once
-        (coalesced column touches + per-test compute), and each miss
-        reports the batch-mean ``simulated_us`` — the plane evaluates
-        all events in shared passes, so per-event attribution below
-        batch granularity is not meaningful.
+        With the memo enabled, a repeated header is answered from the
+        cached frozen subscriber set: no traversal, no predicate
+        evaluations, no simulated memory traffic. The misses are
+        walked together and charge simulated cycles once (memory
+        touches + per-test compute); each reports the group-mean
+        ``simulated_us`` — the plane evaluates all events in shared
+        passes, so per-event attribution below batch granularity is
+        not meaningful.
         """
         memo = self.memo
         counters = self.counters
-        results: list = [None] * len(events)
-        pending: list = []
-        pending_slots: list = []
-        for slot, event in enumerate(events):
-            if memo is not None:
+        results: List[Optional[MatchResult]] = [None] * len(events)
+        pending, pending_slots = events, range(len(events))
+        if memo is not None:
+            pending, pending_slots = [], []
+            for slot, event in enumerate(events):
                 cached = memo.lookup(event.key())
-                if cached is not None:
-                    self._m_matches.inc()
-                    self._m_memo_hits.inc()
-                    counters.matches += 1
-                    counters.memo_hits += 1
-                    results[slot] = MatchResult(cached, 0, 0, 0.0)
+                if cached is None:
+                    pending.append(event)
+                    pending_slots.append(slot)
                     continue
-            pending.append(event)
-            pending_slots.append(slot)
+                self._m_matches.inc()
+                self._m_memo_hits.inc()
+                counters.matches += 1
+                counters.memo_hits += 1
+                results[slot] = MatchResult(cached, 0, 0, 0.0)
         if not pending:
             return results
-        memory = self.platform.memory
-        costs = self.platform.spec.costs
+        memory = self.memory
+        costs = memory.costs
         start_cycles = memory.cycles
-        matched, visited, consulted = \
-            self.plane.match_batch_traced(pending)
+        if self.plane is not None:
+            matched, visited, evaluated = \
+                self.plane.match_batch_traced(pending)
+            counters.matches += len(pending)
+            counters.nodes_visited += sum(visited)
+            counters.predicates_evaluated += sum(evaluated)
+        else:
+            # the forest bumps the shared counters itself
+            matched, visited, evaluated = zip(
+                *[self.forest.match_traced(event) for event in pending])
         memory.charge(sum(visited) * costs.node_visit_cycles
-                      + sum(consulted) * costs.predicate_eval_cycles)
-        elapsed = self.platform.spec.cycles_to_us(
+                      + sum(evaluated) * costs.predicate_eval_cycles)
+        elapsed = memory.spec.cycles_to_us(
             memory.cycles - start_cycles) / len(pending)
-        for slot, event, subscribers, n_visited, n_consulted in zip(
-                pending_slots, pending, matched, visited, consulted):
+        for slot, event, subscribers, n_visited, n_evaluated in zip(
+                pending_slots, pending, matched, visited, evaluated):
             self._m_matches.inc()
-            counters.matches += 1
-            counters.nodes_visited += n_visited
-            counters.predicates_evaluated += n_consulted
+            self._m_visited.observe(n_visited)
             if memo is not None:
                 subscribers = frozenset(subscribers)
                 memo.store(event.key(), subscribers)
                 self._m_memo_misses.inc()
                 counters.memo_misses += 1
             results[slot] = MatchResult(subscribers, n_visited,
-                                        n_consulted, elapsed)
+                                        n_evaluated, elapsed)
         return results
 
     # -- introspection -----------------------------------------------------------

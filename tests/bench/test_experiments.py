@@ -8,6 +8,7 @@ from repro.bench.experiments import (AspeSweep, FilterSweep, bench_spec,
                                      run_containment_ablation, run_fig8,
                                      run_prefilter_ablation)
 from repro.bench.report import format_series_chart, format_table
+from repro.sgx.cpu import scaled_spec
 from repro.workloads.datasets import build_dataset
 
 SIZES = [100, 400]
@@ -87,9 +88,13 @@ class TestAspeSweep:
 class TestFig8:
 
     def test_paging_cliff(self):
-        points = run_fig8(n_subscriptions=14000, bin_count=10)
+        # An eighth of bench_spec(epc=True)'s EPC and a seventh of the
+        # registrations cross the same cliff in a tenth of the time.
+        spec = scaled_spec(llc_bytes=bench_spec().llc_bytes,
+                           epc_bytes=768 * 1024,
+                           epc_reserved_bytes=256 * 1024)
+        points = run_fig8(n_subscriptions=2000, bin_count=10, spec=spec)
         assert len(points) >= 5
-        spec = bench_spec(epc=True)
         below = [p for p in points
                  if p.db_bytes < spec.epc_usable_bytes * 0.8]
         above = [p for p in points

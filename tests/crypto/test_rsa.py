@@ -68,8 +68,10 @@ class TestOaep:
             keypair.decrypt(bytes(ciphertext))
 
     @settings(max_examples=10, deadline=None)
-    @given(st.binary(max_size=32))
-    def test_roundtrip_property(self, keypair, message):
+    @given(st.data())
+    def test_roundtrip_property(self, keypair, data):
+        message = data.draw(st.binary(
+            max_size=keypair.public_key.max_message_length))
         assert keypair.decrypt(
             keypair.public_key.encrypt(message)) == message
 

@@ -74,7 +74,7 @@ class TestEngineMemo:
         assert second.simulated_us == 0.0
         assert engine.counters.memo_hits == 1
         assert engine.metrics.get(
-            "matching.memo_hits_total").value == 1
+            "engine.memo_hits_total").value == 1
 
     def test_churn_never_serves_stale_sets(self):
         """register -> match (memoised) -> unregister -> match."""
