@@ -11,8 +11,13 @@ perf overhaul targets —
   pure-loop :class:`repro.crypto.reference.ReferenceAesCtr`, so the
   speedup of the T-table data plane is measured in-process and cannot
   drift with hardware;
-* ``cmac_mbps`` — AES-CMAC tag throughput (the WAL / envelope
-  authentication path);
+* ``cmac_mbps`` — AES-CMAC tag throughput, one message at a time (the
+  word loop ``open`` / ``tag`` / ``verify`` run);
+* ``cmac_batch_mbps`` — the same MAC over a batch of
+  ``_CMAC_LANES`` x 1 KiB messages through
+  :meth:`~repro.crypto.cmac.AesCmac.verify_many`, one lane of the AES
+  batch kernel per message (what ``open_many`` runs);
+  ``cmac_batch_vs_single`` is the in-process ratio of the two;
 * ``envelopes_per_s`` — end-to-end batched publications through a
   provisioned :class:`~repro.core.engine.ScbrEnclaveLibrary`
   (``match_publications`` ecall: CMAC verify, CTR decrypt, header
@@ -39,7 +44,8 @@ the same file*:
 CI's ``hotpath-smoke`` job runs the reduced suite with
 ``--require-aes-vs-reference`` as an absolute in-process gate: the
 production CTR path must beat the pinned reference regardless of what
-the committed record says.
+the committed record says. ``--require-cmac-batch-vs-single`` gates the
+lane-parallel CMAC against the word loop the same way.
 """
 
 from __future__ import annotations
@@ -117,6 +123,26 @@ def _bench_cmac(total_bytes: int, chunk_bytes: int = 4 * 1024,
         mac.tag(chunk)
     elapsed = time.perf_counter() - start
     return _mbps(n_chunks * len(chunk), elapsed)
+
+
+#: Lanes of the batched CMAC leg: one ``IngressTier`` batch.
+_CMAC_LANES = 32
+
+
+def _bench_cmac_batch(total_bytes: int, message_bytes: int = 1024
+                      ) -> float:
+    """MB/s of ``verify_many`` over batches of ``_CMAC_LANES`` messages."""
+    mac = AesCmac(_KEY)
+    messages = [bytes([lane]) * message_bytes
+                for lane in range(_CMAC_LANES)]
+    tags = mac.tag_many(messages)  # also pays the lane-key warm-up
+    batch_bytes = _CMAC_LANES * message_bytes
+    n_batches = max(1, total_bytes // batch_bytes)
+    start = time.perf_counter()
+    for _ in range(n_batches):
+        mac.verify_many(messages, tags)
+    elapsed = time.perf_counter() - start
+    return _mbps(n_batches * batch_bytes, elapsed)
 
 
 def _bench_envelopes(n_subscriptions: int, n_envelopes: int,
@@ -259,6 +285,7 @@ def run_hotpath_bench(reduced: bool = False,
         "reference_aes_ctr_mbps": _bench_ctr(ref_bytes,
                                              reference=True),
         "cmac_mbps": _bench_cmac(cmac_bytes),
+        "cmac_batch_mbps": _bench_cmac_batch(8 * cmac_bytes),
     }
     measurements.update(_bench_envelopes(n_subs, n_env, batch))
     measurements.update(_bench_matcher(m_subs, m_events,
@@ -267,6 +294,9 @@ def run_hotpath_bench(reduced: bool = False,
         measurements["aes_ctr_mbps"]
         / measurements["reference_aes_ctr_mbps"], 3) \
         if measurements["reference_aes_ctr_mbps"] > 0 else 0.0
+    measurements["cmac_batch_vs_single"] = round(
+        measurements["cmac_batch_mbps"] / measurements["cmac_mbps"], 3) \
+        if measurements["cmac_mbps"] > 0 else 0.0
     return measurements
 
 
@@ -345,6 +375,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless AesCtr is at least X times "
                              "faster than the pinned reference "
                              "(in-process gate, CI)")
+    parser.add_argument("--require-cmac-batch-vs-single", type=float,
+                        default=0.0, metavar="R",
+                        help="fail unless verify_many over 32 x 1 KiB "
+                             "lanes is at least R times the MB/s of "
+                             "one-message CMAC (in-process gate, CI)")
     parser.add_argument("--require-aes-speedup", type=float,
                         default=0.0, metavar="X",
                         help="fail unless recorded aes_ctr speedup "
@@ -382,6 +417,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures.append(
             f"AesCtr is only {ratio:.2f}x the pinned reference "
             f"(required {args.require_aes_vs_reference:.2f}x)")
+    cmac_ratio = measurements.get("cmac_batch_vs_single", 0.0)
+    if args.require_cmac_batch_vs_single and \
+            cmac_ratio < args.require_cmac_batch_vs_single:
+        failures.append(
+            f"lane-parallel CMAC is only {cmac_ratio:.2f}x the "
+            f"one-message word loop (required "
+            f"{args.require_cmac_batch_vs_single:.2f}x)")
     matcher_ratio = measurements.get("matcher_columnar_vs_forest", 0.0)
     if args.require_matcher_speedup and \
             matcher_ratio < args.require_matcher_speedup:

@@ -296,9 +296,10 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         stage each run cache-hot instead of interleaving per envelope.
         """
         channel = self._require_provisioned()
-        # open_many batches the whole batch's CMAC checks and CTR
-        # keystream generation; the simulated AES charge per envelope
-        # is unchanged.
+        # open_many checks the batch's CMACs side by side — one lane
+        # of the AES batch kernel per envelope, from two envelopes up —
+        # and decrypts through one CTR pass; the simulated AES charge
+        # per envelope is unchanged.
         opened = channel.open_many(header_envelopes)
         events = []
         for envelope, (plaintext, _aad) in zip(header_envelopes,

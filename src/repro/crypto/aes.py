@@ -11,9 +11,14 @@ round is collapsed into four 256-entry 32-bit lookup tables (the classic
 column becomes four table lookups and four XORs on machine words instead
 of sixteen byte operations. Decryption uses the equivalent inverse cipher
 with four TD tables and an InvMixColumns-transformed key schedule, so it
-runs the same word-oriented round. Everything is verified against the
-FIPS-197 / NIST test vectors and differentially fuzzed against the pinned
-per-byte implementation in :mod:`repro.crypto.reference`.
+runs the same word-oriented round. Many independent blocks at once —
+a CTR keystream, or one CBC-MAC step of every message in a batch — go
+through one *batch kernel* instead (:meth:`AES._encrypt_lanes`): the
+whole batch is a single big integer and a round is a couple of dozen
+C-level operations whatever the batch width. Everything is verified
+against the FIPS-197 / NIST test vectors and differentially fuzzed
+against the pinned per-byte implementation in
+:mod:`repro.crypto.reference`.
 
 This is a clean-room educational implementation: it favours clarity and
 speed over side-channel resistance (table lookups are not constant time),
@@ -24,11 +29,11 @@ which is acceptable for a simulator whose threat model is explicitly
 from __future__ import annotations
 
 from struct import Struct
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import CryptoError
 
-__all__ = ["AES", "BLOCK_SIZE", "xor_bytes"]
+__all__ = ["AES", "BLOCK_SIZE", "MAX_LANES", "xor_bytes"]
 
 BLOCK_SIZE = 16
 
@@ -136,40 +141,48 @@ def _build_t_tables() -> Tuple[List[int], ...]:
 
 _T0, _T1, _T2, _T3, _TD0, _TD1, _TD2, _TD3 = _build_t_tables()
 
-# Translation tables for the byte-sliced batch path: SubBytes fused
-# with the three MixColumns coefficients, applied with bytes.translate
-# across a whole batch of blocks at once.
+# Translation tables for the batch kernel: SubBytes alone and SubBytes
+# fused with the MixColumns doubling, applied with bytes.translate
+# across every byte of a whole batch at once.
 _TR_S = bytes(_SBOX)
 _TR_S2 = bytes(_gf_mul(s, 2) for s in _SBOX)
-_TR_S3 = bytes(_gf_mul(s, 3) for s in _SBOX)
+
+#: Batch-state layout. A batch of ``n`` blocks is one ``16*n``-byte
+#: integer of sixteen ``n``-byte chunks; chunk ``4*row + col`` holds
+#: state byte (row, col) — byte ``4*col + row`` of a block — of every
+#: lane, lane 0 first. Entry ``k`` is the block byte chunk ``k`` holds
+#: (a 4x4 transpose, so the table is its own inverse).
+_CHUNK_ORDER = tuple(4 * (k % 4) + k // 4 for k in range(16))
+
+#: Widest batch whose repeated round keys an :class:`AES` keeps; what
+#: bounds the lane count of :meth:`repro.crypto.cmac.AesCmac.tag_many`.
+MAX_LANES = 64
+
+#: From this many blocks on, CTR runs the batch kernel. One block costs
+#: the word loop ~10 us and the kernel ~19 us (its fixed per-round cost
+#: plus the layout transposes either side); at two they are within 10 %
+#: of each other, at three the kernel is 1.5x ahead.
+_SLICE_THRESHOLD = 3
 
 
-def _build_slice_recipe() -> Tuple[Tuple[int, int, int, int], ...]:
-    """ShiftRows+MixColumns wiring for the byte-sliced state layout.
+def _pack_lanes(buffer: bytes, offset: int, stride: int) -> int:
+    """Gather one block per lane into a batch-state integer.
 
-    State position ``q = 4*column + row`` (the flat column-major layout
-    used throughout). After ShiftRows, row ``j`` of column ``c`` reads
-    input position ``4*((c+j) % 4) + j``; MixColumns row ``r`` applies
-    coefficients (2, 3, 1, 1) to rows ``r, r+1, r+2, r+3`` of that
-    column. Each entry is the four source positions for
-    ``out[q] = 2*S(in[a]) ^ 3*S(in[b]) ^ S(in[c]) ^ S(in[d])``.
+    Lane ``j``'s block is ``buffer[offset + j*stride:][:16]``; the
+    lane count is however many strides fit.
     """
-    def src(c: int, j: int) -> int:
-        return 4 * ((c + j) % 4) + j
-
-    recipe = []
-    for q in range(16):
-        c, r = divmod(q, 4)
-        recipe.append((src(c, r), src(c, (r + 1) % 4),
-                       src(c, (r + 2) % 4), src(c, (r + 3) % 4)))
-    return tuple(recipe)
+    return int.from_bytes(
+        b"".join([buffer[offset + q::stride] for q in _CHUNK_ORDER]),
+        "big")
 
 
-_SLICE_RECIPE = _build_slice_recipe()
-
-#: Below this many blocks the word-loop beats the byte-sliced path's
-#: fixed per-round C-call overhead.
-_SLICE_THRESHOLD = 16
+def _unpack_lanes(state: int, n: int) -> bytes:
+    """Invert :func:`_pack_lanes`: the ``n`` blocks, lane 0 first."""
+    chunks = state.to_bytes(BLOCK_SIZE * n, "big")
+    out = bytearray(BLOCK_SIZE * n)
+    for k, q in enumerate(_CHUNK_ORDER):
+        out[q::BLOCK_SIZE] = chunks[k * n:(k + 1) * n]
+    return bytes(out)
 
 
 class AES:
@@ -182,7 +195,7 @@ class AES:
 
     _ROUNDS_BY_KEYLEN = {16: 10, 24: 12, 32: 14}
 
-    __slots__ = ("_rounds", "_ek", "_dk", "_rk_bytes")
+    __slots__ = ("_rounds", "_ek", "_dk", "_lane_keys", "_wide_keys")
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in self._ROUNDS_BY_KEYLEN:
@@ -192,9 +205,12 @@ class AES:
         self._rounds = self._ROUNDS_BY_KEYLEN[len(key)]
         self._ek = self._expand_key(key)
         self._dk = self._invert_key_schedule(self._ek)
-        # Per-round key bytes in state order, for the sliced path.
-        self._rk_bytes = [_PACK4.pack(*self._ek[4 * r:4 * r + 4])
-                          for r in range(self._rounds + 1)]
+        # Round keys repeated across a batch's lanes, built on first
+        # use of a width by :meth:`_lane_round_keys`: one entry per
+        # width 2..MAX_LANES, one slot for the last other width. A key
+        # that only ever sees single blocks allocates none.
+        self._lane_keys: Dict[int, List[int]] = {}
+        self._wide_keys: Tuple[int, List[int]] = (0, [])
 
     @property
     def rounds(self) -> int:
@@ -335,10 +351,11 @@ class AES:
         """``E_K(c) || E_K(c+1) || ...`` for a 128-bit integer counter.
 
         The CTR mode's whole keystream in one call: counter arithmetic
-        is plain integer addition (mod 2^128). Small batches run the
-        word-oriented core per block; larger batches switch to the
-        byte-sliced formulation, which carries the entire batch through
-        each round in a handful of C-level operations.
+        is plain integer addition (mod 2^128). The smallest batches run
+        the word-oriented core per block; from
+        :data:`_SLICE_THRESHOLD` blocks on, the batch kernel carries
+        every block through each round in a couple of dozen C-level
+        operations.
         """
         if n_blocks >= _SLICE_THRESHOLD:
             return self._ctr_keystream_sliced(counter, n_blocks)
@@ -354,47 +371,78 @@ class AES:
 
     def _ctr_keystream_sliced(self, counter: int,
                               n_blocks: int) -> bytes:
-        """Byte-sliced batch encryption of ``n_blocks`` counter blocks.
+        """``n_blocks`` counter blocks through the batch kernel."""
+        blocks = b"".join([((counter + i) & _COUNTER_MASK)
+                           .to_bytes(BLOCK_SIZE, "big")
+                           for i in range(n_blocks)])
+        return _unpack_lanes(
+            self._encrypt_lanes(_pack_lanes(blocks, 0, BLOCK_SIZE),
+                                n_blocks),
+            n_blocks)
 
-        The state is held position-major: sixteen big integers, each
-        packing byte position ``q`` of *every* block in the batch.
-        SubBytes (fused with each MixColumns coefficient) is a single
-        ``bytes.translate`` per position and variant, ShiftRows is
-        index wiring (:data:`_SLICE_RECIPE`), and MixColumns /
-        AddRoundKey are big-integer XORs — every per-byte operation
-        runs vectorised in C across the whole batch.
+    # -- batch kernel ------------------------------------------------------
+
+    def _lane_round_keys(self, n: int) -> List[int]:
+        """Each round key with every byte repeated ``n`` times, in the
+        batch-state layout, so AddRoundKey is one XOR for all lanes."""
+        keys = self._lane_keys.get(n)
+        if keys is not None:
+            return keys
+        if self._wide_keys[0] == n:
+            return self._wide_keys[1]
+        ek = self._ek
+        keys = []
+        for r in range(self._rounds + 1):
+            key = _PACK4.pack(*ek[4 * r:4 * r + 4])
+            keys.append(int.from_bytes(
+                b"".join([key[q:q + 1] * n for q in _CHUNK_ORDER]),
+                "big"))
+        if 2 <= n <= MAX_LANES:
+            self._lane_keys[n] = keys
+        else:
+            self._wide_keys = (n, keys)
+        return keys
+
+    def _encrypt_lanes(self, state: int, n: int) -> int:
+        """Encrypt ``n`` blocks held as one batch-state integer.
+
+        The whole batch is one ``16*n``-byte integer in the layout of
+        :data:`_CHUNK_ORDER`, in and out, so a mode that chains (CMAC
+        across lanes) XORs its next input straight into the result. A
+        round is: ``to_bytes``; ShiftRows as a re-join of seven slices
+        (row ``r`` is ``4*n`` contiguous bytes, rotated by ``r``
+        chunks); SubBytes — alone and fused with the MixColumns
+        doubling — as two ``bytes.translate`` over every byte of the
+        batch; MixColumns as rotations of those two integers by whole
+        rows (``3s = 2s ^ s``), since row ``r+1`` of every column sits
+        exactly one row further along; AddRoundKey as one XOR.
         """
-        n = n_blocks
-        blocks = bytearray(BLOCK_SIZE * n)
-        for i in range(n):
-            blocks[16 * i:16 * i + 16] = (
-                (counter + i) & _COUNTER_MASK).to_bytes(16, "big")
+        width = BLOCK_SIZE * n
+        rot1, rot2, rot3 = 32 * n, 64 * n, 96 * n
+        mask = (1 << 128 * n) - 1
+        n4, n5, n8, n10, n12, n15 = (4 * n, 5 * n, 8 * n, 10 * n,
+                                     12 * n, 15 * n)
+        keys = self._lane_round_keys(n)
         from_b = int.from_bytes
-        # Repeat each round-key byte across the batch width so
-        # AddRoundKey is one XOR per position.
-        rk = [[from_b(bytes([kb]) * n, "big") for kb in rkb]
-              for rkb in self._rk_bytes]
-        k0 = rk[0]
-        state = [from_b(blocks[q::16], "big") ^ k0[q]
-                 for q in range(16)]
-        tr_s, tr_s2, tr_s3 = _TR_S, _TR_S2, _TR_S3
-        recipe = _SLICE_RECIPE
+        join = b"".join
+        tr_s, tr_s2 = _TR_S, _TR_S2
+        state ^= keys[0]
         for r in range(1, self._rounds):
-            kr = rk[r]
-            tb = [s.to_bytes(n, "big") for s in state]
-            v1 = [from_b(b.translate(tr_s), "big") for b in tb]
-            v2 = [from_b(b.translate(tr_s2), "big") for b in tb]
-            v3 = [from_b(b.translate(tr_s3), "big") for b in tb]
-            state = [v2[a] ^ v3[b] ^ v1[c] ^ v1[d] ^ kr[q]
-                     for q, (a, b, c, d) in enumerate(recipe)]
+            b = state.to_bytes(width, "big")
+            b = join((b[:n4], b[n5:n8], b[n4:n5], b[n10:n12],
+                      b[n8:n10], b[n15:], b[n12:n15]))
+            s1 = from_b(b.translate(tr_s), "big")
+            s2 = from_b(b.translate(tr_s2), "big")
+            s3 = s1 ^ s2
+            # out[row r] = 2*S[r] ^ 3*S[r+1] ^ S[r+2] ^ S[r+3]
+            state = (s2 ^ ((s3 << rot1) | (s3 >> rot3))
+                     ^ ((s1 << rot2) | (s1 >> rot2))
+                     ^ ((s1 << rot3) | (s1 >> rot1))) & mask ^ keys[r]
         # Final round: SubBytes + ShiftRows, no MixColumns.
-        kf = rk[self._rounds]
-        out = bytearray(BLOCK_SIZE * n)
-        for q, (a, _b, _c, _d) in enumerate(recipe):
-            out[q::16] = (from_b(state[a].to_bytes(n, "big")
-                                 .translate(tr_s), "big")
-                          ^ kf[q]).to_bytes(n, "big")
-        return bytes(out)
+        b = state.to_bytes(width, "big").translate(tr_s)
+        return from_b(join((b[:n4], b[n5:n8], b[n4:n5], b[n10:n12],
+                            b[n8:n10], b[n15:], b[n12:n15])),
+                      "big") ^ keys[self._rounds]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

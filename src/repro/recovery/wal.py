@@ -24,12 +24,14 @@ than hidden:
 
 from __future__ import annotations
 
+import hmac
 import secrets
 import struct
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.crypto.cmac import cmac
+from repro.crypto.provider import cmac_for_key
 from repro.errors import WalError
 
 __all__ = ["WalRecord", "WriteAheadLog"]
@@ -82,11 +84,17 @@ class WriteAheadLog:
 
     # -- append path ---------------------------------------------------------
 
+    @staticmethod
+    def _chain_body(prev_tag: bytes, seq: int, kind: str,
+                    frame: bytes) -> bytes:
+        """What a record's tag covers: the previous tag, then itself."""
+        return (prev_tag + seq.to_bytes(8, "big") + kind.encode()
+                + b"|" + frame)
+
     def _chain_tag(self, prev_tag: bytes, seq: int, kind: str,
                    frame: bytes) -> bytes:
-        body = (prev_tag + seq.to_bytes(8, "big") + kind.encode()
-                + b"|" + frame)
-        return cmac(self.chain_key, body)
+        return cmac(self.chain_key,
+                    self._chain_body(prev_tag, seq, kind, frame))
 
     def seal_payload(self, payload: bytes) -> bytes:
         """Tag an out-of-band blob with this log's chain key.
@@ -109,7 +117,7 @@ class WriteAheadLog:
         if len(blob) < _TAG:
             raise WalError("sealed payload shorter than its tag")
         payload, tag = bytes(blob[:-_TAG]), bytes(blob[-_TAG:])
-        if cmac(self.chain_key, payload) != tag:
+        if not hmac.compare_digest(cmac(self.chain_key, payload), tag):
             raise WalError("sealed payload failed verification")
         return payload
 
@@ -203,28 +211,44 @@ class WriteAheadLog:
         log._anchor_tag = anchor_tag
         prev_tag = anchor_tag
         expected_seq = pruned_through + 1
+        # Parse first, verify after: a record's body holds the *stored*
+        # previous tag, so the chain links are independent messages and
+        # ``tag_many`` runs their CMACs side by side.
+        records: List[WalRecord] = []
+        torn = False
+        gap: Optional[WalError] = None
         while offset < len(data):
             parsed = cls._parse_record(data, offset)
             if parsed is None:
                 # Torn tail: drop the partial record and stop.
-                log.torn_tail_drops += 1
+                torn = True
                 break
             record, offset = parsed
-            if record.seq != expected_seq:
-                raise WalError(
-                    f"WAL sequence gap: expected {expected_seq}, "
-                    f"found {record.seq}")
-            expected = log._chain_tag(prev_tag, record.seq, record.kind,
-                                      record.frame)
-            if expected != record.tag:
+            if record.seq != expected_seq + len(records):
+                gap = WalError(
+                    f"WAL sequence gap: expected "
+                    f"{expected_seq + len(records)}, found {record.seq}")
+                break
+            records.append(record)
+        links = [anchor_tag] + [record.tag for record in records[:-1]]
+        expected = cmac_for_key(chain_key).tag_many([
+            cls._chain_body(link, record.seq, record.kind, record.frame)
+            for link, record in zip(links, records)])
+        for record, tag in zip(records, expected):
+            if not hmac.compare_digest(tag, record.tag):
                 # A record whose body or tag was damaged in place: the
                 # chain is broken here, so nothing after it can be
-                # trusted either — same treatment as a torn tail.
-                log.torn_tail_drops += 1
+                # trusted either — same treatment as a torn tail, and
+                # replay never gets to whatever ended the parse.
+                torn, gap = True, None
                 break
             log._records.append(record)
             prev_tag = record.tag
             expected_seq += 1
+        if gap is not None:
+            raise gap
+        if torn:
+            log.torn_tail_drops += 1
         log._next_seq = expected_seq
         log._last_tag = prev_tag
         return log

@@ -61,13 +61,18 @@ class TestSmokeRun:
 
     def test_all_metrics_present_and_positive(self, measurements):
         for key in ("aes_ctr_mbps", "reference_aes_ctr_mbps",
-                    "cmac_mbps", "envelopes_per_s",
+                    "cmac_mbps", "cmac_batch_mbps",
+                    "cmac_batch_vs_single", "envelopes_per_s",
                     "matcher_events_per_s", "aes_vs_reference"):
             assert measurements[key] > 0, key
 
     def test_optimized_aes_beats_pinned_reference(self, measurements):
         """The in-process gate the CI smoke job enforces."""
         assert measurements["aes_vs_reference"] > 1.5
+
+    def test_lane_cmac_beats_the_word_loop(self, measurements):
+        """The other in-process gate of the CI smoke job."""
+        assert measurements["cmac_batch_vs_single"] > 3.0
 
     def test_workload_sizes_recorded(self, measurements):
         assert measurements["n_envelopes"] > 0
@@ -117,11 +122,14 @@ class TestMainGates:
         assert record["speedup"]["aes_ctr"] == pytest.approx(
             1.0, rel=0.6)
         capsys.readouterr()
-        # An impossible speedup requirement must fail the run.
+        # Impossible requirements must fail the run, each by name.
         assert main(["--reduced", "--record", "--phase", "current",
                      "--out", out_dir,
-                     "--require-aes-speedup", "1e9"]) == 1
-        assert "FAIL" in capsys.readouterr().err
+                     "--require-aes-speedup", "1e9",
+                     "--require-cmac-batch-vs-single", "1e9"]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL: aes_ctr speedup" in err
+        assert "FAIL: lane-parallel CMAC" in err
 
     def test_matcher_speedup_gate(self, tmp_path, capsys):
         """The in-process columnar-vs-forest gate: impossible bars

@@ -1,6 +1,7 @@
 """Wire-format tests: headers, subscriptions, envelopes, hybrid RSA."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from repro.core.messages import (SecureChannel, decode_header,
                                  encode_header, encode_public_key,
                                  encode_subscription, from_wire,
                                  hybrid_decrypt, hybrid_encrypt, to_wire)
+from repro.crypto.encoding import pack_fields, unpack_fields
 from repro.crypto.rsa import _generate_keypair_unchecked
 from repro.errors import AuthenticationError, CryptoError, RoutingError
 from repro.matching.events import Event
@@ -119,7 +121,6 @@ class TestSecureChannel:
         channel = SecureChannel(b"k" * 16)
         blob = channel.protect(b"payload", aad=b"alice")
         # Splice in a different aad by re-packing the fields.
-        from repro.crypto.encoding import pack_fields, unpack_fields
         nonce, ciphertext, tag, _aad = unpack_fields(blob)
         forged = pack_fields([nonce, ciphertext, tag, b"mallory"])
         with pytest.raises(AuthenticationError):
@@ -143,6 +144,77 @@ class TestSecureChannel:
         channel = SecureChannel(b"k" * 16)
         plaintext, got_aad = channel.open(channel.protect(payload, aad))
         assert plaintext == payload and got_aad == aad
+
+
+class TestOpenMany:
+    """``open_many`` is a loop of ``open``: same results, and the same
+    exception from the first envelope, in batch order, that fails."""
+
+    FIELDS = {"nonce": 0, "ciphertext": 1, "tag": 2, "aad": 3}
+
+    @staticmethod
+    def _batch(channel, rng, width):
+        return [channel.protect(
+                    rng.randbytes(rng.choice((0, 1, 15, 16, 17, 200,
+                                              1000, 4096))),
+                    aad=rng.choice((b"", b"client-%d" % lane)))
+                for lane in range(width)]
+
+    @staticmethod
+    def _flip(blob, field):
+        fields = unpack_fields(blob)
+        damaged = bytearray(fields[field])
+        damaged[len(damaged) // 2] ^= 0x10
+        fields[field] = bytes(damaged)
+        return pack_fields(fields)
+
+    def test_equals_a_loop_of_open_over_ragged_batches(self):
+        channel = SecureChannel(b"k" * 16)
+        rng = random.Random(14)
+        assert channel.open_many([]) == []
+        for width in (1, 2, 3, 7, 32, 40):
+            blobs = self._batch(channel, rng, width)
+            assert channel.open_many(blobs) \
+                == [channel.open(blob) for blob in blobs]
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("width,lane", [(2, 0), (2, 1), (9, 4),
+                                            (33, 32)])
+    def test_one_flipped_bit_in_any_lane_fails_the_batch(self, field,
+                                                         width, lane):
+        channel = SecureChannel(b"k" * 16)
+        blobs = [channel.protect(b"payload-%d" % i * 9, aad=b"a%d" % i)
+                 for i in range(width)]
+        blobs[lane] = self._flip(blobs[lane], self.FIELDS[field])
+        with pytest.raises(AuthenticationError):
+            channel.open_many(blobs)
+
+    def test_first_failing_envelope_decides(self):
+        channel = SecureChannel(b"k" * 16)
+        good = [channel.protect(b"payload", aad=b"x") for _ in range(5)]
+        bad_tag = self._flip(good[0], self.FIELDS["tag"])
+        malformed = good[0][:-3]
+        short_tag = unpack_fields(good[0])
+        short_tag[2] = short_tag[2][:15]
+        short_tag = pack_fields(short_tag)
+
+        def raised(blobs):
+            with pytest.raises(CryptoError) as caught:
+                channel.open_many(blobs)
+            with pytest.raises(type(caught.value)):
+                for blob in blobs:
+                    channel.open(blob)
+            return type(caught.value)
+
+        assert raised(good[:2] + [bad_tag, malformed]) \
+            is AuthenticationError
+        assert raised(good[:2] + [malformed, bad_tag]) is CryptoError
+        assert raised([good[0], short_tag, bad_tag]) is CryptoError
+        assert raised([good[0], bad_tag, short_tag]) \
+            is AuthenticationError
+        assert raised([malformed]) is CryptoError
+        assert raised([good[0], pack_fields(unpack_fields(good[1])[:3])]) \
+            is CryptoError
 
 
 class TestHybrid:

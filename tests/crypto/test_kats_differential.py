@@ -1,7 +1,7 @@
 """Extended KATs and old-vs-new differential fuzzing.
 
-The optimized data plane (T-table AES, byte-sliced batch CTR, word-state
-CMAC) must be byte-for-byte the same function as the pinned pre-PR
+The optimized data plane (T-table AES, the whole-state batch kernel
+under CTR and lane-parallel CMAC, word-state CMAC) must be byte-for-byte the same function as the pinned pre-PR
 reference implementations in :mod:`repro.crypto.reference`. This module
 holds the two gates:
 
@@ -11,15 +11,18 @@ holds the two gates:
   F.5.5) and SP 800-38B CMAC examples for AES-192/256.
 * A seeded differential fuzz (1000+ cases) driving the optimized and
   reference implementations through identical inputs — all key sizes,
-  CTR lengths straddling the sliced-path threshold, and a counter-wrap
-  case near 2^128.
+  CTR lengths straddling the batch-kernel threshold, a counter-wrap
+  case near 2^128, the kernel lane by lane against ``encrypt_block``
+  and ``tag_many`` over ragged batches.
 """
 
 import random
 
 import pytest
 
-from repro.crypto.aes import AES, BLOCK_SIZE, _SLICE_THRESHOLD
+from repro.crypto.aes import (AES, BLOCK_SIZE, MAX_LANES,
+                              _SLICE_THRESHOLD, _pack_lanes,
+                              _unpack_lanes)
 from repro.crypto.cmac import AesCmac
 from repro.crypto.ctr import AesCtr
 from repro.crypto.reference import (ReferenceAES, ReferenceAesCmac,
@@ -132,8 +135,8 @@ class TestDifferentialFuzz:
 
     def test_ctr_differential_both_paths(self):
         rng = random.Random(0xC72)
-        # Lengths straddle the sliced-path threshold so both keystream
-        # code paths (per-block word loop and byte-sliced batch) are
+        # Lengths straddle the batch-kernel threshold so both keystream
+        # code paths (per-block word loop and batch kernel) are
         # exercised against the reference.
         word_loop_max = (_SLICE_THRESHOLD - 1) * BLOCK_SIZE
         lengths = [0, 1, 15, 16, 17, word_loop_max,
@@ -176,8 +179,7 @@ class TestDifferentialFuzz:
             key = rng.randbytes(rng.choice([16, 24, 32]))
             aes = AES(key)
             counter = rng.getrandbits(128)
-            n_blocks = rng.randrange(_SLICE_THRESHOLD,
-                                     4 * _SLICE_THRESHOLD)
+            n_blocks = rng.randrange(_SLICE_THRESHOLD, 2 * MAX_LANES)
             sliced = aes._ctr_keystream_sliced(counter, n_blocks)
             per_block = b"".join(
                 aes.encrypt_block(
@@ -185,3 +187,57 @@ class TestDifferentialFuzz:
                         16, "big"))
                 for i in range(n_blocks))
             assert sliced == per_block
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 31, 32, 33, 200])
+    def test_kernel_matches_encrypt_block_lane_by_lane(self, n):
+        rng = random.Random(0x1A9E + n)
+        for key_len in (16, 24, 32):
+            aes = AES(rng.randbytes(key_len))
+            blocks = rng.randbytes(BLOCK_SIZE * n)
+            state = _pack_lanes(blocks, 0, BLOCK_SIZE)
+            assert _unpack_lanes(state, n) == blocks
+            assert _unpack_lanes(aes._encrypt_lanes(state, n), n) \
+                == b"".join(
+                    aes.encrypt_block(blocks[i:i + BLOCK_SIZE])
+                    for i in range(0, len(blocks), BLOCK_SIZE))
+
+    def test_lane_round_keys_are_bounded_and_per_object(self):
+        rng = random.Random(0xB0D)
+        aes = AES(rng.randbytes(16))
+        aes.encrypt_block(bytes(16))
+        aes.ctr_keystream(7, _SLICE_THRESHOLD - 1)
+        assert not aes._lane_keys and not aes._wide_keys[1]
+        for n in list(range(1, 130)) + [1, 200, 64, 2]:
+            aes._encrypt_lanes(0, n)
+        assert sorted(aes._lane_keys) == list(range(2, MAX_LANES + 1))
+        assert aes._wide_keys[0] == 200
+        # A fresh object of another key at the same widths shares none.
+        other = AES(rng.randbytes(16))
+        for n in (2, 64, 200):
+            assert other._encrypt_lanes(0, n) != aes._encrypt_lanes(0, n)
+
+    LANE_LENGTHS = (0, 1, 15, 16, 17, 31, 32, 33, 1022, 1024)
+
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
+    def test_tag_many_differential(self, key_len):
+        rng = random.Random(0x7A6 + key_len)
+        key = rng.randbytes(key_len)
+        fast, slow = AesCmac(key), ReferenceAesCmac(key)
+        lengths = list(self.LANE_LENGTHS)
+        batches = [
+            [],
+            [b""],
+            [b"", rng.randbytes(1024)],           # empty beside long
+            [rng.randbytes(n) for n in lengths],  # every finishing step
+            [rng.randbytes(n) for n in reversed(lengths)],
+            [rng.randbytes(33)] * 3 + [b"", b""],  # duplicates
+            [rng.randbytes(rng.choice(lengths[:8]))
+             for _ in range(2 * MAX_LANES + 1)],  # windows of lanes + 1
+        ]
+        for _case in range(12):
+            batches.append([rng.randbytes(rng.choice(lengths))
+                            for _ in range(rng.randrange(2, 40))])
+        for batch in batches:
+            expected = [slow.tag(message) for message in batch]
+            assert fast.tag_many(batch) == expected
+            fast.verify_many(batch, expected)
