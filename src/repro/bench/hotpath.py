@@ -29,7 +29,14 @@ perf overhaul targets —
   (``matcher_events_per_s_forest``) and the columnar batch plane
   (``matcher_events_per_s_columnar``, bursts of ``_MATCHER_BATCH``
   events); the headline key follows the columnar leg when it runs,
-  and ``matcher_columnar_vs_forest`` records the in-process ratio.
+  and ``matcher_columnar_vs_forest`` records the in-process ratio;
+* ``llc_batch_ns_per_line`` / ``llc_line_ns_per_line`` — the LLC
+  model's cost per resident line through the batch entry point
+  (:meth:`~repro.sgx.cache.CacheModel.access_lines`, what a poset walk
+  hands over) and through one ``access_line`` call each;
+  ``llc_batch_vs_line`` is their in-process ratio, and
+  ``llc_thrash_ns_per_line`` the batch entry point's cost when every
+  line misses and evicts (the per-line loop).
 
 Results land in ``BENCH_hotpath.json`` in two phases so the speedup
 claim is recorded against a baseline captured *on the same machine, in
@@ -45,7 +52,9 @@ CI's ``hotpath-smoke`` job runs the reduced suite with
 ``--require-aes-vs-reference`` as an absolute in-process gate: the
 production CTR path must beat the pinned reference regardless of what
 the committed record says. ``--require-cmac-batch-vs-single`` gates the
-lane-parallel CMAC against the word loop the same way.
+lane-parallel CMAC against the word loop the same way, and
+``--require-llc-batch-vs-line`` the cache model's all-hit batch path
+against per-line calls.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from repro.crypto.reference import ReferenceAesCmac, ReferenceAesCtr
 from repro.crypto.rsa import _generate_keypair_unchecked
 from repro.matching.columnar import ColumnarMatchPlane
 from repro.matching.poset import ContainmentForest
+from repro.sgx.cache import CacheModel
 from repro.sgx.cpu import scaled_spec
 from repro.sgx.platform import SgxPlatform
 from repro.sgx.sdk import load_enclave
@@ -267,6 +277,50 @@ def _bench_matcher(n_subscriptions: int, n_events: int,
     return out
 
 
+#: Lines per LLC-model batch: one ``paper_path`` walk (~2,900 line
+#: touches per publication).
+_LLC_LINES = 3000
+
+
+def _best_ns(fn, per_call_items: int, repeats: int = 5) -> float:
+    """Fastest of ``repeats`` timings of ``fn()``, in ns per item."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e9 / per_call_items, 1)
+
+
+def _bench_llc() -> Dict[str, float]:
+    """ns per line of the cache model, resident and thrashing."""
+    first = 1 << 30
+    resident = CacheModel(8 * 1024 * 1024)
+    lines = list(range(first, first + _LLC_LINES))
+    resident.access_lines(lines)
+
+    def line_by_line() -> None:
+        access_line = resident.access_line
+        for line in lines:
+            access_line(line)
+
+    batch_ns = _best_ns(lambda: resident.access_lines(lines),
+                        _LLC_LINES)
+    line_ns = _best_ns(line_by_line, _LLC_LINES)
+    # A cyclic sweep over 4x the capacity: LRU misses on every access.
+    thrashed = CacheModel(64 * 1024)
+    sweep = list(range(first, first + 4 * 1024))
+    thrashed.access_lines(sweep)
+    return {
+        "llc_batch_ns_per_line": batch_ns,
+        "llc_line_ns_per_line": line_ns,
+        "llc_batch_vs_line": round(line_ns / batch_ns, 3)
+        if batch_ns > 0 else 0.0,
+        "llc_thrash_ns_per_line": _best_ns(
+            lambda: thrashed.access_lines(sweep), len(sweep)),
+    }
+
+
 def run_hotpath_bench(reduced: bool = False,
                       matcher_backend: str = "both"
                       ) -> Dict[str, float]:
@@ -290,6 +344,7 @@ def run_hotpath_bench(reduced: bool = False,
     measurements.update(_bench_envelopes(n_subs, n_env, batch))
     measurements.update(_bench_matcher(m_subs, m_events,
                                        backend=matcher_backend))
+    measurements.update(_bench_llc())
     measurements["aes_vs_reference"] = round(
         measurements["aes_ctr_mbps"]
         / measurements["reference_aes_ctr_mbps"], 3) \
@@ -380,6 +435,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless verify_many over 32 x 1 KiB "
                              "lanes is at least R times the MB/s of "
                              "one-message CMAC (in-process gate, CI)")
+    parser.add_argument("--require-llc-batch-vs-line", type=float,
+                        default=0.0, metavar="R",
+                        help="fail unless the cache model's batch "
+                             "entry point is at least R times cheaper "
+                             "per resident line than one access_line "
+                             "call each (in-process gate, CI)")
     parser.add_argument("--require-aes-speedup", type=float,
                         default=0.0, metavar="X",
                         help="fail unless recorded aes_ctr speedup "
@@ -424,6 +485,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"lane-parallel CMAC is only {cmac_ratio:.2f}x the "
             f"one-message word loop (required "
             f"{args.require_cmac_batch_vs_single:.2f}x)")
+    llc_ratio = measurements.get("llc_batch_vs_line", 0.0)
+    if args.require_llc_batch_vs_line and \
+            llc_ratio < args.require_llc_batch_vs_line:
+        failures.append(
+            f"batched LLC accounting is only {llc_ratio:.2f}x "
+            f"per-line calls (required "
+            f"{args.require_llc_batch_vs_line:.2f}x)")
     matcher_ratio = measurements.get("matcher_columnar_vs_forest", 0.0)
     if args.require_matcher_speedup and \
             matcher_ratio < args.require_matcher_speedup:

@@ -439,6 +439,12 @@ def _run_hotpath(args: argparse.Namespace) -> int:
     if args.require_matcher_speedup is not None:
         argv += ["--require-matcher-speedup",
                  str(args.require_matcher_speedup)]
+    if args.require_cmac_batch_vs_single is not None:
+        argv += ["--require-cmac-batch-vs-single",
+                 str(args.require_cmac_batch_vs_single)]
+    if args.require_llc_batch_vs_line is not None:
+        argv += ["--require-llc-batch-vs-line",
+                 str(args.require_llc_batch_vs_line)]
     return hotpath_main(argv)
 
 
@@ -779,6 +785,14 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None, metavar="RATIO",
                     help="fail unless the columnar matcher beats the "
                          "forest walk by this factor")
+    ph.add_argument("--require-cmac-batch-vs-single", type=float,
+                    default=None, metavar="RATIO",
+                    help="fail unless 32-lane verify_many beats "
+                         "one-message CMAC by this factor")
+    ph.add_argument("--require-llc-batch-vs-line", type=float,
+                    default=None, metavar="RATIO",
+                    help="fail unless the cache model's batch entry "
+                         "point beats per-line calls by this factor")
     ph.set_defaults(func=_run_hotpath)
 
     pi = sub.add_parser(

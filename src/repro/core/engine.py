@@ -150,9 +150,10 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
             "engine.advert_delta_rejects_total",
             "delta adverts rejected because the installed set no "
             "longer matched the stated base digest")
-        m.gauge("engine.link_subscriptions",
-                "remote-interest entries installed from neighbour "
-                "adverts", fn=self._count_link_subscriptions)
+        self._m_link_subscriptions = m.gauge(
+            "engine.link_subscriptions",
+            "remote-interest entries installed from neighbour "
+            "adverts", fn=self._count_link_subscriptions)
 
     # -- internal helpers -------------------------------------------------------
 
@@ -391,6 +392,12 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         engine = self._engine
         return (engine.n_subscriptions, engine.n_nodes,
                 engine.index_bytes)
+
+    def on_destroy(self) -> None:
+        """EREMOVE took the heap: drop the index and every callback
+        that would keep this instance reachable from its registry."""
+        self._m_link_subscriptions.freeze()
+        self._engine.close()
 
     @ecall
     def engine_metrics(self) -> Dict[str, float]:

@@ -224,15 +224,19 @@ class Router:
         self._m_requeued = m.counter(
             "router.dead_letters_requeued_total",
             "dead letters re-injected by an operator or supervisor")
-        m.gauge("router.pending_retries",
-                "deliveries currently awaiting a retry tick",
-                fn=lambda: len(self._retries))
-        m.gauge("router.dead_letters_held",
-                "entries currently held in the dead-letter queue",
-                fn=lambda: len(self.dead_letters))
-        m.gauge("router.tick", "router pump tick",
-                fn=lambda: self.tick)
-        platform.memory.epc.attach_metrics(m)
+        #: Callback gauges close over this router (and its platform's
+        #: EPC); :meth:`close` freezes them so the registry — often the
+        #: bus's — neither pins a closed router nor forms a cycle.
+        self._gauges = [
+            m.gauge("router.pending_retries",
+                    "deliveries currently awaiting a retry tick",
+                    fn=lambda: len(self._retries)),
+            m.gauge("router.dead_letters_held",
+                    "entries currently held in the dead-letter queue",
+                    fn=lambda: len(self.dead_letters)),
+            m.gauge("router.tick", "router pump tick",
+                    fn=lambda: self.tick),
+            *platform.memory.epc.attach_metrics(m)]
 
     # -- enclave lifecycle ---------------------------------------------------------
 
@@ -263,6 +267,8 @@ class Router:
         if self.closed:
             return
         self.closed = True
+        for gauge in self._gauges:
+            gauge.freeze()
         enclave = self.enclave
         if enclave is not None \
                 and not getattr(enclave, "_destroyed", True):

@@ -387,7 +387,7 @@ class ColumnarMatchPlane:
                 # written by every pass and scanned once for zeros.
                 runs.append((acc_address, acc_size))
         if traced:
-            self.arena.touch_many(runs)
+            self.arena.touch_runs(runs)
         return matched, visited, consulted
 
     def match(self, event: Event) -> Set[object]:

@@ -110,7 +110,7 @@ class HybridContainmentForest:
     def _touch(self, node: HybridNode,
                n_evals: Optional[int] = None) -> None:
         span = node.size if n_evals is None \
-            else min(node.size, 64 + 48 * n_evals)
+            else node.subscription.visit_bytes(n_evals)
         if node.external:
             # External nodes are sealed: the whole node is fetched and
             # decrypted regardless of how early matching short-circuits.
@@ -235,7 +235,7 @@ class HybridContainmentForest:
 
         Accounting is batched with *interleaving preserved*: visits
         accumulate coalesced ``(address, n_bytes)`` runs, and a run
-        segment is flushed through ``touch_many`` whenever the walk
+        segment is flushed through ``touch_runs`` whenever the walk
         crosses the enclave boundary — so the two arenas' accesses
         reach the shared LLC model in exactly the per-touch order, and
         the external segments' AES decrypt/verify cycles are charged
@@ -248,41 +248,38 @@ class HybridContainmentForest:
         evaluated = 0
         stack = list(self.roots)
         runs: List[Tuple[int, int]] = []
-        runs_external = False
+        external = False     # side of the boundary the segment is on
         aes_cycles = 0.0
         while stack:
             node = stack.pop()
             visited += 1
             ok, n_evals = node.subscription.matches_counting(event)
             evaluated += n_evals
-            if node.external:
-                if runs and not runs_external:
-                    self.enclave_arena.touch_many(runs)
-                    runs = []
-                runs_external = True
+            if node.external != external and runs:
+                self._flush(external, runs, aes_cycles)
+                runs, aes_cycles = [], 0.0
+            external = node.external
+            if external:
                 # External nodes are sealed: the whole node is fetched
                 # and decrypted regardless of short-circuiting.
                 runs.append((node.address, node.size))
                 aes_cycles += self._visit_cost_cycles(node)
             else:
-                if runs and runs_external:
-                    self.external_arena.touch_many(runs)
-                    self.external_arena.memory.charge(aes_cycles)
-                    runs = []
-                    aes_cycles = 0.0
-                runs_external = False
                 runs.append((node.address,
-                             min(node.size, 64 + 48 * n_evals)))
+                             node.subscription.visit_bytes(n_evals)))
             if ok:
                 matched |= node.subscribers
                 stack.extend(node.children)
         if runs:
-            if runs_external:
-                self.external_arena.touch_many(runs)
-                self.external_arena.memory.charge(aes_cycles)
-            else:
-                self.enclave_arena.touch_many(runs)
+            self._flush(external, runs, aes_cycles)
         return matched, visited, evaluated
+
+    def _flush(self, external: bool, runs: List[Tuple[int, int]],
+               aes_cycles: float) -> None:
+        arena = self.external_arena if external else self.enclave_arena
+        arena.touch_runs(runs)
+        if external:
+            arena.memory.charge(aes_cycles)
 
     def match_traced_pertouch(self, event: Event
                               ) -> Tuple[Set[object], int, int]:

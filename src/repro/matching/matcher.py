@@ -158,28 +158,42 @@ class MatchingEngine:
         self._m_memo_misses = m.counter(
             "engine.memo_misses_total",
             "memo lookups that fell through to the index")
-        m.gauge("engine.memo_entries", "entries held in the match memo",
-                fn=lambda: len(self.memo) if self.memo else 0)
-        m.gauge("engine.memo_generation",
-                "registration generation stamp",
-                fn=lambda: self.memo.generation if self.memo else 0)
-        m.gauge("engine.memo_evictions",
-                "memo entries evicted by capacity",
-                fn=lambda: self.memo.evictions if self.memo else 0)
-        m.gauge("engine.subscriptions", "stored subscriptions",
-                fn=lambda: self.forest.n_subscriptions)
-        m.gauge("engine.index_nodes", "containment index nodes",
-                fn=lambda: self.forest.n_nodes)
-        m.gauge("engine.index_bytes", "modelled index bytes",
-                fn=lambda: self.forest.index_bytes)
-        # Working-set legs the EPC-aware sharding tracker samples per
-        # slice — exposed on every engine so a flat (unsharded) one's
-        # distance from the Fig. 8 cliff is observable the same way.
-        m.gauge("engine.arena_live_bytes", "live arena allocation",
-                fn=lambda: self.arena.live_bytes)
-        m.gauge("engine.epc_resident_bytes",
-                "EPC-resident bytes on this engine's platform",
-                fn=lambda: self.memory.epc.resident_bytes)
+        #: Callback gauges close over this engine; :meth:`close`
+        #: freezes them (engine <-> registry would otherwise be a
+        #: reference cycle only the cyclic collector breaks).
+        self._gauges = [
+            m.gauge("engine.memo_entries",
+                    "entries held in the match memo",
+                    fn=lambda: len(self.memo) if self.memo else 0),
+            m.gauge("engine.memo_generation",
+                    "registration generation stamp",
+                    fn=lambda: self.memo.generation if self.memo else 0),
+            m.gauge("engine.memo_evictions",
+                    "memo entries evicted by capacity",
+                    fn=lambda: self.memo.evictions if self.memo else 0),
+            m.gauge("engine.subscriptions", "stored subscriptions",
+                    fn=lambda: self.forest.n_subscriptions),
+            m.gauge("engine.index_nodes", "containment index nodes",
+                    fn=lambda: self.forest.n_nodes),
+            m.gauge("engine.index_bytes", "modelled index bytes",
+                    fn=lambda: self.forest.index_bytes),
+            # Working-set legs the EPC-aware sharding tracker samples
+            # per slice — exposed on every engine so a flat (unsharded)
+            # one's distance from the Fig. 8 cliff is observable the
+            # same way.
+            m.gauge("engine.arena_live_bytes", "live arena allocation",
+                    fn=lambda: self.arena.live_bytes),
+            m.gauge("engine.epc_resident_bytes",
+                    "EPC-resident bytes on this engine's platform",
+                    fn=lambda: self.memory.epc.resident_bytes)]
+
+    def close(self) -> None:
+        """Tear the engine down: its gauges keep their last reading
+        and the index is dropped. The owner calls this when the memory
+        the engine lives in goes away (enclave destroy)."""
+        for gauge in self._gauges:
+            gauge.freeze()
+        self.forest = self.plane = self.memo = None
 
     # -- registration -----------------------------------------------------------
 

@@ -99,15 +99,15 @@ class NaiveMatcher:
         visited = 0
         evaluated = 0
         runs: List[Tuple[int, int]] = []
-        for subscription, subscribers, address, size in self._entries:
+        for subscription, subscribers, address, _size in self._entries:
             visited += 1
             ok, n_evals = subscription.matches_counting(event)
             evaluated += n_evals
             # Same short-circuit-aware touch model as the forest, one
             # coalesced run per scanned entry, batched after the scan.
-            runs.append((address, min(size, 64 + 48 * n_evals)))
+            runs.append((address, subscription.visit_bytes(n_evals)))
             if ok:
                 matched |= subscribers
         if arena is not None:
-            arena.touch_many(runs)
+            arena.touch_runs(runs)
         return matched, visited, evaluated

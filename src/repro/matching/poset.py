@@ -28,34 +28,83 @@ from repro.matching.events import Event
 from repro.matching.subscriptions import Subscription
 from repro.sgx.memory import MemoryArena
 
-__all__ = ["PosetNode", "ContainmentForest"]
+__all__ = ["PosetNode", "ContainmentForest", "walk_traced"]
 
 
 class PosetNode:
     """One stored subscription plus the subscribers interested in it."""
 
     __slots__ = ("subscription", "children", "subscribers", "address",
-                 "size", "matcher", "required_attributes")
+                 "size", "count", "required_attributes", "spans")
 
-    def __init__(self, subscription: Subscription, address: int,
-                 size: int) -> None:
+    def __init__(self, subscription: Subscription,
+                 arena: Optional[MemoryArena] = None) -> None:
         self.subscription = subscription
         self.children: List[PosetNode] = []
         self.subscribers: Set[object] = set()
-        self.address = address
-        self.size = size
-        #: Compiled ``header-dict -> bool`` closure; the per-predicate
-        #: interpretation is paid once here, at node creation, instead
-        #: of on every event the traversal tests against this node.
-        self.matcher = subscription.compiled()
+        self.size = size = subscription.size_bytes()
+        self.address = address = \
+            arena.alloc(size) if arena is not None else 0
+        #: Compiled ``header-dict -> +-constraints evaluated`` closure
+        #: (positive = match); the per-predicate interpretation is
+        #: paid once here, at node creation, instead of on every event
+        #: the traversal tests against this node.
+        self.count = subscription.compiled()
         #: Attributes an event must carry for this node (and, by
         #: covering, its whole subtree) to possibly match — the
         #: per-root gate consults this before descending.
         self.required_attributes = subscription.required_attributes()
+        #: ``spans[n]``: the ``(lines, pages)`` a visit that evaluated
+        #: ``n`` constraints reads; ``spans[0]``: the whole node, what
+        #: an insert's covering check reads. Address and size are fixed
+        #: for the node's lifetime, so they are computed once; None
+        #: without a memory model to report to.
+        self.spans = None
+        if arena is not None:
+            memory = arena.memory
+            lines, pages = map(tuple, memory.span(address, size))
+            # a visit reads a prefix of the node: slices share the ints
+            self.spans = ((lines, pages),) + tuple(
+                (lines[:len(read_lines)], pages[:len(read_pages)])
+                for read_lines, read_pages in (
+                    memory.span(address, subscription.visit_bytes(n))
+                    for n in range(1, subscription.n_constraints + 1)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PosetNode({self.subscription!r}, "
                 f"children={len(self.children)})")
+
+
+def walk_traced(stack: List[PosetNode], header: dict,
+                arena: MemoryArena) -> Tuple[Set[object], int, int]:
+    """Depth-first walk from ``stack`` with memory accounting.
+
+    Each visit reads what its node's ``spans`` say for the number of
+    constraints evaluated (short-circuiting included); the whole walk
+    reaches the memory model as one batch in visit order. Returns
+    ``(subscribers, nodes_visited, predicates_evaluated)``.
+    """
+    matched: Set[object] = set()
+    visited = 0
+    evaluated = 0
+    lines: List[int] = []
+    pages: List[int] = []
+    pop = stack.pop
+    while stack:
+        node = pop()
+        visited += 1
+        n_evals = node.count(header)
+        if n_evals > 0:
+            matched |= node.subscribers
+            stack.extend(node.children)
+        else:
+            n_evals = -n_evals
+        evaluated += n_evals
+        node_lines, node_pages = node.spans[n_evals]
+        lines += node_lines
+        pages += node_pages
+    arena.touch_many(lines, pages)
+    return matched, visited, evaluated
 
 
 class ContainmentForest:
@@ -94,18 +143,16 @@ class ContainmentForest:
         # share a node even when the first-cover descent, after
         # re-parenting, would not walk past the existing copy.
         self._by_key: dict = {}
+        #: (generation, header attribute set -> gate survivors)
+        self._gate_cache: Tuple[int, dict] = (0, {})
 
     # -- memory model ----------------------------------------------------------
 
     def _new_node(self, subscription: Subscription) -> PosetNode:
-        size = subscription.size_bytes()
-        if self.arena is not None:
-            address = self.arena.alloc(size)
-        else:
-            address = 0
+        node = PosetNode(subscription, self.arena)
         self.n_nodes += 1
-        self._bytes += size
-        return PosetNode(subscription, address, size)
+        self._bytes += node.size
+        return node
 
     @property
     def index_bytes(self) -> int:
@@ -139,24 +186,32 @@ class ContainmentForest:
         # set, so every insert invalidates derived match planes.
         self.generation += 1
         arena = self.arena if self.trace_inserts else None
+        # The descent reads every node it compares against whole; the
+        # model gets the reads as one batch (all resident, typically)
+        # and the new node's first write as another.
+        lines: List[int] = []
+        pages: List[int] = []
         siblings = self.roots
         while True:
             container = None
             for node in siblings:
                 if arena is not None:
-                    arena.touch(node.address, node.size)
-                node_sub = node.subscription
-                if node_sub.covers(subscription):
-                    if subscription.key() == node_sub.key():
-                        self._add_subscriber(node, subscriber)
-                        return node
+                    node_lines, node_pages = node.spans[0]
+                    lines += node_lines
+                    pages += node_pages
+                if node.subscription.covers(subscription):
                     container = node
                     break
-            if container is None:
+            if container is None \
+                    or container.subscription.key() == subscription.key():
                 break
             siblings = container.children
+        if arena is not None:
+            arena.touch_many(lines, pages)
 
-        existing = self._by_key.get(subscription.key())
+        # the descent ended on the identical subscription or on none
+        existing = container if container is not None \
+            else self._by_key.get(subscription.key())
         if existing is not None:
             self._add_subscriber(existing, subscriber)
             return existing
@@ -175,7 +230,7 @@ class ContainmentForest:
         siblings.append(new_node)
         self._by_key[subscription.key()] = new_node
         if arena is not None:
-            arena.touch(new_node.address, new_node.size)
+            arena.touch_many(*new_node.spans[0])
         return new_node
 
     def remove_subscriber(self, subscription: Subscription,
@@ -228,21 +283,34 @@ class ContainmentForest:
     # -- matching -----------------------------------------------------------------
 
     def _entry_roots(self, event: Event) -> Tuple[List[PosetNode], int]:
-        """Roots surviving the attribute-set gate + how many it cut."""
+        """Roots surviving the attribute-set gate + how many it cut.
+
+        A fresh list each call (the walks consume it as their stack).
+        The survivors depend only on which attributes the header
+        carries, and streams repeat a handful of attribute sets, so
+        they are kept per set until the next registration change.
+        """
         roots = self.roots
         if not self.root_gate:
             return list(roots), 0
-        present = event.header.keys()
-        stack = [root for root in roots
-                 if root.required_attributes <= present]
-        return stack, len(roots) - len(stack)
+        generation, survivors_by_set = self._gate_cache
+        if generation != self.generation or len(survivors_by_set) > 64:
+            survivors_by_set = {}
+            self._gate_cache = (self.generation, survivors_by_set)
+        present = frozenset(event.header)
+        survivors = survivors_by_set.get(present)
+        if survivors is None:
+            survivors = survivors_by_set[present] = [
+                root for root in roots
+                if root.required_attributes <= present]
+        return list(survivors), len(roots) - len(survivors)
 
     def match(self, event: Event) -> Set[object]:
         """All subscribers whose subscription matches ``event``.
 
         Untraced fast path (no memory accounting) — used by wall-clock
         benchmarks and by correctness tests. Evaluates the compiled
-        per-node matcher closures behind the per-root attribute gate.
+        per-node closures behind the per-root attribute gate.
         """
         header = event.header
         matched: Set[object] = set()
@@ -250,7 +318,7 @@ class ContainmentForest:
         pop = stack.pop
         while stack:
             node = pop()
-            if node.matcher(header):
+            if node.count(header) > 0:
                 matched |= node.subscribers
                 stack.extend(node.children)
         return matched
@@ -262,36 +330,12 @@ class ContainmentForest:
         ``(subscribers, nodes_visited, predicates_evaluated)`` so the
         caller can charge per-evaluation cycles to the platform.
         """
-        arena = self.arena
-        if arena is None:
+        if self.arena is None:
             raise MatchingError("match_traced requires an arena-backed "
                                 "index")
-        matched: Set[object] = set()
-        visited = 0
-        evaluated = 0
         stack, gated = self._entry_roots(event)
-        pop = stack.pop
-        # One coalesced (address, n_bytes) run per visited node,
-        # reported to the memory model in visit order as a single
-        # batch after the walk — the model observes the identical
-        # access sequence without a touch call per node.
-        runs: List[Tuple[int, int]] = []
-        append_run = runs.append
-        while stack:
-            node = pop()
-            visited += 1
-            ok, n_evals = node.subscription.matches_counting(event)
-            evaluated += n_evals
-            # Touch only what the visit actually read: the node header
-            # plus the constraints evaluated before short-circuiting
-            # (a failed first predicate does not stream the whole node
-            # through the cache).
-            append_run((node.address,
-                        min(node.size, 64 + 48 * n_evals)))
-            if ok:
-                matched |= node.subscribers
-                stack.extend(node.children)
-        arena.touch_many(runs)
+        matched, visited, evaluated = walk_traced(stack, event.header,
+                                                  self.arena)
         counters = self.counters
         if counters is not None:
             counters.matches += 1

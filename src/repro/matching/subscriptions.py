@@ -27,6 +27,8 @@ _subscription_ids = itertools.count(1)
 #: subscriptions occupy ~43 MB (§4, Fig. 5 text).
 NODE_BASE_BYTES = 256
 PER_CONSTRAINT_BYTES = 48
+#: The part of the node header every visit reads: one cache line.
+VISIT_BASE_BYTES = 64
 
 
 class Subscription:
@@ -128,34 +130,45 @@ class Subscription:
         """
         return frozenset(attribute for attribute, _c in self.items)
 
+    def visit_bytes(self, n_evals: int) -> int:
+        """Bytes of the stored node a visit reads: the header line plus
+        the constraints evaluated before short-circuiting (a failed
+        first predicate does not stream the whole node through the
+        cache)."""
+        return min(self.size_bytes(),
+                   VISIT_BASE_BYTES + PER_CONSTRAINT_BYTES * n_evals)
+
     def compiled(self):
-        """One ``header-dict -> bool`` closure equivalent to
-        :meth:`matches`.
+        """One ``header-dict -> int`` closure equivalent to
+        :meth:`matches_counting`: ``+n`` when the header matches, ``-n``
+        when it does not, ``n`` being the constraints evaluated.
 
         Folds the per-constraint closures from
         :meth:`~repro.matching.predicates.Constraint.compile` into a
         single callable with no per-event attribute re-dispatch; the
         index caches it per node so the interpreted predicate walk is
-        paid once at registration, not on every event.
+        paid once at registration, not on every event. The first
+        constraint is tested outside the loop: almost every visit of a
+        walk ends on it.
         """
-        tests = tuple((attribute, constraint.compile())
-                      for attribute, constraint in self.items)
-        if len(tests) == 1:
-            attribute, test = tests[0]
+        (first_attribute, first_test), *rest = (
+            (attribute, constraint.compile())
+            for attribute, constraint in self.items)
+        rest = tuple(rest)
 
-            def match_one(header, _attribute=attribute, _test=test):
-                value = header.get(_attribute)
-                return value is not None and _test(value)
-            return match_one
-
-        def match_all(header, _tests=tests):
+        def count(header):
+            value = header.get(first_attribute)
+            if value is None or not first_test(value):
+                return -1
             get = header.get
-            for attribute, test in _tests:
+            evaluated = 1
+            for attribute, test in rest:
+                evaluated += 1
                 value = get(attribute)
                 if value is None or not test(value):
-                    return False
-            return True
-        return match_all
+                    return -evaluated
+            return evaluated
+        return count
 
     def matches(self, event: Event) -> bool:
         """Does the event header satisfy every constraint?"""

@@ -29,7 +29,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import MatchingError
 from repro.matching.events import Event
-from repro.matching.poset import ContainmentForest, PosetNode
+from repro.matching.poset import (ContainmentForest, PosetNode,
+                                  walk_traced)
 from repro.matching.predicates import Constraint, Op, Predicate
 from repro.matching.subscriptions import Subscription
 from repro.sgx.memory import MemoryArena
@@ -202,9 +203,7 @@ class SummarizedForest:
             if hull is None:
                 self._loose_roots.extend(members)
                 continue
-            size = hull.size_bytes()
-            address = self.arena.alloc(size) if self.arena else 0
-            summary = PosetNode(hull, address, size)
+            summary = PosetNode(hull, self.arena)
             summary.children = list(members)
             self._summaries.append((summary, members))
             self.n_summaries += 1
@@ -234,7 +233,7 @@ class SummarizedForest:
                  if node.required_attributes <= present]
         while stack:
             node = stack.pop()
-            if node.matcher(header):
+            if node.count(header) > 0:
                 matched |= node.subscribers
                 stack.extend(node.children)
         return matched
@@ -244,25 +243,9 @@ class SummarizedForest:
         if self.arena is None:
             raise MatchingError("match_traced requires an arena")
         present = event.header.keys()
-        matched: Set[object] = set()
-        visited = 0
-        evaluated = 0
         stack = [node for node in self._entry_nodes()
                  if node.required_attributes <= present]
-        # Coalesced per-node runs, reported as one batch in visit order
-        # (same access sequence as per-node touches, fewer calls).
-        runs: List[Tuple[int, int]] = []
-        while stack:
-            node = stack.pop()
-            visited += 1
-            ok, n_evals = node.subscription.matches_counting(event)
-            evaluated += n_evals
-            runs.append((node.address, min(node.size, 64 + 48 * n_evals)))
-            if ok:
-                matched |= node.subscribers
-                stack.extend(node.children)
-        self.arena.touch_many(runs)
-        return matched, visited, evaluated
+        return walk_traced(stack, event.header, self.arena)
 
     def check_invariants(self) -> None:
         """Every summary must cover each of its members."""

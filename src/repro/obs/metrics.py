@@ -173,6 +173,16 @@ class Gauge:
             return self._fn()
         return self._value
 
+    def freeze(self) -> None:
+        """Keep the current reading and drop the callback.
+
+        For the owner's teardown: a callback closes over the object it
+        reads, and the registry may outlive that object — or form a
+        reference cycle with it that only the cyclic collector breaks.
+        """
+        if self._fn is not None:
+            self._value, self._fn = self._fn(), None
+
     def collect(self, into: Dict[str, Number]) -> None:
         """Write this gauge's sample into a flat snapshot dict."""
         into[self.name] = self.value

@@ -6,16 +6,22 @@ and 7: once the subscription index outgrows the LLC, every miss inside
 an enclave additionally pays the MEE decrypt/verify cost.
 
 The model tracks cache *lines* only (no data): a line is identified by
-``address >> line_shift``. Each set is an :class:`~collections.
-OrderedDict` in LRU order (front = LRU), so a hit is one hash probe and
-an O(1) ``move_to_end`` instead of the ``list.remove`` scan the model
-originally paid on every reordering access.
+``address >> line_shift``. Recency is one global map ``line -> stamp``
+(the tick of its last access; ticks are unique and only grow), so a
+batch of resident lines is refreshed by one ``dict.update`` with no
+Python-level loop. Exact LRU follows from the stamps: the least
+recently used line of a set is the one with the smallest stamp.
+Victims are found without scanning: each set keeps its lines as
+``(stamp when filed, line)`` pairs in ascending order, a filed stamp
+never exceeds the line's current one, so when the front pair's stamp
+is still current it is the set's minimum; when it is not, the pair is
+re-filed under the current stamp and the next front is tried.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Tuple
+from bisect import insort
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["CacheModel"]
 
@@ -31,7 +37,7 @@ class CacheModel:
     """
 
     __slots__ = ("line_shift", "ways", "n_sets", "_set_mask", "_sets",
-                 "hits", "misses")
+                 "_stamp", "_tick", "hits", "misses")
 
     def __init__(self, size_bytes: int, line_bytes: int = 64,
                  associativity: int = 16) -> None:
@@ -50,8 +56,12 @@ class CacheModel:
         if self.n_sets & (self.n_sets - 1):
             raise ValueError("set count must be a power of two")
         self._set_mask = self.n_sets - 1
-        self._sets: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(self.n_sets)]
+        #: per set: resident lines as (stamp when filed, line), ascending
+        self._sets: List[List[Tuple[int, int]]] = [
+            [] for _ in range(self.n_sets)]
+        #: resident line -> tick of its last access
+        self._stamp: Dict[int, int] = {}
+        self._tick = 0
         self.hits = 0
         self.misses = 0
 
@@ -60,46 +70,51 @@ class CacheModel:
         return self.access_line(address >> self.line_shift)
 
     def access_line(self, line: int) -> bool:
-        """Touch a line address directly (hot path for traced loops)."""
-        cache_set = self._sets[line & self._set_mask]
-        if line in cache_set:
-            cache_set.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        cache_set[line] = None
-        if len(cache_set) > self.ways:
-            cache_set.popitem(last=False)
-        return False
+        """Touch a line address directly; True on hit."""
+        return not self.access_lines((line,))
 
     def access_run(self, first_line: int,
                    last_line: int) -> Tuple[int, int]:
-        """Touch the inclusive line run; returns ``(hits, misses)``.
+        """Touch the inclusive line run; returns ``(hits, misses)``."""
+        misses = self.access_lines(range(first_line, last_line + 1))
+        return last_line + 1 - first_line - misses, misses
 
-        Access-for-access identical to calling :meth:`access_line` for
-        each line in order — same LRU reordering, same evictions, same
-        counter increments — but with the per-call overhead hoisted out
-        of the loop, which is what the coalesced per-node touches of
-        the matcher walk ride.
+    def access_lines(self, lines: Iterable[int]) -> int:
+        """Touch ``lines`` (a sized, re-iterable sequence) in order.
+
+        Returns the number of misses; the rest hit. The one accounting
+        entry point of the model: a batch whose lines are all resident
+        is two C-level passes (a membership test and a stamp refresh,
+        the last occurrence of a repeated line winning as it would in
+        order); a batch containing a miss takes the per-line loop.
         """
+        stamp = self._stamp
+        tick = self._tick
+        n_lines = len(lines)
+        self._tick = tick + n_lines
+        if all(map(stamp.__contains__, lines)):
+            stamp.update(zip(lines, range(tick, tick + n_lines)))
+            self.hits += n_lines
+            return 0
         sets = self._sets
         mask = self._set_mask
         ways = self.ways
-        hits = 0
         misses = 0
-        for line in range(first_line, last_line + 1):
-            cache_set = sets[line & mask]
-            if line in cache_set:
-                cache_set.move_to_end(line)
-                hits += 1
-            else:
+        for tick, line in enumerate(lines, tick):
+            if line not in stamp:
                 misses += 1
-                cache_set[line] = None
-                if len(cache_set) > ways:
-                    cache_set.popitem(last=False)
-        self.hits += hits
+                entries = sets[line & mask]
+                if len(entries) == ways:
+                    filed, victim = entries.pop(0)
+                    while stamp[victim] != filed:
+                        insort(entries, (stamp[victim], victim))
+                        filed, victim = entries.pop(0)
+                    del stamp[victim]
+                entries.append((tick, line))
+            stamp[line] = tick
+        self.hits += n_lines - misses
         self.misses += misses
-        return hits, misses
+        return misses
 
     @property
     def accesses(self) -> int:
@@ -114,8 +129,9 @@ class CacheModel:
 
     def flush(self) -> None:
         """Invalidate every line (keeps hit/miss counters)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._stamp.clear()
+        for entries in self._sets:
+            entries.clear()
 
     def reset_counters(self) -> None:
         """Zero the hit/miss counters (keeps cache contents)."""

@@ -331,6 +331,13 @@ class Enclave:
         """
         self._require_alive()
         self._destroyed = True
-        self._library = None
+        # Nothing may keep the dead instance's state reachable: the
+        # library releases what it holds, and dropping the runtime
+        # breaks the enclave <-> runtime cycle, so the trusted state
+        # is freed here rather than at some later cyclic collection.
+        library, self._library, self.runtime = self._library, None, None
+        on_destroy = getattr(library, "on_destroy", None)
+        if on_destroy is not None:
+            on_destroy()
         self.platform.memory.eremove_range(self.arena.base,
                                            self.arena.allocated_bytes)

@@ -15,7 +15,7 @@ page-content cryptography for functional demonstrations lives in
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Sequence
 
 from repro.errors import EpcError
 from repro.sgx.cpu import PlatformSpec
@@ -75,37 +75,33 @@ class EpcManager:
     def access(self, page: int) -> bool:
         """Touch ``page``; returns True if it faulted (was not resident).
 
-        A fault loads the page, evicting the LRU page if the EPC is full.
+        A fault loads the page, evicting the policy's victim if the EPC
+        is full.
         """
-        resident = self._resident
-        if page in resident:
-            self.policy.accessed(page)
-            return False
-        self.faults += 1
-        self.loads += 1
-        if len(resident) >= self.capacity_pages:
-            victim = self.policy.evict()
-            del resident[victim]
-            self.evictions += 1
-            self._versions[victim] = self._versions.get(victim, 0) + 1
-        resident[page] = True
-        self.policy.loaded(page)
-        return True
+        return bool(self.access_pages((page,)))
 
     def access_run(self, first_page: int, last_page: int) -> int:
-        """Touch the inclusive page run; returns the fault count.
+        """Touch the inclusive page run; returns the fault count."""
+        return self.access_pages(range(first_page, last_page + 1))
 
-        Fault-for-fault identical to calling :meth:`access` per page in
-        order (same policy notifications, same eviction sequence), with
-        the bookkeeping hoisted out of the loop for the batched touch
-        path.
+    def access_pages(self, pages: Sequence[int]) -> int:
+        """Touch ``pages`` in order; returns the fault count.
+
+        The one residency entry point: a batch of resident pages is a
+        C-level membership test plus one policy notification for the
+        batch; a batch containing a fault takes the per-page loop
+        (same policy notifications, same eviction sequence as touching
+        each page by itself).
         """
         resident = self._resident
         policy = self.policy
+        if all(map(resident.__contains__, pages)):
+            policy.accessed_many(pages)
+            return 0
         versions = self._versions
         capacity = self.capacity_pages
         faults = 0
-        for page in range(first_page, last_page + 1):
+        for page in pages:
             if page in resident:
                 policy.accessed(page)
                 continue
@@ -132,27 +128,22 @@ class EpcManager:
         self.evictions = 0
         self.loads = 0
 
-    def attach_metrics(self, registry) -> None:
+    def attach_metrics(self, registry) -> list:
         """Expose residency state as callback gauges on ``registry``.
 
         Callback-backed gauges read this manager's counters at snapshot
         time, so the per-access hot path pays nothing for observability.
         ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry`
-        (duck-typed here to keep the SGX layer import-light).
+        (duck-typed here to keep the SGX layer import-light). Returns
+        the gauges, for the caller to freeze at its own teardown.
         """
-        registry.gauge("epc.faults", "cumulative EPC page faults",
-                       fn=lambda: self.faults)
-        registry.gauge("epc.evictions", "cumulative EWB evictions",
-                       fn=lambda: self.evictions)
-        registry.gauge("epc.loads", "cumulative ELD page loads",
-                       fn=lambda: self.loads)
-        registry.gauge("epc.resident_pages",
-                       "pages currently resident in the EPC",
-                       fn=lambda: self.resident_pages)
-
-
-def touched_pages(address: int, n_bytes: int, page_bytes: int) -> range:
-    """Page numbers spanned by an access of ``n_bytes`` at ``address``."""
-    first = address // page_bytes
-    last = (address + max(n_bytes, 1) - 1) // page_bytes
-    return range(first, last + 1)
+        return [
+            registry.gauge("epc.faults", "cumulative EPC page faults",
+                           fn=lambda: self.faults),
+            registry.gauge("epc.evictions", "cumulative EWB evictions",
+                           fn=lambda: self.evictions),
+            registry.gauge("epc.loads", "cumulative ELD page loads",
+                           fn=lambda: self.loads),
+            registry.gauge("epc.resident_pages",
+                           "pages currently resident in the EPC",
+                           fn=lambda: self.resident_pages)]

@@ -19,7 +19,8 @@ Two address spaces are distinguished by the arena's ``enclave`` flag:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import SgxError
 from repro.sgx.cache import CacheModel
@@ -88,86 +89,62 @@ class MemorySubsystem:
 
     # -- hot path ----------------------------------------------------------
 
-    def touch(self, address: int, n_bytes: int, enclave: bool) -> None:
-        """Account for a data access of ``n_bytes`` at ``address``.
+    def span(self, address: int, n_bytes: int) -> Tuple[range, range]:
+        """The ``(lines, pages)`` an access of ``n_bytes`` covers.
 
-        The line and page runs go through the batched
-        :meth:`~repro.sgx.cache.CacheModel.access_run` /
-        :meth:`~repro.sgx.epc.EpcManager.access_run` entry points, and
-        cycles are computed by multiplication — the per-access costs
-        are integers, so the total is bit-identical to the original
-        per-line accumulation.
+        Fixed for a block's lifetime, so a structure whose visits
+        always read the same block prefixes computes its spans once
+        and replays them into :meth:`touch_many`.
+        """
+        end = address + n_bytes - 1
+        return (range(address >> self._line_shift,
+                      (end >> self._line_shift) + 1),
+                range(address >> self._page_shift,
+                      (end >> self._page_shift) + 1))
+
+    def spans(self, runs: Iterable[Tuple[int, int]]
+              ) -> Tuple[List[int], List[int]]:
+        """:meth:`span` of each ``(address, n_bytes)`` run, flattened
+        in order: the two arguments :meth:`touch_many` takes."""
+        lines: List[int] = []
+        pages: List[int] = []
+        for address, n_bytes in runs:
+            run_lines, run_pages = self.span(address, n_bytes)
+            lines += run_lines
+            pages += run_pages
+        return lines, pages
+
+    def touch(self, address: int, n_bytes: int, enclave: bool) -> None:
+        """Account for a data access of ``n_bytes`` at ``address``."""
+        self.touch_many(*self.span(address, n_bytes), enclave)
+
+    def touch_many(self, lines: Sequence[int], pages: Sequence[int],
+                   enclave: bool) -> None:
+        """Account a batch of accesses, given as the line numbers and
+        the page numbers they cover, each in access order.
+
+        The one accounting entry point (a whole poset walk is one
+        call): the LLC and the EPC keep independent state, so feeding
+        each model its own sequence gives the counters of interleaving
+        them access by access; the per-access costs are integers, so
+        the multiplied total is the sum of the per-access charges.
         """
         costs = self.costs
-        end = address + n_bytes - 1
-        hits, misses = self.cache.access_run(address >> self._line_shift,
-                                             end >> self._line_shift)
+        misses = self.cache.access_lines(lines)
+        cycles = (len(lines) - misses) * costs.llc_hit_cycles
         if enclave:
-            cycles = (hits * costs.llc_hit_cycles
-                      + misses * (costs.llc_miss_cycles
-                                  + costs.mee_line_cycles))
-            cycles += (self.epc.access_run(address >> self._page_shift,
-                                           end >> self._page_shift)
+            cycles += (misses * (costs.llc_miss_cycles
+                                 + costs.mee_line_cycles)
+                       + self.epc.access_pages(pages)
                        * costs.epc_fault_cycles)
         else:
-            cycles = (hits * costs.llc_hit_cycles
-                      + misses * costs.llc_miss_cycles)
-            pages = self._untrusted_pages
-            for page in range(address >> self._page_shift,
-                              (end >> self._page_shift) + 1):
-                if page not in pages:
-                    pages.add(page)
-                    self.minor_faults += 1
-                    cycles += costs.minor_fault_cycles
-        self.cycles += cycles
-
-    #: ``touch`` already accounts one coalesced run; the alias makes
-    #: call sites that batch explicitly read as such.
-    touch_range = touch
-
-    def touch_many(self, runs: Iterable[Tuple[int, int]],
-                   enclave: bool) -> None:
-        """Account a sequence of ``(address, n_bytes)`` accesses.
-
-        Access-for-access identical to calling :meth:`touch` per run in
-        the same order — the LLC/EPC models observe the identical
-        line/page sequence — but the cost model and counter plumbing
-        are resolved once for the whole batch and ``cycles`` takes a
-        single accumulated add. This is the entry point the matcher
-        walks use: one run per visited node.
-        """
-        costs = self.costs
-        line_shift = self._line_shift
-        page_shift = self._page_shift
-        access_run = self.cache.access_run
-        hit_cost = costs.llc_hit_cycles
-        cycles = 0
-        if enclave:
-            miss_cost = costs.llc_miss_cycles + costs.mee_line_cycles
-            fault_cost = costs.epc_fault_cycles
-            epc_run = self.epc.access_run
-            for address, n_bytes in runs:
-                end = address + n_bytes - 1
-                hits, misses = access_run(address >> line_shift,
-                                          end >> line_shift)
-                cycles += (hits * hit_cost + misses * miss_cost
-                           + epc_run(address >> page_shift,
-                                     end >> page_shift) * fault_cost)
-        else:
-            miss_cost = costs.llc_miss_cycles
-            minor_cost = costs.minor_fault_cycles
-            pages = self._untrusted_pages
-            for address, n_bytes in runs:
-                end = address + n_bytes - 1
-                hits, misses = access_run(address >> line_shift,
-                                          end >> line_shift)
-                cycles += hits * hit_cost + misses * miss_cost
-                for page in range(address >> page_shift,
-                                  (end >> page_shift) + 1):
-                    if page not in pages:
-                        pages.add(page)
-                        self.minor_faults += 1
-                        cycles += minor_cost
+            cycles += misses * costs.llc_miss_cycles
+            seen = self._untrusted_pages
+            if not seen.issuperset(pages):
+                fresh = set(pages) - seen
+                seen |= fresh
+                self.minor_faults += len(fresh)
+                cycles += len(fresh) * costs.minor_fault_cycles
         self.cycles += cycles
 
     def charge(self, cycles: float) -> None:
@@ -208,8 +185,7 @@ class MemorySubsystem:
             epc = self.epc
             faults, evictions, loads = (epc.faults, epc.evictions,
                                         epc.loads)
-            for page in range(first_page, last_page + 1):
-                epc.access(page)
+            epc.access_pages(range(first_page, last_page + 1))
             epc.faults, epc.evictions, epc.loads = (faults, evictions,
                                                     loads)
         else:
@@ -343,10 +319,11 @@ class MemoryArena:
         """Record an access to a previously allocated region."""
         self.memory.touch(address, n_bytes, self.enclave)
 
-    def touch_range(self, address: int, n_bytes: int) -> None:
-        """Record one coalesced run (alias of :meth:`touch`)."""
-        self.memory.touch(address, n_bytes, self.enclave)
+    def touch_many(self, lines: Sequence[int],
+                   pages: Sequence[int]) -> None:
+        """Record a batch of line/page accesses in this arena's space."""
+        self.memory.touch_many(lines, pages, self.enclave)
 
-    def touch_many(self, runs: Iterable[Tuple[int, int]]) -> None:
+    def touch_runs(self, runs: Iterable[Tuple[int, int]]) -> None:
         """Record a batch of ``(address, n_bytes)`` accesses in order."""
-        self.memory.touch_many(runs, self.enclave)
+        self.memory.touch_many(*self.memory.spans(runs), self.enclave)

@@ -15,13 +15,15 @@ experiment (Fig. 8) can be ablated over the driver's choice:
   driver.
 
 All policies expose the same interface: ``loaded(page)``,
-``accessed(page)``, ``evict() -> page``, ``removed(page)``.
+``accessed(page)``, ``accessed_many(pages)`` (a batch of resident
+pages, equivalent to ``accessed`` on each in order), ``evict() ->
+page``, ``removed(page)``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Iterable, Set
 
 from repro.errors import EpcError
 
@@ -42,6 +44,13 @@ class LruPolicy:
 
     def accessed(self, page: int) -> None:
         self._order.move_to_end(page)
+
+    def accessed_many(self, pages: Iterable[int]) -> None:
+        # Only each page's last access decides the final order: one
+        # move per distinct page, in last-occurrence order.
+        move_to_end = self._order.move_to_end
+        for page in reversed(dict.fromkeys(reversed(pages))):
+            move_to_end(page)
 
     def evict(self) -> int:
         if not self._order:
@@ -79,6 +88,9 @@ class ClockPolicy:
     def accessed(self, page: int) -> None:
         self._referenced.add(page)
 
+    def accessed_many(self, pages: Iterable[int]) -> None:
+        self._referenced.update(pages)
+
     def evict(self) -> int:
         while self._ring:
             page = self._ring.popleft()
@@ -115,6 +127,8 @@ class FifoPolicy:
 
     def accessed(self, page: int) -> None:
         pass
+
+    accessed_many = accessed
 
     def evict(self) -> int:
         while self._queue:

@@ -54,6 +54,9 @@ class EnclaveLibrary(metaclass=_EnclaveLibraryMeta):
     def __init__(self, runtime: TrustedRuntime) -> None:
         self.runtime = runtime
 
+    def on_destroy(self) -> None:
+        """Called once by :meth:`Enclave.destroy`; release held state."""
+
 
 def load_enclave(platform: SgxPlatform, library: Type[EnclaveLibrary],
                  signing_key: RsaPrivateKey, *library_args: Any,

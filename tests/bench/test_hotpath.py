@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from repro.bench.hotpath import (compute_speedups, main, merge_phase,
-                                 run_hotpath_bench)
+from repro.bench.hotpath import (_best_ns, compute_speedups, main,
+                                 merge_phase, run_hotpath_bench)
+
+from tests.sgx.reference_lru import ReferenceLru
 
 
 class TestComputeSpeedups:
@@ -63,7 +65,9 @@ class TestSmokeRun:
         for key in ("aes_ctr_mbps", "reference_aes_ctr_mbps",
                     "cmac_mbps", "cmac_batch_mbps",
                     "cmac_batch_vs_single", "envelopes_per_s",
-                    "matcher_events_per_s", "aes_vs_reference"):
+                    "matcher_events_per_s", "aes_vs_reference",
+                    "llc_batch_ns_per_line", "llc_line_ns_per_line",
+                    "llc_thrash_ns_per_line"):
             assert measurements[key] > 0, key
 
     def test_optimized_aes_beats_pinned_reference(self, measurements):
@@ -73,6 +77,24 @@ class TestSmokeRun:
     def test_lane_cmac_beats_the_word_loop(self, measurements):
         """The other in-process gate of the CI smoke job."""
         assert measurements["cmac_batch_vs_single"] > 3.0
+
+    def test_batched_llc_accounting_beats_per_line_calls(
+            self, measurements):
+        """The LLC-model gate of the CI smoke job, and its bound on
+        the miss path: a thrashing batch may cost at most 1.3x the
+        pinned per-line ``OrderedDict`` LRU it replaced."""
+        assert measurements["llc_batch_vs_line"] > 2.0
+        reference = ReferenceLru(64 * 1024)
+        sweep = list(range(1 << 30, (1 << 30) + 4 * 1024))
+
+        def thrash_reference():
+            access_line = reference.access_line
+            for line in sweep:
+                access_line(line)
+
+        thrash_reference()
+        assert measurements["llc_thrash_ns_per_line"] <= \
+            1.3 * _best_ns(thrash_reference, len(sweep))
 
     def test_workload_sizes_recorded(self, measurements):
         assert measurements["n_envelopes"] > 0
@@ -126,10 +148,12 @@ class TestMainGates:
         assert main(["--reduced", "--record", "--phase", "current",
                      "--out", out_dir,
                      "--require-aes-speedup", "1e9",
-                     "--require-cmac-batch-vs-single", "1e9"]) == 1
+                     "--require-cmac-batch-vs-single", "1e9",
+                     "--require-llc-batch-vs-line", "1e9"]) == 1
         err = capsys.readouterr().err
         assert "FAIL: aes_ctr speedup" in err
         assert "FAIL: lane-parallel CMAC" in err
+        assert "FAIL: batched LLC accounting" in err
 
     def test_matcher_speedup_gate(self, tmp_path, capsys):
         """The in-process columnar-vs-forest gate: impossible bars

@@ -1,12 +1,12 @@
 """Batched memory-trace accounting: equivalence and residency edges.
 
-The hot-path overhaul replaced per-line/per-touch accounting with
-coalesced run accounting (``CacheModel.access_run``,
-``EpcManager.access_run``, ``MemorySubsystem.touch_many``). These tests
-pin the contract: the batched entry points must agree access-for-access
-— identical hit/miss/fault/minor-fault counters and identical cycles —
-with a loop of single accesses, and the residency edges (flush,
-first-touch faults) must behave as before.
+The batched entry points (``CacheModel.access_lines``,
+``EpcManager.access_pages``, ``MemorySubsystem.touch_many``) must agree
+access-for-access — identical hit/miss/fault/minor-fault counters and
+identical cycles — with a loop of single accesses, and the residency
+edges (flush, first-touch faults) must behave as before. Both sides
+here are the current model; ``test_lru_differential.py`` holds it
+against the pinned reference implementation.
 """
 
 import random
@@ -115,16 +115,19 @@ class TestFlushResidency:
 
     def test_untrusted_first_touch_minor_fault_only_once(self):
         memory = MemorySubsystem(tiny_spec())
-        memory.touch_many([(0, 8), (8, 8), (4096, 8)], enclave=False)
+        memory.touch_many(*memory.spans([(0, 8), (8, 8), (4096, 8)]),
+                          enclave=False)
         assert memory.minor_faults == 2  # two distinct pages
-        memory.touch_many([(16, 8), (4100, 8)], enclave=False)
+        memory.touch_many(*memory.spans([(16, 8), (4100, 8)]),
+                          enclave=False)
         assert memory.minor_faults == 2  # no re-fault
 
     def test_enclave_first_touch_epc_fault_only_once(self):
         memory = MemorySubsystem(tiny_spec(epc_pages=8))
-        memory.touch_many([(0, 64), (64, 64)], enclave=True)
+        memory.touch_many(*memory.spans([(0, 64), (64, 64)]),
+                          enclave=True)
         assert memory.epc.faults == 1
-        memory.touch_many([(128, 64)], enclave=True)
+        memory.touch_many(*memory.span(128, 64), enclave=True)
         assert memory.epc.faults == 1
 
 
@@ -148,7 +151,7 @@ class TestTouchManyEquivalence:
         batched = MemorySubsystem(spec)
         looped = MemorySubsystem(spec)
         runs = self._runs(seed, 120)
-        batched.touch_many(runs, enclave=enclave)
+        batched.touch_many(*batched.spans(runs), enclave=enclave)
         for address, n_bytes in runs:
             looped.touch(address, n_bytes, enclave=enclave)
         assert batched.snapshot() == looped.snapshot()
@@ -163,24 +166,17 @@ class TestTouchManyEquivalence:
         spec = tiny_spec(epc_pages=3, llc_bytes=4 * 1024)
         batched = MemorySubsystem(spec)
         looped = MemorySubsystem(spec)
-        batched.touch_many(runs, enclave=enclave)
+        batched.touch_many(*batched.spans(runs), enclave=enclave)
         for address, n_bytes in runs:
             looped.touch(address, n_bytes, enclave=enclave)
         assert batched.snapshot() == looped.snapshot()
         assert batched.epc.evictions == looped.epc.evictions
 
-    def test_touch_range_is_touch(self):
-        spec = tiny_spec()
-        a = MemorySubsystem(spec)
-        b = MemorySubsystem(spec)
-        a.touch_range(100, 500, enclave=True)
-        b.touch(100, 500, enclave=True)
-        assert a.snapshot() == b.snapshot()
-
     def test_arena_touch_many_routes_to_owner_space(self):
         memory = MemorySubsystem(tiny_spec())
         arena = memory.new_arena(enclave=True)
         address = arena.alloc(256)
-        arena.touch_many([(address, 256)])
-        assert memory.epc.faults == 1
+        arena.touch_many(*memory.span(address, 256))
+        arena.touch_runs([(address + 4096, 256)])
+        assert memory.epc.faults == 2
         assert memory.minor_faults == 0
