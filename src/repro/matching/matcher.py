@@ -110,9 +110,10 @@ class MatchingEngine:
     EPC faults when the index outgrows the protected region.
 
     The engine owns the forest, the optional columnar plane (compiled
-    lazily from it; registration, covering and sealing stay on the
-    forest), the optional memo, the compute-cycle charges, the
-    :class:`MatchCounters` and the ``engine.*`` metrics.
+    lazily from it and kept current from its change log; registration,
+    covering and sealing stay on the forest), the optional memo, the
+    compute-cycle charges, the :class:`MatchCounters` and the
+    ``engine.*`` metrics.
     """
 
     def __init__(self, platform: Optional[SgxPlatform] = None,
@@ -185,7 +186,18 @@ class MatchingEngine:
                     fn=lambda: self.arena.live_bytes),
             m.gauge("engine.epc_resident_bytes",
                     "EPC-resident bytes on this engine's platform",
-                    fn=lambda: self.memory.epc.resident_bytes)]
+                    fn=lambda: self.memory.epc.resident_bytes),
+            # How the columnar plane took the writes: rebuilt whole,
+            # or absorbed node by node in place. Read off the plane at
+            # snapshot time; nothing is counted per match.
+            m.gauge("engine.plane_rebuilds",
+                    "from-scratch compiles of the columnar plane",
+                    fn=lambda: self.plane.rebuilds
+                    if self.plane else 0),
+            m.gauge("engine.plane_delta_nodes",
+                    "index nodes the plane absorbed without a compile",
+                    fn=lambda: self.plane.delta_nodes
+                    if self.plane else 0)]
 
     def close(self) -> None:
         """Tear the engine down: its gauges keep their last reading
@@ -242,9 +254,10 @@ class MatchingEngine:
     def unregister(self, subscription: Subscription,
                    subscriber: object) -> bool:
         """Withdraw a subscription registration."""
-        if self.memo is not None:
+        removed = self.forest.remove_subscriber(subscription, subscriber)
+        if removed and self.memo is not None:
             self.memo.bump()
-        return self.forest.remove_subscriber(subscription, subscriber)
+        return removed
 
     # -- matching ----------------------------------------------------------------
 

@@ -136,6 +136,17 @@ class ContainmentForest:
         #: no eager rebuild, same discipline as
         #: :class:`repro.matching.matcher.MatchMemo`.
         self.generation = 0
+        #: Node-level change log for a derived structure that edits
+        #: itself in place instead of rebuilding (the columnar plane
+        #: arms it with :meth:`record_changes`): ``(node, True)`` when
+        #: an insert *creates* a node, ``(node, False)`` when a removal
+        #: *splices one out*, in order. Nothing else is logged — a
+        #: node's ``subscribers`` set is shared by reference and
+        #: re-parenting moves nodes without creating or destroying any.
+        #: None: not recording (never armed, or the log outgrew its
+        #: limit and a reader must rebuild from :meth:`iter_nodes`).
+        self.changes: Optional[List[Tuple[PosetNode, bool]]] = None
+        self._change_limit = 0
         self.n_nodes = 0
         self.n_subscriptions = 0
         self._bytes = 0
@@ -158,6 +169,31 @@ class ContainmentForest:
     def index_bytes(self) -> int:
         """Modelled memory footprint of the stored index."""
         return self._bytes
+
+    def record_changes(self, limit: int
+                       ) -> List[Tuple[PosetNode, bool]]:
+        """Start a fresh change log holding at most ``limit`` entries.
+
+        Returns the list that :attr:`changes` now names. The log has
+        one reader: arming it again replaces the list, which is how an
+        earlier reader can tell (by identity) that it lost the log.
+        One change past ``limit`` the forest stops recording, so a
+        write-only phase cannot grow the log without bound.
+        """
+        self.changes = []
+        self._change_limit = limit
+        return self.changes
+
+    def stop_recording(self) -> None:
+        """Drop the change log: its reader is gone, or must rebuild
+        from :meth:`iter_nodes` anyway."""
+        self.changes = None
+
+    def _log_change(self, node: PosetNode, created: bool) -> None:
+        if len(self.changes) < self._change_limit:
+            self.changes.append((node, created))
+        else:
+            self.stop_recording()
 
     def _add_subscriber(self, node: PosetNode,
                         subscriber: object) -> None:
@@ -229,18 +265,22 @@ class ContainmentForest:
         siblings[:] = kept
         siblings.append(new_node)
         self._by_key[subscription.key()] = new_node
+        if self.changes is not None:
+            self._log_change(new_node, True)
         if arena is not None:
             arena.touch_many(*new_node.spans[0])
         return new_node
 
     def remove_subscriber(self, subscription: Subscription,
                           subscriber: object) -> bool:
-        """Withdraw one subscriber's interest; prunes empty leaf nodes.
+        """Withdraw one subscriber's interest; prunes emptied nodes.
 
         Returns True if the (subscription, subscriber) pair was found.
-        Nodes left with no subscribers but with children are kept as
-        routing structure (their subscription still summarises the
-        subtree), matching Siena's behaviour.
+        A node leaves the forest exactly when its last subscriber
+        does: it is spliced out wherever it sits and its children are
+        hoisted to its former siblings (each is covered by whatever
+        covered the node), so :meth:`iter_nodes` never yields a node
+        with an empty subscriber set.
         """
         # The target node's ancestors all cover it, so we only need to
         # explore covering branches — but *every* covering branch, since
@@ -274,6 +314,8 @@ class ContainmentForest:
             del self._by_key[node.subscription.key()]
             self.n_nodes -= 1
             self._bytes -= node.size
+            if self.changes is not None:
+                self._log_change(node, False)
             # Release the arena allocation so subscribe/unsubscribe
             # churn does not grow the modelled EPC working set forever.
             if self.arena is not None:

@@ -305,6 +305,10 @@ class MemoryArena:
         self._live -= n_bytes
         self.freed_blocks += 1
 
+    def holds(self, address: int, n_bytes: int) -> bool:
+        """Whether a live allocation of ``n_bytes`` starts at ``address``."""
+        return self._live_allocs.get(address) == n_bytes
+
     @property
     def allocated_bytes(self) -> int:
         """High-water bytes handed out (including alignment padding)."""

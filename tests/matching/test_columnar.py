@@ -1,10 +1,13 @@
-"""Columnar match plane: compilation, invalidation, trace accounting.
+"""Columnar match plane: compilation, catch-up, trace accounting.
 
 The differential suite proves the plane agrees with the other six
-matcher implementations; this file pins the plane's own contract — the
-generation-stamped compile/invalidate lifecycle, the per-shape table
-placement, the modelled column memory (alloc on compile, free on
-recompile and release), and the error paths.
+matcher implementations (and, structurally, with a fresh compile of
+the same forest); this file pins the plane's own contract — the lazy
+compile / catch-up-by-delta lifecycle and its bulk threshold, the
+per-shape table placement, the modelled column memory (alloc on
+compile, re-homed on edit, freed on recompile and release), and the
+error paths. ``test_columnar_delta.py`` holds the cost side: an edited
+plane's read path does exactly the work of a rebuilt one.
 """
 
 import pytest
@@ -45,47 +48,143 @@ class TestBackendNames:
             validate_backend("vectorized")
 
 
+def ladder(forest, n):
+    """``n`` nodes ``x >= i``, subscriber ``i``: a plane big enough
+    that a write or two stays under the bulk threshold (n // 4)."""
+    for index in range(n):
+        forest.insert(sub(Predicate("x", Op.GE, index)), index)
+
+
 class TestLifecycle:
+    """Lazy, and by delta: the next match after a registration change
+    brings the plane up to date — from the forest's change log when
+    the plane is compiled and the log intact, by one full compile
+    otherwise. ``compilations`` counts both, ``rebuilds`` the full
+    compiles, ``delta_nodes`` what the others absorbed."""
 
     def test_lazy_compile_and_generation_invalidation(self):
         forest = ContainmentForest()
         plane = ColumnarMatchPlane(forest)
-        assert plane.compilations == 0
-        forest.insert(sub(Predicate("x", Op.GE, 1)), "a")
-        assert plane.match(Event({"x": 5})) == {"a"}
+        ladder(forest, 16)
+        assert plane.compilations == 0          # nothing until a match
+        assert plane.match(Event({"x": 1})) == {0, 1}
         assert plane.compilations == 1
         # No registration change: further matches reuse the build.
-        assert plane.match(Event({"x": 0})) == set()
-        assert plane.compilations == 1
-        # Any insert bumps the forest generation -> one recompile.
+        assert plane.match(Event({"x": 0})) == {0}
+        assert (plane.rebuilds, plane.delta_nodes) == (1, 0)
+        # A new node is absorbed in place by the next match...
+        forest.insert(sub(Predicate("x", Op.LE, 3)), "low")
+        assert plane.delta_nodes == 0           # ...not by the write
+        assert plane.match(Event({"x": 1})) == {0, 1, "low"}
+        assert (plane.rebuilds, plane.delta_nodes) == (1, 1)
+        assert plane.compilations == 2          # one full, one by delta
+        # ...and so is a removed one; its slot is parked, not counted.
+        forest.remove_subscriber(sub(Predicate("x", Op.GE, 1)), 1)
+        assert plane.match(Event({"x": 1})) == {0, "low"}
+        assert (plane.rebuilds, plane.delta_nodes) == (1, 2)
+        assert plane.n_subscription_nodes == forest.n_nodes == 16
+        # The parked slot goes to the next new node.
+        forest.insert(sub(Predicate("y", Op.EQ, "s")), "why")
+        assert plane.match(Event({"x": 1, "y": "s"})) \
+            == {0, "low", "why"}
+        assert len(plane._subscribers) == 17 and not plane._free
+        plane.check_invariants()
+
+    def test_small_planes_recompile(self):
+        # Under four slots a quarter is no slot at all: every write is
+        # "bulk", and a rebuild of three rows is as cheap as an edit.
+        forest = ContainmentForest()
+        plane = ColumnarMatchPlane(forest)
+        forest.insert(sub(Predicate("x", Op.GE, 1)), "a")
+        assert plane.match(Event({"x": 5})) == {"a"}
         forest.insert(sub(Predicate("x", Op.GE, 3)), "b")
         assert plane.match(Event({"x": 5})) == {"a", "b"}
-        assert plane.compilations == 2
-        # Removal invalidates too.
         forest.remove_subscriber(sub(Predicate("x", Op.GE, 1)), "a")
         assert plane.match(Event({"x": 5})) == {"b"}
-        assert plane.compilations == 3
+        assert (plane.rebuilds, plane.delta_nodes) == (3, 0)
+
+    def test_bulk_writes_recompile_once(self):
+        forest = ContainmentForest()
+        plane = ColumnarMatchPlane(forest)
+        ladder(forest, 16)
+        plane.match(Event({"x": 1}))
+        # Five writes overflow a log sized for four: the forest stops
+        # recording, the plane rebuilds once and arms a fresh log.
+        for index in range(5):
+            forest.insert(sub(Predicate("y", Op.GE, index)), "y")
+        assert forest.changes is None
+        assert plane.match(Event({"y": 2})) == {"y"}
+        assert (plane.rebuilds, plane.delta_nodes) == (2, 0)
+        assert forest.changes == []
+        # Parked slots count against the same quarter: four removals
+        # are absorbed one by one, the next write then finds a plane
+        # one quarter garbage and rebuilds it, shedding the garbage.
+        for index in range(4):
+            forest.remove_subscriber(sub(Predicate("x", Op.GE, index)),
+                                     index)
+            plane.match(Event({"x": 1}))
+        assert (plane.rebuilds, plane.delta_nodes) == (2, 4)
+        assert len(plane._free) == 4
+        for index in range(4, 6):
+            forest.remove_subscriber(sub(Predicate("x", Op.GE, index)),
+                                     index)
+        assert plane.match(Event({"x": 9})) == {6, 7, 8, 9}
+        assert (plane.rebuilds, plane.delta_nodes) == (3, 4)
+        assert not plane._free
+        plane.check_invariants()
+
+    def test_log_has_one_reader(self):
+        # Whichever plane compiled last owns the forest's log. Another
+        # plane over the same forest notices (by identity) that the
+        # log is not the one it armed and falls back to full compiles
+        # instead of replaying changes that are not all there.
+        forest = ContainmentForest()
+        first = ColumnarMatchPlane(forest)
+        ladder(forest, 16)
+        first.match(Event({"x": 1}))
+        second = ColumnarMatchPlane(forest)
+        second.match(Event({"x": 1}))           # takes the log
+        forest.insert(sub(Predicate("y", Op.GE, 0)), "y0")
+        event = Event({"x": 0, "y": 5})
+        assert second.match(event) == {0, "y0"}
+        assert (second.rebuilds, second.delta_nodes) == (1, 1)
+        assert first.match(event) == {0, "y0"}  # takes it back
+        assert (first.rebuilds, first.delta_nodes) == (2, 0)
+        forest.insert(sub(Predicate("y", Op.GE, 1)), "y1")
+        assert second.match(event) == {0, "y0", "y1"}
+        assert (second.rebuilds, second.delta_nodes) == (2, 1)
 
     def test_failed_removal_does_not_invalidate(self):
         forest = ContainmentForest()
         plane = ColumnarMatchPlane(forest)
-        forest.insert(sub(Predicate("x", Op.GE, 1)), "a")
+        ladder(forest, 16)
         plane.match(Event({"x": 5}))
+        generation = plane._compiled_generation
         assert not forest.remove_subscriber(
             sub(Predicate("x", Op.GE, 1)), "ghost")
         plane.match(Event({"x": 5}))
-        assert plane.compilations == 1
+        assert plane._compiled_generation == generation
+        assert (plane.rebuilds, plane.delta_nodes) == (1, 0)
 
     def test_idempotent_reregistration_still_invalidates(self):
-        # Re-registering may extend a node's subscriber set; the plane
-        # holds live references, but the generation bump keeps the
-        # compiled node list in lockstep with the forest regardless.
+        # A second subscriber on an existing node, and an identical
+        # re-registration, move the generation but log nothing: the
+        # plane holds the node's live subscriber set by reference, so
+        # the catch-up has no table to edit.
         forest = ContainmentForest()
         plane = ColumnarMatchPlane(forest)
-        forest.insert(sub(Predicate("x", Op.GE, 1)), "a")
-        assert plane.match(Event({"x": 5})) == {"a"}
-        forest.insert(sub(Predicate("x", Op.GE, 1)), "b")
-        assert plane.match(Event({"x": 5})) == {"a", "b"}
+        ladder(forest, 16)
+        assert plane.match(Event({"x": 0})) == {0}
+        forest.insert(sub(Predicate("x", Op.GE, 0)), "b")
+        forest.insert(sub(Predicate("x", Op.GE, 0)), "b")
+        assert plane._compiled_generation != forest.generation
+        assert plane.match(Event({"x": 0})) == {0, "b"}
+        assert plane._compiled_generation == forest.generation
+        assert (plane.rebuilds, plane.delta_nodes) == (1, 0)
+        # A subscriber leaving a node that stays: the same.
+        forest.remove_subscriber(sub(Predicate("x", Op.GE, 0)), 0)
+        assert plane.match(Event({"x": 0})) == {"b"}
+        assert (plane.rebuilds, plane.delta_nodes) == (1, 0)
 
     def test_empty_forest_and_empty_batch(self):
         forest = ContainmentForest()
@@ -200,16 +299,50 @@ class TestTraceAccounting:
             forest.insert(sub(Predicate("x", Op.GE, index)), index)
         plane.match_batch_traced([Event({"x": 1})])
         held_once = arena.live_bytes
-        # Churn and recompile several times: the *live* modelled
-        # footprint must not grow with the number of recompiles (the
-        # freelist recycles the column blocks).
+        # Churn several times, caught up in place and — after a
+        # release — by recompiling: the *live* modelled footprint must
+        # not grow with the number of writes either way (the freelist
+        # recycles the column blocks).
         for round_ in range(4):
             forest.insert(sub(Predicate("y", Op.GE, round_)), "extra")
             forest.remove_subscriber(
                 sub(Predicate("y", Op.GE, round_)), "extra")
+            if round_ % 2:
+                plane.release()
             plane.match_batch_traced([Event({"x": 1})])
+        assert (plane.rebuilds, plane.delta_nodes) == (3, 4)
         assert arena.live_bytes == held_once
         assert arena.reused_blocks > 0
+
+    def test_catch_up_rehomes_only_what_changed(self):
+        _memory, arena, forest, plane = make_traced()
+        ladder(forest, 16)
+        forest.insert(sub(Predicate("z", Op.EQ, 1)), "z")
+        plane.match_batch_traced([Event({"x": 1})])
+        blocks = {table.attribute: table.address
+                  for table in plane._tables}
+        accumulator = plane._acc_address
+        # One more row on "x" and a first one on "y"; "z" is untouched.
+        forest.insert(sub(Predicate("x", Op.LE, 3),
+                          Predicate("y", Op.EQ, "s")), "xy")
+        plane.match_batch_traced([Event({"x": 1})])
+        assert plane.rebuilds == 1
+        after = {table.attribute: table for table in plane._tables}
+        assert set(after) == {"x", "y", "z"}
+        assert after["z"].address == blocks["z"]
+        assert after["x"].size == after["x"].modelled_bytes()
+        assert plane._acc_size == 18
+        # An emptied table is dropped and its block returned.
+        forest.remove_subscriber(sub(Predicate("z", Op.EQ, 1)), "z")
+        plane.match_batch_traced([Event({"x": 1})])
+        assert {table.attribute for table in plane._tables} \
+            == {"x", "y"}
+        assert not arena.holds(blocks["z"], after["z"].size)
+        assert plane._acc_size == 17
+        assert plane._acc_address == accumulator   # same size class
+        assert arena.live_bytes == forest.index_bytes \
+            + plane.column_bytes
+        plane.check_invariants()
 
     def test_release_frees_everything_it_allocated(self):
         _memory, arena, forest, plane = make_traced()
@@ -235,12 +368,39 @@ class TestTraceAccounting:
 
 class TestArityCap:
 
+    #: one constraint more than a deficit byte can count down
+    WIDE = Subscription.of(*[Predicate(f"a{index}", Op.GE, index)
+                             for index in range(256)])
+
     def test_256_constraints_rejected(self):
         forest = ContainmentForest()
         plane = ColumnarMatchPlane(forest)
-        wide = Subscription.of(*[
-            Predicate(f"a{index}", Op.GE, index)
-            for index in range(256)])
-        forest.insert(wide, "wide")
+        forest.insert(self.WIDE, "wide")
         with pytest.raises(MatchingError):
             plane.match(Event({"a0": 1}))
+
+    @pytest.mark.parametrize("n_nodes", [2, 16],
+                             ids=["bulk", "catch-up"])
+    def test_rejection_leaves_no_half_built_plane(self, n_nodes):
+        """All or nothing: the write that cannot be compiled leaves
+        the plane released — no table over freed blocks, no block
+        still booked — and it answers again once the write is undone."""
+        _memory, arena, forest, plane = make_traced()
+        ladder(forest, n_nodes)
+        event = Event({"x": 1, "a0": 1})
+        assert plane.match_batch_traced([event])[0] == [{0, 1}]
+        assert arena.live_bytes > forest.index_bytes
+        forest.insert(self.WIDE, "wide")
+        for _ in range(2):                  # raises again, cleanly
+            with pytest.raises(MatchingError):
+                plane.match_batch_traced([event])
+            assert arena.live_bytes == forest.index_bytes
+            assert plane._tables == [] and plane._allocated == {}
+            assert forest.changes is None   # log disarmed
+        assert forest.remove_subscriber(self.WIDE, "wide")
+        assert plane.match_batch_traced([event])[0] == [{0, 1}]
+        plane.check_invariants()
+        fresh = ColumnarMatchPlane(forest, arena=arena)
+        assert plane.column_bytes == fresh.column_bytes
+        assert arena.live_bytes == forest.index_bytes \
+            + plane.column_bytes + fresh.column_bytes

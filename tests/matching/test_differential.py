@@ -79,6 +79,13 @@ def make_hybrid(split_depth=1):
         spec.costs, split_depth=split_depth)
 
 
+def churn_plan(low, high):
+    """``low`` to ``high`` (subscription, subscriber) registrations."""
+    return st.lists(st.tuples(diff_subscription(),
+                              st.integers(min_value=0, max_value=4)),
+                    min_size=low, max_size=high)
+
+
 class Fleet:
     """All matcher implementations driven through one shared script."""
 
@@ -93,8 +100,9 @@ class Fleet:
             SgxPlatform(spec=scaled_spec(llc_bytes=256 * 1024)),
             enclave=True, memo_capacity=8)
         # Columnar plane compiled straight off the shared forest: the
-        # generation stamp must keep it fresh through every register/
-        # unregister the script performs between queries.
+        # generation stamp and the forest's change log must keep it
+        # fresh through every register/unregister the script performs
+        # between queries.
         self.plane = ColumnarMatchPlane(self.forest)
         # Columnar-backed engine with a memo: exercises the memo ->
         # plane interplay (hits bypass the columns, misses batch).
@@ -153,6 +161,7 @@ class Fleet:
         assert self.columnar.n_subscriptions == n
         # The plane's compiled view must mirror the forest exactly.
         assert self.plane.n_subscription_nodes == self.forest.n_nodes
+        self.plane.check_invariants()
 
 
 class TestDifferentialChurn:
@@ -187,27 +196,53 @@ class TestDifferentialChurn:
                 fleet.assert_agreement(Event(attributes))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.lists(st.tuples(diff_subscription(),
-                              st.integers(min_value=0, max_value=4)),
-                    min_size=1, max_size=16),
+    @given(churn_plan(16, 48),
            st.lists(st.lists(diff_event(), min_size=1, max_size=6),
-                    min_size=1, max_size=4),
+                    min_size=2, max_size=8),
            st.data())
     def test_columnar_batches_between_churn(self, pairs, batches,
                                             data):
         """Whole batches through the columnar engine, churn between
         them: every batch must agree event-for-event with the linear
-        oracle, across lazy plane recompiles and memo interplay (the
-        second pass over each batch mixes memo hits with column
-        passes)."""
+        oracle, across lazy plane catch-ups and recompiles and memo
+        interplay (the second pass over each batch mixes memo hits
+        with column passes).
+
+        Structural oracle: after every step the long-lived plane —
+        edited in place when the burst was small against its size,
+        rebuilt when it was not, released outright now and then — is
+        compared with a plane compiled fresh over the same forest.
+        """
+        self._batches_between_churn(pairs, batches, data)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(churn_plan(1, 15),
+           st.lists(st.lists(diff_event(), min_size=1, max_size=6),
+                    min_size=1, max_size=4),
+           st.data())
+    def test_columnar_batches_between_churn_on_small_planes(
+            self, pairs, batches, data):
+        """The same with too few subscriptions to leave the bulk path
+        for long: planes of one to fifteen nodes, most writes a
+        recompile."""
+        self._batches_between_churn(pairs, batches, data)
+
+    @staticmethod
+    def _batches_between_churn(pairs, batches, data):
         naive = NaiveMatcher()
         engine = MatchingEngine(
             SgxPlatform(spec=scaled_spec(llc_bytes=256 * 1024)),
             enclave=True, memo_capacity=4, backend="columnar")
+        plane = engine.plane
         live = []
         queue = list(pairs)
         for batch in batches:
-            burst, queue = queue[:4], queue[4:]
+            # A load of 16, then a few writes or another load: the
+            # steps land on both sides of the plane's bulk threshold
+            # (a quarter of its slots), coming from either side.
+            n_burst = 16 if not live else \
+                data.draw(st.sampled_from([0, 1, 2, 3, 16]))
+            burst, queue = queue[:n_burst], queue[n_burst:]
             for subscription, subscriber in burst:
                 naive.insert(subscription, subscriber)
                 engine.register(subscription, subscriber)
@@ -219,11 +254,25 @@ class TestDifferentialChurn:
                 assert naive.remove_subscriber(victim_sub, victim)
                 assert engine.unregister(victim_sub, victim)
                 live.remove((victim_sub, victim))
+            if data.draw(st.integers(min_value=0, max_value=5)) == 0:
+                plane.release()
             for results in (engine.match_batch(batch),
                             engine.match_batch(batch)):
                 for event, result in zip(batch, results):
                     assert set(result.subscribers) == naive.match(event)
+            plane.check_invariants()
+            fresh = ColumnarMatchPlane(engine.forest, arena=engine.arena)
+            fresh._compile()    # leaves the change log with ``plane``
+            assert plane.match_batch_traced(batch) \
+                == fresh.match_batch_traced(batch)
+            assert (plane.column_bytes, plane.n_subscription_nodes,
+                    plane.n_attributes) \
+                == (fresh.column_bytes, fresh.n_subscription_nodes,
+                    fresh.n_attributes)
+            fresh.release()
         engine.forest.check_invariants()
+        assert engine.arena.live_bytes == engine.forest.index_bytes \
+            + plane.column_bytes
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.lists(diff_subscription(), min_size=1, max_size=12),

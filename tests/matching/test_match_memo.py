@@ -89,6 +89,24 @@ class TestEngineMemo:
         engine.register(sub, "bob")
         assert engine.match(event).subscribers == {"bob"}
 
+    def test_failed_removal_does_not_invalidate(self):
+        """The memo twin of the plane's test of the same name: only a
+        removal that happened may cost the cached answers."""
+        engine = _engine(memo_capacity=16)
+        sub = Subscription.parse({"symbol": "HAL"})
+        engine.register(sub, "alice")
+        event = Event({"symbol": "HAL"})
+        engine.match(event)
+        bumps = engine.memo.invalidation_bumps
+        assert not engine.unregister(sub, "ghost")
+        assert not engine.unregister(
+            Subscription.parse({"symbol": "IBM"}), "alice")
+        assert engine.memo.invalidation_bumps == bumps
+        assert engine.match(event).nodes_visited == 0       # still a hit
+        assert engine.unregister(sub, "alice")
+        assert engine.memo.invalidation_bumps == bumps + 1
+        assert engine.match(event).subscribers == set()
+
     def test_eviction_bounds_memory(self):
         engine = _engine(memo_capacity=4)
         engine.register(Subscription.parse({"x": (0, 100)}), "a")

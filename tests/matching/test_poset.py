@@ -139,6 +139,80 @@ class TestRemove:
         assert forest.match(Event({"x": 5})) == {"alice"}
 
 
+class TestChangeLog:
+    """The contract an in-place reader (the columnar plane) relies on:
+    the log names exactly the nodes that entered and left
+    ``iter_nodes()``, in order, and nothing else."""
+
+    def test_node_leaves_exactly_when_its_last_subscriber_does(self):
+        forest = ContainmentForest()
+        outer, middle, inner = (sub({"x": (0, 100)}),
+                                sub({"x": (10, 90)}),
+                                sub({"x": (20, 80)}))
+        for s, who in ((outer, "o"), (middle, "m"), (middle, "m2"),
+                       (inner, "i")):
+            forest.insert(s, who)
+        held = {node.subscription: node for node in forest.iter_nodes()}
+        log = forest.record_changes(8)
+        assert forest.remove_subscriber(middle, "m")
+        assert held[middle] in list(forest.iter_nodes())
+        assert log == []
+        # An emptied node goes even from the middle of a chain: its
+        # child is hoisted, it is not kept as routing structure.
+        assert forest.remove_subscriber(middle, "m2")
+        assert log == [(held[middle], False)]
+        assert {node.subscription for node in forest.iter_nodes()} \
+            == {outer, inner}
+        assert all(node.subscribers for node in forest.iter_nodes())
+        assert held[outer].children == [held[inner]]
+        forest.check_invariants()
+
+    def test_reparenting_logs_only_the_new_node(self):
+        forest = ContainmentForest()
+        forest.insert(sub({"x": (20, 80)}), "i")
+        forest.insert(sub({"x": (30, 70)}), "j")
+        log = forest.record_changes(8)
+        outer = forest.insert(sub({"x": (0, 100)}), "o")
+        assert len(outer.children) == 1     # adopted the old root
+        assert log == [(outer, True)]
+
+    def test_writes_that_keep_the_node_set_log_nothing(self):
+        forest = ContainmentForest()
+        s = sub({"x": (0, 10)})
+        forest.insert(s, "alice")
+        log = forest.record_changes(8)
+        generation = forest.generation
+        forest.insert(s, "bob")             # second subscriber
+        forest.insert(s, "bob")             # identical re-registration
+        assert forest.generation == generation + 2
+        assert not forest.remove_subscriber(s, "ghost")
+        assert not forest.remove_subscriber(sub({"z": 1}), "alice")
+        assert forest.generation == generation + 2
+        assert log == [] and forest.changes is log
+
+    def test_log_is_bounded_and_rearmed_by_identity(self):
+        forest = ContainmentForest()
+        assert forest.changes is None       # nobody asked
+        forest.insert(sub({"x": 0}), 0)
+        log = forest.record_changes(2)
+        for value in (1, 2):
+            forest.insert(sub({"x": value}), value)
+        assert len(log) == 2 and forest.changes is log
+        # One change past the limit the forest stops recording rather
+        # than grow the log: the reader must rebuild from iter_nodes().
+        forest.insert(sub({"x": 3}), 3)
+        assert forest.changes is None and len(log) == 2
+        forest.insert(sub({"x": 4}), 4)
+        assert forest.changes is None
+        # Arming again hands out a new list, not the old one emptied.
+        assert forest.record_changes(2) is not log
+        assert forest.changes == []
+        # A reader that goes away says so, and writes are free again.
+        forest.stop_recording()
+        forest.insert(sub({"x": 5}), 5)
+        assert forest.changes is None
+
+
 # -- randomised equivalence against the naive matcher ----------------------------
 
 values = st.integers(min_value=0, max_value=12)
