@@ -378,10 +378,8 @@ class Router:
         """
         self._m_fanout.observe(len(matched))
         local_clients, links = self._split_matched(matched)
-        deliver_frame = build_deliver(payload_envelope)
-        for client_id in local_clients:
-            self._attempt_delivery(client_id, deliver_frame,
-                                   attempts_made=0)
+        self._deliver(local_clients, build_deliver(payload_envelope),
+                      attempts_made=0)
         if self.overlay is not None:
             self.overlay.forward_publication(
                 publish_frame, links, incoming_link=incoming_link,
@@ -566,19 +564,21 @@ class Router:
 
     # -- delivery with retry/backoff ---------------------------------------------------
 
-    def _attempt_delivery(self, client_id: str, frame: bytes,
-                          attempts_made: int) -> bool:
-        """Try one delivery; on failure schedule a retry or give up."""
-        self._m_attempts.inc()
-        attempts_made += 1
-        try:
-            self.endpoint.send(client_id, [frame])
-        except NetworkError as exc:
-            self._delivery_failed(client_id, frame, attempts_made, exc)
-            return False
-        self.deliveries += 1
-        self._m_deliveries.inc()
-        return True
+    def _deliver(self, recipients: List[str], frame: bytes,
+                 attempts_made: int) -> None:
+        """One multicast of ``frame``; each recipient it fails for is
+        scheduled for a retry or given up on, in recipient order."""
+        if not recipients:
+            return
+        failed = self.endpoint.send_many(recipients, [frame])
+        self._m_attempts.inc(len(recipients))
+        delivered = len(recipients) - len(failed)
+        if delivered:
+            self.deliveries += delivered
+            self._m_deliveries.inc(delivered)
+        for client_id, error in failed:
+            self._delivery_failed(client_id, frame, attempts_made + 1,
+                                  error)
 
     def _delivery_failed(self, client_id: str, frame: bytes,
                          attempts_made: int,
@@ -612,8 +612,8 @@ class Router:
         self._retries = [p for p in self._retries
                          if p.due_tick > self.tick]
         for pending in due:
-            self._attempt_delivery(pending.client_id, pending.frame,
-                                   attempts_made=pending.attempts)
+            self._deliver([pending.client_id], pending.frame,
+                          attempts_made=pending.attempts)
         return len(due)
 
     # -- the drain loop ------------------------------------------------------------------
@@ -741,8 +741,8 @@ class Router:
                 else:
                     self.overlay.note_forward_requeued(neighbour)
             elif letter.client_id is not None:
-                self._attempt_delivery(letter.client_id, letter.frame,
-                                       attempts_made=0)
+                self._deliver([letter.client_id], letter.frame,
+                              attempts_made=0)
             else:
                 self._process_frame(letter.sender, letter.frame)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.network.faults import FaultPlan
@@ -51,8 +51,15 @@ class Endpoint:
     def send(self, to: str, frames: Frame) -> None:
         """Deliver a multipart message to another endpoint's inbox."""
         self._bus.deliver(self.name, to, frames)
-        self.sent_messages += 1
-        self.sent_bytes += sum(len(f) for f in frames)
+
+    def send_many(self, recipients: Sequence[str], frames: Frame
+                  ) -> List[Tuple[str, NetworkError]]:
+        """Multicast one message to many inboxes.
+
+        Returns ``(recipient, error)`` for every recipient it could
+        not be sent to, in recipient order; the others are served.
+        """
+        return self._bus.deliver_many(self.name, recipients, frames)
 
     def recv(self) -> Optional[Tuple[str, Frame]]:
         """Pop the oldest pending ``(sender, frames)``, or None."""
@@ -79,12 +86,7 @@ class Endpoint:
 
     def recv_all(self) -> List[Tuple[str, Frame]]:
         """Drain the inbox."""
-        messages = []
-        while True:
-            message = self.recv()
-            if message is None:
-                return messages
-            messages.append(message)
+        return self._bus.pop_all(self.name)
 
     @property
     def pending(self) -> int:
@@ -166,63 +168,115 @@ class MessageBus:
         return self._endpoints[name]
 
     def deliver(self, sender: str, to: str, frames: Frame) -> None:
-        """Validate, apply link faults, and enqueue one message."""
+        """A multicast to one recipient that raises its failure."""
+        failed = self.deliver_many(sender, (to,), frames)
+        if failed:
+            raise failed[0][1]
+
+    def deliver_many(self, sender: str, recipients: Sequence[str],
+                     frames: Frame) -> List[Tuple[str, NetworkError]]:
+        """Validate once, then apply link faults and enqueue per recipient.
+
+        The stand-in for handing one ciphertext to the substrate for
+        all matched consumers. A recipient that cannot be sent to does
+        not stop the others: its ``(recipient, error)`` is returned, in
+        recipient order, with the precedence a lone send has — bus
+        down, then unknown endpoint, then bad frames.
+
+        Shared by all recipients: the ``down`` test, the frame
+        validation, the immutable ``bytes`` and their sizes. Per
+        recipient, in recipient order (so a seeded plan's stream does
+        not depend on how its traffic was grouped): the mailbox
+        lookup, one :meth:`FaultPlan.decide`, a frame list of its own
+        (a corrupt fault damages one copy) and the enqueue. Traffic
+        totals, the sender's included, are added up once, whichever
+        way the loop is left.
+        """
         if self.down:
-            self.refused_messages += 1
-            self._m_refused.inc()
-            raise NetworkError(
-                f"link {self.name or '<bus>'} is down: "
-                f"{sender} -> {to} refused")
-        mailbox = self._mailboxes.get(to)
-        if mailbox is None:
-            raise NetworkError(f"no endpoint named {to!r}")
+            link = self.name or "<bus>"
+            failed = [(to, NetworkError(
+                f"link {link} is down: {sender} -> {to} refused"))
+                for to in recipients]
+            if failed:
+                self.refused_messages += len(failed)
+                self._m_refused.inc(len(failed))
+            return failed
+        mailboxes = self._mailboxes
         if not isinstance(frames, list) or not all(
                 isinstance(f, (bytes, bytearray)) for f in frames):
-            raise NetworkError("frames must be a list of bytes")
+            return [(to, NetworkError(
+                "frames must be a list of bytes" if to in mailboxes
+                else f"no endpoint named {to!r}"))
+                for to in recipients]
         payload = [bytes(f) for f in frames]
-
-        copies = 1
-        reorder = False
+        sizes = [len(f) for f in payload]
+        size = sum(sizes)
         plan = self.fault_plan
-        if plan is not None:
-            decision = plan.decide(sender, to,
-                                   [len(f) for f in payload])
-            if decision.drop:
-                # Lost on the wire: the sender believes it succeeded
-                # (as with a real network), but the loss is accounted.
-                self.dropped_messages += 1
-                self._m_faults_by_kind["drop"].inc()
-                return
-            if decision.corrupt_at is not None:
-                frame_index, byte_index = decision.corrupt_at
-                damaged = bytearray(payload[frame_index])
-                damaged[byte_index] ^= 0xFF
-                payload[frame_index] = bytes(damaged)
-                self._m_faults_by_kind["corrupt"].inc()
-            if decision.duplicate:
-                copies = 2
-                self._m_faults_by_kind["duplicate"].inc()
-            # A reorder can only happen when a message is pending to
-            # overtake; an ineffective roll is not an injected fault.
-            reorder = decision.reorder and bool(mailbox.inbox)
-            if reorder:
-                plan.injected["reorder"] += 1
-                self._m_faults_by_kind["reorder"].inc()
-
-        size = sum(len(f) for f in payload)
-        for _ in range(copies):
-            if reorder and mailbox.inbox:
-                # Overtake the most recent pending message.
-                mailbox.inbox.insert(len(mailbox.inbox) - 1,
-                                     (sender, payload))
-            else:
-                mailbox.inbox.append((sender, payload))
-            mailbox.received_messages += 1
-            mailbox.received_bytes += size
-            self.total_messages += 1
-            self.total_bytes += size
-            self._m_messages.inc()
-            self._m_bytes.inc(size)
+        failed = []
+        sent = enqueued = 0
+        try:
+            for to in recipients:
+                mailbox = mailboxes.get(to)
+                if mailbox is None:
+                    failed.append((to, NetworkError(
+                        f"no endpoint named {to!r}")))
+                    continue
+                inbox = mailbox.inbox
+                own = payload[:]
+                copies = 1
+                reorder = False
+                if plan is not None:
+                    decision = plan.decide(sender, to, sizes)
+                    if decision.drop:
+                        # Lost on the wire: the sender believes it
+                        # succeeded (as with a real network), but the
+                        # loss is accounted.
+                        sent += 1
+                        self.dropped_messages += 1
+                        self._m_faults_by_kind["drop"].inc()
+                        continue
+                    if decision.corrupt_at is not None:
+                        frame_index, byte_index = decision.corrupt_at
+                        damaged = bytearray(payload[frame_index])
+                        damaged[byte_index] ^= 0xFF
+                        own[frame_index] = bytes(damaged)
+                        self._m_faults_by_kind["corrupt"].inc()
+                    if decision.duplicate:
+                        copies = 2
+                        self._m_faults_by_kind["duplicate"].inc()
+                    # A reorder can only happen when a message is
+                    # pending to overtake; an ineffective roll is not
+                    # an injected fault.
+                    reorder = decision.reorder and bool(inbox)
+                    if reorder:
+                        plan.injected["reorder"] += 1
+                        self._m_faults_by_kind["reorder"].inc()
+                message = (sender, own)
+                if reorder:
+                    # Overtake the most recent pending message.
+                    for _ in range(copies):
+                        inbox.insert(len(inbox) - 1, message)
+                else:
+                    inbox.append(message)
+                    if copies == 2:
+                        inbox.append(message)
+                sent += 1
+                enqueued += copies
+                mailbox.received_messages += copies
+                mailbox.received_bytes += copies * size
+        finally:
+            # Never inc(0): on a bound counter that would materialise
+            # a zero-valued labelled child in the snapshot.
+            if enqueued:
+                self.total_messages += enqueued
+                self.total_bytes += enqueued * size
+                self._m_messages.inc(enqueued)
+                self._m_bytes.inc(enqueued * size)
+            endpoint = self._endpoints.get(sender)
+            if endpoint is not None:
+                endpoint.sent_messages += sent
+                endpoint.sent_bytes += sent * size
+        return failed
 
     def requeue(self, name: str, sender: str, frames: Frame) -> None:
         """Put a popped-but-unprocessed message back on ``name``'s inbox.
@@ -268,6 +322,15 @@ class MessageBus:
         if not mailbox.inbox:
             return None
         return mailbox.inbox.popleft()
+
+    def pop_all(self, name: str) -> List[Tuple[str, Frame]]:
+        """Take everything pending on ``name``'s inbox, oldest first."""
+        mailbox = self._mailboxes.get(name)
+        if mailbox is None:
+            raise NetworkError(f"no endpoint named {name!r}")
+        messages = list(mailbox.inbox)
+        mailbox.inbox.clear()
+        return messages
 
     def pending(self, name: str) -> int:
         mailbox = self._mailboxes.get(name)

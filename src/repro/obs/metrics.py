@@ -27,6 +27,7 @@ trusted code never holds a reference to untrusted mutable state.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import MetricsError
@@ -222,11 +223,8 @@ class Histogram:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # First bound >= value; past the last one, the +inf bucket.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import MetricsError
-from repro.obs.metrics import (Counter, Gauge, Histogram,
-                               MetricsRegistry)
+from repro.obs.metrics import (DEFAULT_BUCKETS, TIME_BUCKETS_US, Counter,
+                               Gauge, Histogram, MetricsRegistry)
 
 
 class TestCounter:
@@ -66,6 +66,23 @@ class TestHistogram:
         assert hist.total == 556
         assert hist.mean == 139.0
         assert hist.bucket_counts == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("bounds", [DEFAULT_BUCKETS, TIME_BUCKETS_US,
+                                        (0.5,)])
+    def test_bucket_is_the_first_bound_not_below_the_value(self, bounds):
+        """The bisect lands where the walk over every bound did:
+        below, on and above each bound, and past the last."""
+        hist = Histogram("h", bounds=bounds)
+        walked = [0] * (len(bounds) + 1)
+        for bound in bounds:
+            for value in (bound - 0.25, bound, bound + 0.25):
+                hist.observe(value)
+                walked[next((index for index, upper in enumerate(bounds)
+                             if value <= upper), len(bounds))] += 1
+        hist.observe(bounds[-1] * 10)
+        walked[-1] += 1
+        assert hist.bucket_counts == walked
+        assert sum(walked) == hist.count == 3 * len(bounds) + 1
 
     def test_empty_histogram_collects_zeroes(self):
         samples = {}
