@@ -7,19 +7,38 @@ for a *batch* plane compiled from the registered subscription set:
 
 * per attribute, the constraints of every stored subscription are
   compiled into an :class:`_AttributeTable` — a hash bucket per
-  equality pin, sorted lower/upper bound lists and sorted interval
-  lists for the numeric range ops, an "always" list for bare
-  ``exists`` constraints, and a residual list of compiled closures for
-  the rare shapes (exclusion sets, string wildcards);
-* a batch of events is evaluated column-wise, one pass per attribute:
-  each event's value probes the table once and *decrements a
-  per-event deficit byte* for every subscription whose constraint on
-  that attribute it satisfies;
+  equality pin, an "always" list for bare ``exists`` constraints,
+  *bound arrays* for the numeric interval ops (one row per
+  constraint: closed float64 ``lo`` and ``hi`` columns and the slot),
+  and a residual list of compiled closures for the rare shapes
+  (exclusion sets, string wildcards, bounds float64 cannot carry);
+* a batch's deficits are one ``n_events x n_slots`` grid of bytes,
+  each row starting as the subscriptions' constraint counts, and the
+  batch is evaluated column-wise, one pass per attribute: the batch's
+  value column meets the table's bound arrays in one vectorised
+  compare (``lo <= v`` and ``v <= hi``, an ``n_events x n_rows``
+  boolean matrix) that is subtracted from the grid's slot columns in
+  one scatter; buckets, "always" and closures decrement single bytes
+  of the same grid, per event;
 * a subscription matches an event exactly when its deficit reaches
   zero — every one of its constraints was satisfied by a distinct
-  attribute pass — and the zero bytes are found with C-speed
-  ``bytearray.find`` scans, so emission cost is proportional to the
-  matches, not to the stored set.
+  attribute pass — and the zero bytes of an event's row are found with
+  C-speed ``bytearray.find`` scans, so emission cost is proportional
+  to the matches, not to the stored set.
+
+There is one representation of a bound and one path over it — no
+sorted list beside the arrays, no per-row loop for small batches, no
+crossover constant. What that costs is numpy's fixed price per call,
+visible only where one event meets a table of a few dozen rows (about
+15 us instead of 3); at 32 events x 580 rows the pass is five times
+cheaper than the list walk it replaced (EXPERIMENTS.md, PR 23).
+
+Exactness: float64 compares are exact only between float64s, while
+headers and predicates may carry ints of any length. A bound enters
+the arrays only where its closed float64 form decides every value a
+header can carry (:func:`_closed_bound`), and goes to the closures
+otherwise; an event value float64 cannot hold is compared as its two
+float64 neighbours (:func:`_bracket`), never rounded to one.
 
 The poset (:class:`~repro.matching.poset.ContainmentForest`) remains
 the authoritative registration and covering structure — insertion,
@@ -31,7 +50,7 @@ to date lazily by the next match after a registration change
 * **by delta** — a compiled plane arms the forest's change log
   (:meth:`ContainmentForest.record_changes`), which names the nodes
   created and spliced out since, and replays it in place: a write
-  costs a few bisects and list edits, not a rebuild of every table;
+  costs a few row appends and deletions, not a rebuild of every table;
 * **in bulk** — one :meth:`ColumnarMatchPlane._compile` from
   ``iter_nodes()`` when the plane was never compiled (or was
   released), when the log is missing (it overflowed its bound, or
@@ -43,7 +62,7 @@ The two agree exactly. A removed subscription's entries are *deleted*,
 never tombstoned, so every probe consults exactly the rows a fresh
 compile would hold; and a slot only *names* a subscription, so match
 sets and the ``(touched, consulted)`` work counters are invariant
-under the renaming of slots and the order of tied keys that separate
+under the renaming of slots and the order of rows that separate
 an edited plane from a rebuilt one.
 
 Memory-trace fidelity: when built over an arena the plane allocates
@@ -56,8 +75,11 @@ event) instead of the forest's pointer-chasing node touches.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import MatchingError
 from repro.matching.events import Event
@@ -89,6 +111,13 @@ FREE_SLOT_ARITY = 1
 #: a rebuild costs no more than the edits, and sheds the parked slots.
 BULK_SHARE = 1 / 4
 
+_INF = math.inf
+_NAN = math.nan
+_MAX_FLOAT = sys.float_info.max
+#: float64 holds every int up to here, and adjacent floats inside
+#: these limits are at most 1 apart.
+_EXACT_INTS = 2.0 ** 53
+
 
 def _too_wide() -> MatchingError:
     return MatchingError(
@@ -105,42 +134,85 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
+def _closed_bound(bound, is_open: bool, toward: float
+                  ) -> Optional[float]:
+    """The closed float64 bound that stands for ``bound`` over the
+    whole value domain, or None when there is none.
+
+    A closed bound is itself, provided float64 holds it exactly (an
+    int past 2**53 may not). An open one is the adjacent float on the
+    ``toward`` side — exact when nothing a header can carry lies
+    between the two, which holds inside ``±2**53`` (beyond, adjacent
+    floats are two or more apart and an int fits between them; at an
+    infinity there is no neighbour to step to).
+    """
+    try:
+        value = float(bound)
+    except OverflowError:
+        return None
+    if value != bound:
+        return None
+    if not is_open:
+        return value
+    if not -_EXACT_INTS < value < _EXACT_INTS:
+        return None
+    return math.nextafter(value, toward)
+
+
+def _bracket(value) -> Tuple[float, float]:
+    """Adjacent float64s ``down <= value <= up`` (equal when float64
+    holds ``value``): ``value >= lo`` is ``down >= lo`` and ``value <=
+    hi`` is ``up <= hi`` for every float64 bound, with no rounding."""
+    try:
+        nearest = float(value)
+    except OverflowError:
+        return (_MAX_FLOAT, _INF) if value > 0 else (-_INF, -_MAX_FLOAT)
+    if nearest < value:
+        return nearest, math.nextafter(nearest, _INF)
+    if nearest > value:
+        return math.nextafter(nearest, -_INF), nearest
+    return nearest, nearest
+
+
 class _AttributeTable:
     """Compiled constraint tables for one attribute.
 
-    Placement is decided per constraint shape, most specific first;
-    every stored constraint lands in exactly one of:
+    Placement is decided per constraint shape (:meth:`_place`), most
+    specific first; every stored constraint lands in exactly one of:
 
     * ``eq_buckets`` — single admitted value (numeric or string pin):
-      ``value -> [subscription indexes]``, an O(1) probe;
-    * ``lower`` — one-sided ``v >= lo`` / ``v > lo``: entries sorted by
-      ``(lo, lo_open)`` so the satisfied set is a prefix found by one
-      bisect;
-    * ``upper`` — one-sided ``v <= hi`` / ``v < hi``: entries sorted by
-      ``(hi, closedness)`` so the satisfied set is a suffix;
-    * ``ranges`` — two-sided intervals, sorted by the lower bound:
-      bisect limits the scan to entries whose lower bound admits ``v``,
-      each checked against its upper bound;
+      ``value -> [subscription indexes]``, an O(1) probe per event;
     * ``always`` — bare ``exists`` constraints (satisfied by any
       present value of any type);
+    * the **bound arrays** — every other numeric interval, one row per
+      constraint in three parallel columns: ``lo`` and ``hi``
+      (float64, both *closed*: an open bound is stored as the adjacent
+      float, a missing one as ``-inf`` / ``+inf``) and ``sub`` (the
+      slot). One-sided and two-sided constraints are rows of the same
+      arrays, in no particular order, and ``sub`` holds no slot twice
+      (a subscription has one constraint per attribute);
     * ``residual`` — compiled closures for exclusion sets and string
-      wildcards (exact but rare; kept off the fast paths).
+      wildcards, for open bounds at an infinity, and for the bounds
+      :func:`_closed_bound` cannot fold into a float64 (exact but
+      rare; kept off the arrays).
+
+    Rows are placed into ``_pending`` and moved into the arrays by
+    :meth:`seal` — once per compile or catch-up, so a compile builds
+    each column with one numpy call.
     """
 
-    __slots__ = ("attribute", "eq_buckets", "lower_keys", "lower_subs",
-                 "upper_keys", "upper_subs", "range_keys", "range_rows",
-                 "always", "residual", "n_entries", "n_buckets",
-                 "address", "size")
+    __slots__ = ("attribute", "eq_buckets", "lo", "hi", "sub",
+                 "_pending", "always", "residual", "n_entries",
+                 "n_buckets", "address", "size")
 
     def __init__(self, attribute: str) -> None:
         self.attribute = attribute
         self.eq_buckets: Dict[object, List[int]] = {}
-        self.lower_keys: List[Tuple[float, bool]] = []
-        self.lower_subs: List[int] = []
-        self.upper_keys: List[Tuple[float, int]] = []
-        self.upper_subs: List[int] = []
-        self.range_keys: List[Tuple[float, bool]] = []
-        self.range_rows: List[Tuple[float, bool, int]] = []
+        self.lo = np.empty(0, dtype=np.float64)
+        self.hi = np.empty(0, dtype=np.float64)
+        self.sub = np.empty(0, dtype=np.intp)
+        #: ``(lo, hi, sub)`` rows not yet in the arrays.
+        self._pending: List[Tuple[float, float, int]] = []
         self.always: List[int] = []
         self.residual: List[Tuple[object, int]] = []
         self.n_entries = 0
@@ -148,183 +220,180 @@ class _AttributeTable:
         self.address = 0
         self.size = 0
 
-    def add(self, constraint, sub_index: int) -> None:
-        self.n_entries += 1
+    def _place(self, constraint) -> Tuple[object, object]:
+        """``(rows, key)``: where ``constraint`` is stored.
+
+        ``rows`` is ``eq_buckets`` (the bucket is ``rows[key]``),
+        ``always`` or ``residual`` (``key`` is None), or None for the
+        bound arrays, where ``key`` is the row's ``(lo, hi)``.
+        """
         if constraint.is_equality():
             # Satisfiability was enforced at registration, so the
             # pinned value is never excluded and the bucket is exact.
-            key = constraint.equals if constraint.is_string \
-                else constraint.lo
-            bucket = self.eq_buckets.get(key)
-            if bucket is None:
-                self.eq_buckets[key] = [sub_index]
-                self.n_buckets += 1
-            else:
-                bucket.append(sub_index)
-            return
-        if not constraint.is_string and not constraint.excluded:
-            if constraint.is_universal_interval():
-                self.always.append(sub_index)
-                return
-            lo, hi = constraint.lo, constraint.hi
-            if hi == float("inf") and not constraint.hi_open:
-                self.lower_keys.append((lo, constraint.lo_open))
-                self.lower_subs.append(sub_index)
-                return
-            if lo == float("-inf") and not constraint.lo_open:
-                # Closed bounds sort after open ones at the same hi, so
-                # the satisfied suffix starts right after (v, open).
-                self.upper_keys.append(
-                    (hi, 0 if constraint.hi_open else 1))
-                self.upper_subs.append(sub_index)
-                return
-            if hi != float("inf") and lo != float("-inf"):
-                self.range_keys.append((lo, constraint.lo_open))
-                self.range_rows.append(
-                    (hi, constraint.hi_open, sub_index))
-                return
-            # Open bound at an infinity ("< inf", "> -inf"): the
-            # compiled closures give these exact (if degenerate)
-            # semantics — keep the fast lists free of the special case.
-        self.residual.append((constraint.compile(), sub_index))
-
-    def seal(self) -> None:
-        """Sort the bound lists after all constraints are placed."""
-        if self.lower_keys:
-            order = sorted(range(len(self.lower_keys)),
-                           key=self.lower_keys.__getitem__)
-            self.lower_keys = [self.lower_keys[i] for i in order]
-            self.lower_subs = [self.lower_subs[i] for i in order]
-        if self.upper_keys:
-            order = sorted(range(len(self.upper_keys)),
-                           key=self.upper_keys.__getitem__)
-            self.upper_keys = [self.upper_keys[i] for i in order]
-            self.upper_subs = [self.upper_subs[i] for i in order]
-        if self.range_keys:
-            order = sorted(range(len(self.range_keys)),
-                           key=self.range_keys.__getitem__)
-            self.range_keys = [self.range_keys[i] for i in order]
-            self.range_rows = [self.range_rows[i] for i in order]
-
-    # -- edits of a sealed table (the plane's catch-up) ---------------------
-
-    def _place(self, constraint) -> Tuple[Optional[list], object, object]:
-        """``(keys, rows, key)``: where :meth:`add` stores ``constraint``.
-
-        The same decision as :meth:`add`, which keeps its own inline
-        copy because it is a compile's inner loop (one call per stored
-        constraint). ``rows`` is ``eq_buckets`` (the bucket is
-        ``rows[key]``), an unordered list (``keys`` and ``key`` are
-        None) or a list parallel to the sorted ``keys``, where ``key``
-        is the constraint's sort key.
-        """
-        if constraint.is_equality():
-            return None, self.eq_buckets, constraint.equals \
+            return self.eq_buckets, constraint.equals \
                 if constraint.is_string else constraint.lo
         if not constraint.is_string and not constraint.excluded:
             if constraint.is_universal_interval():
-                return None, self.always, None
-            lo, hi = constraint.lo, constraint.hi
-            if hi == float("inf") and not constraint.hi_open:
-                return (self.lower_keys, self.lower_subs,
-                        (lo, constraint.lo_open))
-            if lo == float("-inf") and not constraint.lo_open:
-                return (self.upper_keys, self.upper_subs,
-                        (hi, 0 if constraint.hi_open else 1))
-            if hi != float("inf") and lo != float("-inf"):
-                return (self.range_keys, self.range_rows,
-                        (lo, constraint.lo_open))
-        return None, self.residual, None
+                return self.always, None
+            lo = _closed_bound(constraint.lo, constraint.lo_open, _INF)
+            hi = _closed_bound(constraint.hi, constraint.hi_open, -_INF)
+            # (an open interval between two adjacent floats is
+            # satisfiable on paper and folds to lo > hi: a closure)
+            if lo is not None and hi is not None and lo <= hi:
+                return None, (lo, hi)
+        return self.residual, None
 
-    def insert(self, constraint, sub_index: int) -> None:
-        """:meth:`add` to a sealed table: a sorted list takes the entry
-        by bisect, after its ties; elsewhere an append is in place."""
-        keys, rows, key = self._place(constraint)
-        if keys is None:
-            self.add(constraint, sub_index)
-            return
+    def add(self, constraint, sub_index: int) -> None:
+        """Store one constraint; :meth:`seal` before the next probe."""
         self.n_entries += 1
-        at = bisect_right(keys, key)
-        keys.insert(at, key)
-        rows.insert(at, sub_index if rows is not self.range_rows else
-                    (constraint.hi, constraint.hi_open, sub_index))
+        rows, key = self._place(constraint)
+        if rows is None:
+            self._pending.append(key + (sub_index,))
+        elif rows is self.always:
+            rows.append(sub_index)
+        elif rows is self.residual:
+            rows.append((constraint.compile(), sub_index))
+        elif key in rows:
+            rows[key].append(sub_index)
+        else:
+            rows[key] = [sub_index]
+            self.n_buckets += 1
+
+    def seal(self) -> None:
+        """Append the pending rows to the bound arrays."""
+        if self._pending:
+            self.lo, self.hi, self.sub = (
+                np.concatenate((column, np.array(new, dtype=column.dtype)))
+                for column, new in zip((self.lo, self.hi, self.sub),
+                                       zip(*self._pending)))
+            self._pending = []
 
     def discard(self, constraint, sub_index: int) -> None:
         """Delete the entry :meth:`add` stored — no tombstone is left,
         so a probe consults exactly the rows a fresh compile would."""
         self.n_entries -= 1
-        keys, rows, key = self._place(constraint)
-        if rows is self.eq_buckets:
-            bucket = rows[key]
-            bucket.remove(sub_index)
-            if not bucket:
-                del rows[key]
-                self.n_buckets -= 1
+        rows, key = self._place(constraint)
+        if rows is None:
+            # The arrays keep no order: the last row takes the place
+            # of the one that names the slot.
+            self.seal()
+            columns = (self.lo, self.hi, self.sub)
+            row = int(np.flatnonzero(self.sub == sub_index)[0])
+            last = len(self.sub) - 1
+            for column in columns:
+                column[row] = column[last]
+            self.lo, self.hi, self.sub = (
+                column[:last] for column in columns)
         elif rows is self.always:
             rows.remove(sub_index)
         elif rows is self.residual:
             del rows[[sub for _test, sub in rows].index(sub_index)]
         else:
-            # Bisect to the key, then scan its ties for the slot (a
-            # subscription has one constraint per attribute).
-            row = sub_index if rows is not self.range_rows else \
-                (constraint.hi, constraint.hi_open, sub_index)
-            at = rows.index(row, bisect_left(keys, key))
-            del keys[at]
-            del rows[at]
+            bucket = rows[key]
+            bucket.remove(sub_index)
+            if not bucket:
+                del rows[key]
+                self.n_buckets -= 1
+
+    def bound_slots(self) -> List[int]:
+        """The slots the bound arrays name, after checking the arrays:
+        sealed, parallel, of the dtypes the pass relies on, every row a
+        non-empty closed interval (so no NaN), no slot named twice."""
+        columns = (self.lo, self.hi, self.sub)
+        dtypes = (np.float64, np.float64, np.intp)
+        if self._pending or any(
+                column.dtype != dtype or column.shape != self.sub.shape
+                for column, dtype in zip(columns, dtypes)):
+            raise MatchingError(
+                f"bound arrays out of step on {self.attribute!r}")
+        if not (self.lo <= self.hi).all():
+            raise MatchingError(
+                f"bound row is no closed interval on {self.attribute!r}")
+        slots = self.sub.tolist()
+        if len(set(slots)) != len(slots):
+            raise MatchingError(
+                f"slot named twice in the bounds of {self.attribute!r}")
+        return slots
 
     def modelled_bytes(self) -> int:
         return (COLUMN_BASE_BYTES
                 + COLUMN_ENTRY_BYTES * self.n_entries
                 + BUCKET_HEADER_BYTES * self.n_buckets)
 
-    def probe(self, value, deficit: bytearray) -> Tuple[int, int]:
-        """Decrement ``deficit`` for every constraint ``value``
-        satisfies; returns ``(subs_touched, tests_consulted)``."""
-        touched = 0
-        consulted = 0
-        always = self.always
-        if always:
+    def probe(self, values: list, cells: bytearray, grid, visited: list,
+              consulted: list, counts) -> int:
+        """One pass of a batch's value column over this table.
+
+        ``values`` holds one entry per event, None where the header
+        lacks the attribute. Every constraint an event's value
+        satisfies costs its slot one decrement in that event's row of
+        the grid (``cells`` is the grid's buffer: the scalar
+        placements address it directly). Subscriptions touched and
+        tests consulted are added per event — to the lists ``visited``
+        / ``consulted`` for the scalar placements, to the two rows of
+        the array ``counts`` for the bound arrays. Returns the most
+        tests any one event consulted, -1 if no event carries the
+        attribute.
+
+        The bound arrays take the whole batch in one compare: ``lo <=
+        v`` and ``v <= hi`` as ``n_events x n_rows`` booleans, their
+        conjunction subtracted from the grid's ``sub`` columns. A row
+        with a finite lower bound counts as consulted when that bound
+        admits the value and as touched when the upper one does too; a
+        row without one is consulted only where it is satisfied (the
+        counts of a bisect to the admitted prefix, resp. suffix, of a
+        list sorted by that bound). Strings and missing values ride as
+        NaN, which no compare admits; a number float64 cannot hold is
+        compared as its two float64 neighbours (:func:`_bracket`).
+        """
+        n_slots = grid.shape[1]
+        always, buckets, residual = \
+            self.always, self.eq_buckets, self.residual
+        fixed = (1 if buckets else 0) + len(residual)
+        most = -1
+        column = []
+        inexact = []
+        for index, value in enumerate(values):
+            if value is None:
+                column.append(_NAN)
+                continue
+            most = fixed
+            start = index * n_slots
+            touched = len(always)
             for sub in always:
-                deficit[sub] -= 1
-            touched += len(always)
-        bucket = self.eq_buckets.get(value)
-        if self.eq_buckets:
-            consulted += 1
-        if bucket is not None:
-            for sub in bucket:
-                deficit[sub] -= 1
-            touched += len(bucket)
-        if not isinstance(value, str):
-            lower_keys = self.lower_keys
-            if lower_keys:
-                stop = bisect_right(lower_keys, (value, False))
-                consulted += stop
-                for sub in self.lower_subs[:stop]:
-                    deficit[sub] -= 1
-                touched += stop
-            upper_keys = self.upper_keys
-            if upper_keys:
-                start = bisect_right(upper_keys, (value, 0))
-                n = len(upper_keys) - start
-                consulted += n
-                for sub in self.upper_subs[start:]:
-                    deficit[sub] -= 1
-                touched += n
-            range_keys = self.range_keys
-            if range_keys:
-                stop = bisect_right(range_keys, (value, False))
-                consulted += stop
-                for hi, hi_open, sub in self.range_rows[:stop]:
-                    if value < hi or (value == hi and not hi_open):
-                        deficit[sub] -= 1
-                        touched += 1
-        for test, sub in self.residual:
-            consulted += 1
-            if test(value):
-                deficit[sub] -= 1
-                touched += 1
-        return touched, consulted
+                cells[start + sub] -= 1
+            bucket = buckets.get(value)
+            if bucket is not None:
+                for sub in bucket:
+                    cells[start + sub] -= 1
+                touched += len(bucket)
+            for test, sub in residual:
+                if test(value):
+                    cells[start + sub] -= 1
+                    touched += 1
+            visited[index] += touched
+            consulted[index] += fixed
+            if isinstance(value, str):
+                column.append(_NAN)
+            elif -_EXACT_INTS <= value <= _EXACT_INTS:
+                column.append(value)
+            else:
+                column.append(_NAN)
+                inexact.append(index)
+        if most < 0 or not len(self.sub):
+            return most
+        down = up = np.array(column, dtype=np.float64)
+        if inexact:
+            up = down.copy()
+            for index in inexact:
+                down[index], up[index] = _bracket(values[index])
+        admit = self.lo <= down[:, None]
+        satisfied = admit & (up[:, None] <= self.hi)
+        tests = (admit & (satisfied | (self.lo > -_INF))).sum(axis=1)
+        counts[0] += satisfied.sum(axis=1)
+        counts[1] += tests
+        grid[:, self.sub] -= satisfied
+        return fixed + int(tests.max())
 
 
 class ColumnarMatchPlane:
@@ -440,9 +509,9 @@ class ColumnarMatchPlane:
         """Apply the forest's logged node changes to the tables in place.
 
         What is left is what :meth:`_compile` would build over the same
-        forest, up to a renaming of slots and the order of ties: a new
+        forest, up to a renaming of slots and the order of rows: a new
         node takes a free slot (or a new one) and each of its
-        constraints is bisected into its attribute's table; a removed
+        constraints is added to its attribute's table; a removed
         node's entries are deleted, not tombstoned, and its slot is
         parked with an arity no pass can count down to zero.
         """
@@ -481,7 +550,7 @@ class ColumnarMatchPlane:
                         table = table_of[attribute] = \
                             _AttributeTable(attribute)
                         self._tables.append(table)
-                    table.insert(constraint, slot)
+                    table.add(constraint, slot)
                 else:
                     table.discard(constraint, slot)
                 edited[table] = None
@@ -491,6 +560,7 @@ class ColumnarMatchPlane:
         # accumulator is as long as the live nodes are many.
         traced = self.arena is not None
         for table in edited:
+            table.seal()
             if not table.n_entries:
                 self._tables.remove(table)
                 del table_of[table.attribute]
@@ -583,12 +653,13 @@ class ColumnarMatchPlane:
     def check_invariants(self) -> None:
         """Verify the compiled structures (used by property tests).
 
-        Edits in place are where a stale row, an unsorted key or a
-        leaked block would creep in: the parallel lists must agree and
-        be sorted, no bucket or table may be empty, the tables must
-        name exactly the live slots — each as often as its arity —
-        the live slots must hold the forest's subscriber sets, and the
-        blocks booked must be the arena's.
+        Edits in place are where a stale row, a lopsided array or a
+        leaked block would creep in: the bound arrays must be parallel
+        and well-formed (:meth:`_AttributeTable.bound_slots`), no
+        bucket or table may be empty, the tables must name exactly the
+        live slots — each as often as its arity — the live slots must
+        hold the forest's subscriber sets, and the blocks booked must
+        be the arena's.
         """
         self.ensure_compiled()
         n_slots = len(self._subscribers)
@@ -596,23 +667,12 @@ class ColumnarMatchPlane:
             raise MatchingError("arity bytes out of step with the slots")
         named = [0] * n_slots
         for table in self._tables:
-            slots = list(table.always)
-            for keys, rows in ((table.lower_keys, table.lower_subs),
-                               (table.upper_keys, table.upper_subs),
-                               (table.range_keys, table.range_rows)):
-                if len(keys) != len(rows):
-                    raise MatchingError("key and row lists differ in "
-                                        f"length on {table.attribute!r}")
-                if any(a > b for a, b in zip(keys, keys[1:])):
-                    raise MatchingError(
-                        f"unsorted bound list on {table.attribute!r}")
+            slots = table.always + table.bound_slots()
             for bucket in table.eq_buckets.values():
                 if not bucket:
                     raise MatchingError(
                         f"empty bucket on {table.attribute!r}")
                 slots += bucket
-            slots += table.lower_subs + table.upper_subs
-            slots += [row[2] for row in table.range_rows]
             slots += [sub for _test, sub in table.residual]
             if not slots:
                 raise MatchingError(
@@ -666,45 +726,48 @@ class ColumnarMatchPlane:
                   ) -> Tuple[List[Set[object]], List[int], List[int]]:
         self.ensure_compiled()
         n_events = len(events)
-        base = self._arity
-        deficits = [bytearray(base) for _ in range(n_events)]
+        n_slots = len(self._arity)
+        # The batch's deficits: one row of slot bytes per event, in
+        # one buffer — numpy subtracts whole columns of it, the scalar
+        # placements and the zero scan address the bytes.
+        cells = bytearray(self._arity * n_events)
+        grid = np.frombuffer(cells, dtype=np.uint8).reshape(
+            n_events, n_slots)
         visited = [0] * n_events
         consulted = [0] * n_events
+        counts = np.zeros((2, n_events), dtype=np.intp)
         headers = [event.header for event in events]
         runs: List[Tuple[int, int]] = []
         for table in self._tables:
             attribute = table.attribute
-            probe = table.probe
-            consulted_bytes = 0
-            for index in range(n_events):
-                value = headers[index].get(attribute)
-                if value is None:
-                    continue
-                touched, tests = probe(value, deficits[index])
-                visited[index] += touched
-                consulted[index] += tests
-                # Each probe streams the consulted entries of this
-                # column; the batch pass coalesces them into one run.
-                consulted_bytes = max(
-                    consulted_bytes,
-                    COLUMN_BASE_BYTES + COLUMN_ENTRY_BYTES * tests)
-            if traced and consulted_bytes:
-                runs.append((table.address,
-                             min(table.size, consulted_bytes)))
+            most = table.probe(
+                [header.get(attribute) for header in headers],
+                cells, grid, visited, consulted, counts)
+            # Each event streams the entries it consulted of this
+            # column; the batch pass coalesces them into one run.
+            if traced and most >= 0:
+                runs.append((table.address, min(
+                    table.size,
+                    COLUMN_BASE_BYTES + COLUMN_ENTRY_BYTES * most)))
+        # Counts leave the plane as Python ints, never numpy scalars.
+        bound_visited, bound_consulted = counts.tolist()
+        visited = [a + b for a, b in zip(visited, bound_visited)]
+        consulted = [a + b for a, b in zip(consulted, bound_consulted)]
         matched: List[Set[object]] = []
         subscribers = self._subscribers
         acc_address = self._acc_address
         acc_size = self._acc_size
         for index in range(n_events):
-            deficit = deficits[index]
+            start = index * n_slots
+            end = start + n_slots
             result: Set[object] = set()
-            position = deficit.find(0)
+            position = cells.find(0, start, end)
             while position != -1:
-                result |= subscribers[position]
-                position = deficit.find(0, position + 1)
+                result |= subscribers[position - start]
+                position = cells.find(0, position + 1, end)
             matched.append(result)
             if traced:
-                # One accumulator sweep per event: the deficit array is
+                # One accumulator sweep per event: the deficit row is
                 # written by every pass and scanned once for zeros.
                 runs.append((acc_address, acc_size))
         if traced:

@@ -282,25 +282,9 @@ class ContainmentForest:
         covered the node), so :meth:`iter_nodes` never yields a node
         with an empty subscriber set.
         """
-        # The target node's ancestors all cover it, so we only need to
-        # explore covering branches — but *every* covering branch, since
-        # re-parenting may have moved the node away from the first-cover
-        # path the original insertion took.
-        target_key = subscription.key()
-        node = None
-        siblings: List[PosetNode] = self.roots
-        stack: List[Tuple[List[PosetNode], PosetNode]] = [
-            (self.roots, root) for root in self.roots]
-        while stack:
-            sibling_list, candidate = stack.pop()
-            if not candidate.subscription.covers(subscription):
-                continue
-            if candidate.subscription.key() == target_key:
-                node = candidate
-                siblings = sibling_list
-                break
-            stack.extend((candidate.children, child)
-                         for child in candidate.children)
+        # ``_by_key`` names the node: an unknown pair costs no walk,
+        # and neither does a node that keeps other subscribers.
+        node = self._by_key.get(subscription.key())
         if node is None or subscriber not in node.subscribers:
             return False
         self.generation += 1
@@ -308,6 +292,7 @@ class ContainmentForest:
         self.n_subscriptions -= 1
         if not node.subscribers:
             # Splice the node out, hoisting its children.
+            siblings = self._siblings_of(node)
             siblings.remove(node)
             siblings.extend(node.children)
             node.children = []
@@ -321,6 +306,26 @@ class ContainmentForest:
             if self.arena is not None:
                 self.arena.free(node.address, node.size)
         return True
+
+    def _siblings_of(self, node: PosetNode) -> List[PosetNode]:
+        """The child list (or the roots) that holds ``node``.
+
+        The node's ancestors all cover it, so only covering branches
+        are explored — but *every* covering branch, since re-parenting
+        may have moved the node away from the first-cover path its
+        insertion took.
+        """
+        subscription = node.subscription
+        stack: List[Tuple[List[PosetNode], PosetNode]] = [
+            (self.roots, root) for root in self.roots]
+        while stack:
+            siblings, candidate = stack.pop()
+            if candidate is node:
+                return siblings
+            if candidate.subscription.covers(subscription):
+                stack.extend((candidate.children, child)
+                             for child in candidate.children)
+        raise MatchingError("indexed node is not in the forest")
 
     # -- matching -----------------------------------------------------------------
 

@@ -10,6 +10,8 @@ error paths. ``test_columnar_delta.py`` holds the cost side: an edited
 plane's read path does exactly the work of a rebuilt one.
 """
 
+import sys
+
 import pytest
 
 from repro.errors import MatchingError
@@ -269,6 +271,76 @@ class TestTablePlacement:
         assert plane.match(Event({"a": 2, "b": "y", "c": 5})) == set()
 
 
+class TestBatchPassIsOneCompare:
+    """Counts beat clocks on this box: a table's bound rows meet a
+    batch in one vectorised compare-and-scatter, so the Python lines
+    the plane executes for a batch do not depend on how many rows a
+    table holds. (Before PR 23 every admitted row cost two.)"""
+
+    @staticmethod
+    def plane_with(n_rows):
+        """``n_rows`` two-sided rows on "a" and on "b", the same four
+        equality buckets on "s" whatever ``n_rows``. An event with
+        ``0 <= a, b <= 50`` is admitted by every lower bound on both
+        tables, satisfies a few rows on "a" and none on "b" — so the
+        matches are the buckets' alone, equal in number on any plane.
+        """
+        _memory, _arena, forest, plane = make_traced()
+        for index in range(n_rows):
+            low = index % 50
+            forest.insert(sub(
+                Predicate("a", Op.GE, low - index / 1000),
+                Predicate("a", Op.LT, low + 5),
+                Predicate("b", Op.GT, -10 - index),
+                Predicate("b", Op.LE, -1)), index)
+        for index, symbol in enumerate(("HAL", "IBM", "GE", "HAL")):
+            forest.insert(sub(Predicate("s", Op.EQ, symbol),
+                              Predicate("c", Op.EQ, index % 2)),
+                          f"s{index}")
+        plane.ensure_compiled()
+        return plane
+
+    @staticmethod
+    def lines_executed(plane, batch):
+        """``line`` events inside ``matching/columnar.py`` during one
+        traced batch, and what the batch returned."""
+        plane_code = sys.modules[ColumnarMatchPlane.__module__].__file__
+        lines = 0
+
+        def local_trace(_frame, event, _arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return local_trace
+
+        def global_trace(frame, _event, _arg):
+            if frame.f_code.co_filename == plane_code:
+                return local_trace
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(global_trace)
+        try:
+            result = plane.match_batch_traced(batch)
+        finally:
+            sys.settrace(previous)
+        return lines, result
+
+    def test_lines_executed_do_not_grow_with_the_rows(self):
+        batch = [Event({"a": index % 50 + 0.5, "b": index % 7,
+                        "s": ("HAL", "IBM", "x")[index % 3],
+                        "c": index % 2}) for index in range(32)]
+        small, large = self.plane_with(100), self.plane_with(800)
+        few_lines, few = self.lines_executed(small, batch)
+        many_lines, many = self.lines_executed(large, batch)
+        assert few_lines == many_lines
+        # the rows were there to be compared: eight times the rows
+        # consulted and (beside the buckets) touched, the same matches
+        assert few[0] == many[0] and any(few[0])
+        assert sum(many[2]) > 7 * sum(few[2]) > 0
+        assert sum(many[1]) > 6 * sum(few[1]) > 0
+
+
 class TestTraceAccounting:
 
     def test_traced_requires_arena(self):
@@ -288,10 +360,22 @@ class TestTraceAccounting:
         assert sets[1] == set(range(8))
         assert sets[2] == set()
         assert visited[0] == 4 and visited[1] == 8 and visited[2] == 0
-        # Consulted = bound-list entries admitted by the bisect probe;
+        # Consulted = bound rows whose lower bound admits the value;
         # the event without the attribute consults nothing.
         assert consulted[2] == 0
         assert delta.llc_misses > 0      # column + accumulator traffic
+
+    def test_counters_leave_as_python_ints(self):
+        # numpy counts them; no numpy scalar may reach a metric, a
+        # snapshot or JSON
+        _memory, _arena, forest, plane = make_traced()
+        for index in range(8):
+            forest.insert(sub(Predicate("x", Op.RANGE,
+                                        (index, index + 4))), index)
+        _sets, visited, consulted = plane.match_batch_traced(
+            [Event({"x": 3}), Event({"x": "s"}), Event({"y": 1})])
+        assert (visited, consulted) == ([4, 0, 0], [4, 0, 0])
+        assert all(type(count) is int for count in visited + consulted)
 
     def test_column_blocks_freed_on_recompile(self):
         _memory, arena, forest, plane = make_traced()

@@ -139,6 +139,70 @@ class TestRemove:
         assert forest.match(Event({"x": 5})) == {"alice"}
 
 
+class TestRemoveWalksOnlyToSplice:
+    """``_by_key`` names the node, so a removal searches the covering
+    branches only for the sibling list an *emptied* node must leave —
+    counted as ``Subscription.covers`` calls, which only a walk makes.
+    """
+
+    @pytest.fixture()
+    def walked(self, monkeypatch):
+        calls = []
+        covers = Subscription.covers
+
+        def counting(self, other):
+            calls.append(other)
+            return covers(self, other)
+
+        monkeypatch.setattr(Subscription, "covers", counting)
+        return calls
+
+    @staticmethod
+    def chain():
+        forest = ContainmentForest()
+        outer, middle, inner = (sub({"x": (0, 100)}),
+                                sub({"x": (10, 90)}),
+                                sub({"x": (20, 80)}))
+        for s, who in ((inner, "i"), (middle, "m"), (middle, "m2"),
+                       (outer, "o")):      # re-parents on the way up
+            forest.insert(s, who)
+        return forest, outer, middle, inner
+
+    def test_unknown_pair_is_refused_without_a_walk(self, walked):
+        forest, _outer, middle, _inner = self.chain()
+        generation = forest.generation
+        del walked[:]
+        assert not forest.remove_subscriber(sub({"x": (11, 89)}), "m")
+        assert not forest.remove_subscriber(middle, "ghost")
+        assert walked == [] and forest.generation == generation
+        forest.check_invariants()
+
+    def test_node_that_keeps_a_subscriber_is_edited_without_a_walk(
+            self, walked):
+        forest, _outer, middle, _inner = self.chain()
+        del walked[:]
+        assert forest.remove_subscriber(middle, "m")
+        assert walked == []
+        assert forest.n_nodes == 3 and forest.n_subscriptions == 3
+        assert forest.match(Event({"x": 50})) == {"o", "m2", "i"}
+        forest.check_invariants()
+
+    def test_emptied_node_is_found_and_spliced_out(self, walked):
+        forest, outer, middle, inner = self.chain()
+        assert forest.remove_subscriber(middle, "m")
+        del walked[:]
+        assert forest.remove_subscriber(middle, "m2")
+        assert walked                       # the search for its siblings
+        assert forest.n_nodes == 2
+        assert forest.match(Event({"x": 50})) == {"o", "i"}
+        forest.check_invariants()
+        by_subscription = {node.subscription: node
+                           for node in forest.iter_nodes()}
+        assert by_subscription[outer].children \
+            == [by_subscription[inner]]
+        assert not forest.remove_subscriber(middle, "m2")
+
+
 class TestChangeLog:
     """The contract an in-place reader (the columnar plane) relies on:
     the log names exactly the nodes that entered and left
