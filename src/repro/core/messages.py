@@ -28,6 +28,8 @@ from repro.crypto.hkdf import hkdf
 from repro.crypto.provider import cmac_for_key, ctr_for_key
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.errors import CryptoError, NetworkError, RoutingError
+from repro.matching.attributes import (validate_attribute_name,
+                                       validate_value)
 from repro.matching.events import Event
 from repro.matching.predicates import Constraint, Op, Predicate
 from repro.matching.subscriptions import Subscription
@@ -81,15 +83,40 @@ def encode_header(event: Event) -> bytes:
     return pack_fields(fields)
 
 
+#: The bytes of an attribute name as they arrive -> the validated,
+#: interned name. A stream repeats a few dozen names on every frame;
+#: the memo spares each repeat its decode, validation and interning. A
+#: name that fails validation is never stored, so it fails again on
+#: every arrival. Names come from outside the program: past
+#: ``_NAME_MEMO_LIMIT`` entries the memo starts over.
+_NAME_MEMO: Dict[bytes, str] = {}
+_NAME_MEMO_LIMIT = 4096
+
+
+def _decode_name(raw: bytes) -> str:
+    name = _NAME_MEMO.get(raw)
+    if name is None:
+        name = validate_attribute_name(raw.decode("utf-8"))
+        if len(_NAME_MEMO) >= _NAME_MEMO_LIMIT:
+            _NAME_MEMO.clear()
+        _NAME_MEMO[raw] = name
+    return name
+
+
 def decode_header(blob: bytes, event_id: int = 0) -> Event:
-    """Invert :func:`encode_header`."""
+    """Invert :func:`encode_header`.
+
+    Names and values are validated here, once, and the event is built
+    from them as they are (:meth:`Event.validated`).
+    """
     fields = unpack_fields(blob)
     if len(fields) % 2:
         raise RoutingError("odd field count in header")
     header: Dict[str, object] = {}
     for i in range(0, len(fields), 2):
-        header[fields[i].decode("utf-8")] = _decode_value(fields[i + 1])
-    return Event(header, event_id=event_id)
+        header[_decode_name(fields[i])] = validate_value(
+            _decode_value(fields[i + 1]))
+    return Event.validated(header, event_id)
 
 
 # -- subscriptions -----------------------------------------------------------------

@@ -36,9 +36,11 @@ cheaper than the list walk it replaced (EXPERIMENTS.md, PR 23).
 Exactness: float64 compares are exact only between float64s, while
 headers and predicates may carry ints of any length. A bound enters
 the arrays only where its closed float64 form decides every value a
-header can carry (:func:`_closed_bound`), and goes to the closures
-otherwise; an event value float64 cannot hold is compared as its two
-float64 neighbours (:func:`_bracket`), never rounded to one.
+header can carry (:func:`~repro.matching.predicates._closed_bound`),
+and goes to the closures otherwise; an event value float64 cannot hold
+is compared as its two float64 neighbours
+(:func:`~repro.matching.predicates._bracket`), never rounded to one.
+The forest's root scan follows the same rule through the same pair.
 
 The poset (:class:`~repro.matching.poset.ContainmentForest`) remains
 the authoritative registration and covering structure — insertion,
@@ -76,7 +78,6 @@ event) instead of the forest's pointer-chasing node touches.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -84,6 +85,8 @@ import numpy as np
 from repro.errors import MatchingError
 from repro.matching.events import Event
 from repro.matching.poset import ContainmentForest
+from repro.matching.predicates import (_EXACT_INTS, _bracket,
+                                       _closed_interval)
 from repro.sgx.memory import MemoryArena
 
 __all__ = ["ColumnarMatchPlane", "MATCHER_BACKENDS",
@@ -113,10 +116,6 @@ BULK_SHARE = 1 / 4
 
 _INF = math.inf
 _NAN = math.nan
-_MAX_FLOAT = sys.float_info.max
-#: float64 holds every int up to here, and adjacent floats inside
-#: these limits are at most 1 apart.
-_EXACT_INTS = 2.0 ** 53
 
 
 def _too_wide() -> MatchingError:
@@ -132,46 +131,6 @@ def validate_backend(backend: str) -> str:
             f"unknown matcher backend {backend!r} "
             f"(expected one of {MATCHER_BACKENDS})")
     return backend
-
-
-def _closed_bound(bound, is_open: bool, toward: float
-                  ) -> Optional[float]:
-    """The closed float64 bound that stands for ``bound`` over the
-    whole value domain, or None when there is none.
-
-    A closed bound is itself, provided float64 holds it exactly (an
-    int past 2**53 may not). An open one is the adjacent float on the
-    ``toward`` side — exact when nothing a header can carry lies
-    between the two, which holds inside ``±2**53`` (beyond, adjacent
-    floats are two or more apart and an int fits between them; at an
-    infinity there is no neighbour to step to).
-    """
-    try:
-        value = float(bound)
-    except OverflowError:
-        return None
-    if value != bound:
-        return None
-    if not is_open:
-        return value
-    if not -_EXACT_INTS < value < _EXACT_INTS:
-        return None
-    return math.nextafter(value, toward)
-
-
-def _bracket(value) -> Tuple[float, float]:
-    """Adjacent float64s ``down <= value <= up`` (equal when float64
-    holds ``value``): ``value >= lo`` is ``down >= lo`` and ``value <=
-    hi`` is ``up <= hi`` for every float64 bound, with no rounding."""
-    try:
-        nearest = float(value)
-    except OverflowError:
-        return (_MAX_FLOAT, _INF) if value > 0 else (-_INF, -_MAX_FLOAT)
-    if nearest < value:
-        return nearest, math.nextafter(nearest, _INF)
-    if nearest > value:
-        return math.nextafter(nearest, -_INF), nearest
-    return nearest, nearest
 
 
 class _AttributeTable:
@@ -193,7 +152,8 @@ class _AttributeTable:
       (a subscription has one constraint per attribute);
     * ``residual`` — compiled closures for exclusion sets and string
       wildcards, for open bounds at an infinity, and for the bounds
-      :func:`_closed_bound` cannot fold into a float64 (exact but
+      :func:`~repro.matching.predicates._closed_bound` cannot fold
+      into a float64 (exact but
       rare; kept off the arrays).
 
     Rows are placed into ``_pending`` and moved into the arrays by
@@ -235,12 +195,9 @@ class _AttributeTable:
         if not constraint.is_string and not constraint.excluded:
             if constraint.is_universal_interval():
                 return self.always, None
-            lo = _closed_bound(constraint.lo, constraint.lo_open, _INF)
-            hi = _closed_bound(constraint.hi, constraint.hi_open, -_INF)
-            # (an open interval between two adjacent floats is
-            # satisfiable on paper and folds to lo > hi: a closure)
-            if lo is not None and hi is not None and lo <= hi:
-                return None, (lo, hi)
+            interval = _closed_interval(constraint)
+            if interval is not None:
+                return None, interval
         return self.residual, None
 
     def add(self, constraint, sub_index: int) -> None:

@@ -43,6 +43,22 @@ class Event:
         # subscription attributes (interned at construction too).
         object.__setattr__(self, "header", interned)
 
+    @classmethod
+    def validated(cls, header: Dict[str, AttributeValue],
+                  event_id: int = 0) -> "Event":
+        """An event over ``header`` as it is, for a caller that has
+        already put every name through
+        :func:`~repro.matching.attributes.validate_attribute_name`
+        (and keeps the interned result) and every value through
+        :func:`~repro.matching.attributes.validate_value` — the wire
+        decoder, which does both field by field."""
+        if not header:
+            raise MatchingError("publication header must not be empty")
+        event = object.__new__(cls)
+        object.__setattr__(event, "header", header)
+        object.__setattr__(event, "event_id", event_id)
+        return event
+
     def __getitem__(self, attribute: str) -> AttributeValue:
         return self.header[attribute]
 

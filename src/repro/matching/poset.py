@@ -4,10 +4,14 @@ Pioneered by Siena (Carzaniga et al. [5]), the index arranges
 subscriptions so that a parent *covers* each of its children. Matching
 then prunes aggressively: if an event fails a node's subscription, no
 descendant can match (they are all more specific) and the whole subtree
-is skipped. Workloads whose subscriptions nest deeply (e.g. all-equality
-``e100a1``) produce few roots and deep trees — the fast end of Fig. 6 —
-while wide many-attribute workloads (``e80a4``, ``extsub4``) yield many
-shallow roots and approach a linear scan.
+is skipped. How much that prunes depends on how much the subscriptions
+nest: the Zipf-skewed variants (``e100a1zz100`` and its kin) draw the
+same values again and again and nest — the fast end of Fig. 6 — while
+wide many-attribute workloads (``e80a4``, ``extsub4``) yield many
+shallow roots and approach a linear scan. Uniformly drawn
+``e100a1`` is flat too at the geometry the pipeline benchmark runs:
+1,200 subscriptions make 871 roots over 287 / 39 / 3 nodes at depths
+1 / 2 / 3, and 871 of the 874 nodes a publication visits are roots.
 
 Identical subscriptions share a node (the "reduction of the number of
 subscriptions stored" the paper credits containment with), keeping the
@@ -17,25 +21,88 @@ Nodes are arena-allocated: the index takes an optional
 :class:`~repro.sgx.memory.MemoryArena`, and every traversal during
 insert/match reports its touches, which is how the enclave-vs-native
 curves of Figs 5/7/8 are produced from one code path.
+
+**The root scan.** The first level of a walk is not a loop: the
+constraints of ``roots``, in the order a stack pops them, are compiled
+into arrays (:class:`_RootScan` — an attribute index and closed float64
+``lo`` / ``hi`` per ``(root, constraint position)``, string equalities
+as a ``(attribute, value) -> cells`` dict) and one publication meets
+all of them in one gather, one compare and one first-failure search
+along the positions. ``lead[r]``, the constraints root ``r`` passes
+before its first failure, is everything the walk needs of a root:
+
+* it matches where ``lead == n_constraints``;
+* it evaluated ``n_evals = min(lead + 1, n_constraints)`` constraints —
+  a missing attribute, or a string on a numeric constraint, fails *at
+  its position*, exactly as the node's closure short-circuits — and 0
+  where the attribute gate cut it (one boolean row mask per header
+  shape; a root cut is not visited);
+* the lines and pages its visit reads are the first ``lengths[r,
+  n_evals]`` of the node's (:class:`_Reads` — the prefix lengths
+  ``spans[n]`` encodes, tabulated) — so the roots' part of the memory
+  trace is two gathers, in visit order, of the nodes' own Python ints.
+
+Only the roots that match descend, through the scalar loop over their
+children; a stack explores a matched root's subtree before it pops the
+next root, so each subtree's reads are spliced in directly after its
+root's, and the walk reaches the memory model as one ``touch_many``.
+Counts and trace are those of the per-root loop this replaced
+(``tests/matching/reference_walk.py`` keeps it;
+``tests/matching/fixtures/forest_walk_recorded.json`` was recorded
+from it).
+
+Exactness follows the rule of the columnar plane's bound arrays
+(:func:`~repro.matching.predicates._closed_bound`,
+:func:`~repro.matching.predicates._bracket`): a bound enters the arrays
+only in a closed float64 form that decides every value a header can
+carry, a value float64 cannot hold is compared as its two float64
+neighbours, and a root with a constraint that has no such form —
+``!=`` sets, bare ``exists``, string wildcards, ints past 2**53 that
+float64 rounds, open bounds out there — keeps its closure, whose
+answer is written into the same ``lead`` column.
+
+The scan is compiled by the first match after a write and dropped by
+the next write — one per generation, from rows packed once per node
+(:func:`_scan_rows`), about 1.3 ms for 871 roots. There is one path and
+no threshold: what decides the gain is the share of a walk's visits
+that are roots (871 of 874 on ``e100a1``: 3x; a third on ``e80a1``:
+none), and a forest of a few dozen roots pays numpy's fixed price,
+about 25 calls, where the loop paid a few closures (EXPERIMENTS.md,
+PR 24).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+import math
+from array import array
+from itertools import chain
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Set,
+                    Tuple)
+
+import numpy as np
 
 from repro.errors import MatchingError
 from repro.matching.events import Event
+from repro.matching.predicates import (_EXACT_INTS, _bracket,
+                                       _closed_interval)
 from repro.matching.subscriptions import Subscription
 from repro.sgx.memory import MemoryArena
 
 __all__ = ["PosetNode", "ContainmentForest", "walk_traced"]
 
+_INF = math.inf
+_NAN = math.nan
+
 
 class PosetNode:
     """One stored subscription plus the subscribers interested in it."""
 
+    #: ``scan_rows`` is not set at construction: the first root scan
+    #: that meets the node fills it (:func:`_scan_rows`), so a node
+    #: that never becomes a root of a matched forest never pays for it.
     __slots__ = ("subscription", "children", "subscribers", "address",
-                 "size", "count", "required_attributes", "spans")
+                 "size", "count", "required_attributes", "spans",
+                 "scan_rows")
 
     def __init__(self, subscription: Subscription,
                  arena: Optional[MemoryArena] = None) -> None:
@@ -75,20 +142,13 @@ class PosetNode:
                 f"children={len(self.children)})")
 
 
-def walk_traced(stack: List[PosetNode], header: dict,
-                arena: MemoryArena) -> Tuple[Set[object], int, int]:
-    """Depth-first walk from ``stack`` with memory accounting.
-
-    Each visit reads what its node's ``spans`` say for the number of
-    constraints evaluated (short-circuiting included); the whole walk
-    reaches the memory model as one batch in visit order. Returns
-    ``(subscribers, nodes_visited, predicates_evaluated)``.
-    """
-    matched: Set[object] = set()
+def _walk(stack: List[PosetNode], header: dict, matched: Set[object],
+          lines: List[int], pages: List[int]) -> Tuple[int, int]:
+    """Depth-first walk from ``stack``: adds the subscribers to
+    ``matched`` and each visit's reads to ``lines`` / ``pages`` in
+    visit order; returns ``(nodes_visited, predicates_evaluated)``."""
     visited = 0
     evaluated = 0
-    lines: List[int] = []
-    pages: List[int] = []
     pop = stack.pop
     while stack:
         node = pop()
@@ -103,8 +163,352 @@ def walk_traced(stack: List[PosetNode], header: dict,
         node_lines, node_pages = node.spans[n_evals]
         lines += node_lines
         pages += node_pages
+    return visited, evaluated
+
+
+def walk_traced(stack: List[PosetNode], header: dict,
+                arena: MemoryArena) -> Tuple[Set[object], int, int]:
+    """Depth-first walk from ``stack`` with memory accounting.
+
+    Each visit reads what its node's ``spans`` say for the number of
+    constraints evaluated (short-circuiting included); the whole walk
+    reaches the memory model as one batch in visit order. Returns
+    ``(subscribers, nodes_visited, predicates_evaluated)``.
+    """
+    matched: Set[object] = set()
+    lines: List[int] = []
+    pages: List[int] = []
+    visited, evaluated = _walk(stack, header, matched, lines, pages)
     arena.touch_many(lines, pages)
     return matched, visited, evaluated
+
+
+def _fold(constraint):
+    """How the root scan decides ``constraint``: closed float64
+    ``(lo, hi)`` for a numeric interval, the pinned value for a string
+    equality, None where only the compiled closure is exact — ``!=``
+    sets, bare ``exists``, string wildcards, and bounds float64 cannot
+    carry (:func:`~repro.matching.predicates._closed_interval`)."""
+    if constraint.excluded:
+        return None
+    if constraint.is_string:
+        return constraint.equals
+    if constraint.is_universal_interval():
+        return None
+    return _closed_interval(constraint)
+
+
+class _ScanRows(NamedTuple):
+    """One node's rows of a root scan, packed once and kept on the node
+    (``float64`` / ``int64`` bytes, so a compile joins buffers instead
+    of converting numbers)."""
+
+    #: The constrained attributes, in ``subscription.items`` order.
+    attributes: Tuple[str, ...]
+    #: Closed bounds per constraint; ``(inf, -inf)``, which no value
+    #: passes, for a string equality and for every constraint of a
+    #: node that does not fold.
+    lo: bytes
+    hi: bytes
+    #: String equalities: their positions, and ``(attribute, value)``.
+    pin_positions: bytes
+    pin_keys: Tuple[Tuple[str, str], ...]
+    #: The node's closure when some constraint has no array form
+    #: (:func:`_fold`) and the scan has to ask it, else None.
+    count: object
+    #: The whole node's line and page numbers (``spans[0]``, the
+    #: tuples themselves), and how many of them a visit that evaluated
+    #: ``n`` constraints reads (``spans[n]``), 0 for ``n = 0``: a root
+    #: not visited.
+    lines: Tuple[int, ...]
+    line_lens: bytes
+    pages: Tuple[int, ...]
+    page_lens: bytes
+
+
+def _packed(typecode: str, numbers: Iterable) -> bytes:
+    return array(typecode, numbers).tobytes()
+
+
+def _scan_rows(node: PosetNode) -> _ScanRows:
+    """``node``'s rows, packed the first time a scan meets the node."""
+    try:
+        return node.scan_rows
+    except AttributeError:
+        rows = node.scan_rows = _pack_rows(node)
+        return rows
+
+
+def _pack_rows(node: PosetNode) -> _ScanRows:
+    items = node.subscription.items
+    folded = [_fold(constraint) for _attribute, constraint in items]
+    folds = None not in folded
+    bounds = [form if folds and type(form) is tuple else (_INF, -_INF)
+              for form in folded]
+    pinned = [position for position, form in enumerate(folded)
+              if type(form) is str] if folds else []
+    spans = node.spans or (((), ()),) * (len(items) + 1)
+    (lines, line_lens), (pages, page_lens) = (
+        (spans[0][part],
+         _packed("q", [0] + [len(span[part]) for span in spans[1:]]))
+        for part in (0, 1))
+    los, his = zip(*bounds)
+    return _ScanRows(
+        tuple(attribute for attribute, _constraint in items),
+        _packed("d", los), _packed("d", his),
+        _packed("q", pinned),
+        tuple((items[position][0], folded[position])
+              for position in pinned),
+        None if folds else node.count,
+        lines, line_lens, pages, page_lens)
+
+
+def _prefixes(width: int):
+    """``table[k]``: the mask of the first ``k`` of ``width`` cells."""
+    return np.arange(width + 1)[:, None] > np.arange(width)
+
+
+def _padded(rows: Iterable[bytes], held, fill, dtype):
+    """The ragged rows packed in ``rows`` as one array of ``held``'s
+    shape — ``held[i]`` masks the cells row ``i`` fills, first to
+    last — the other cells holding ``fill``."""
+    table = np.full(held.shape, fill, dtype=dtype)
+    table[held] = np.frombuffer(b"".join(rows), dtype=dtype)
+    return table
+
+
+def _lengths(rows: Iterable):
+    return np.fromiter(map(len, rows), dtype=np.int64)
+
+
+class _Reads:
+    """What the roots' visits read, of one kind (lines, or pages).
+
+    ``numbers[r]`` are root ``r``'s line (page) numbers, padded — an
+    object array of the nodes' own ``int`` objects, the ones the memory
+    model's tables are keyed by: a trace gathered from it makes no new
+    ints, and a dict probe with the key's own object skips the
+    compare. ``lengths[r, n]`` says how many of them a visit that
+    evaluated ``n`` constraints reads — the prefix length ``spans[n]``
+    encodes, 0 for ``n = 0``, a root not visited.
+    """
+
+    __slots__ = ("numbers", "lengths", "rows", "prefix")
+
+    def __init__(self, numbers: Tuple[Tuple[int, ...], ...],
+                 lengths: Tuple[bytes, ...], counted) -> None:
+        whole = _lengths(numbers)
+        #: ``prefix[k]``: the mask of a row's first ``k`` numbers.
+        self.prefix = _prefixes(int(whole.max()) if len(whole) else 0)
+        held = self.prefix[whole]
+        self.numbers = np.zeros(held.shape, dtype=object)
+        self.numbers[held] = list(chain.from_iterable(numbers))
+        self.lengths = _padded(lengths, counted, 0, np.int64)
+        self.rows = np.arange(len(whole))
+
+    def of(self, n_evals) -> Tuple[List[int], object]:
+        """The roots' part of a walk's trace — each root's first
+        ``lengths[r, n_evals[r]]`` numbers, concatenated in visit
+        order as Python ints — and those per-root counts."""
+        counts = self.lengths[self.rows, n_evals]
+        return self.numbers[self.prefix[counts]].tolist(), counts
+
+
+class _RootScan:
+    """A forest's roots laid out for one vectorised pass per event.
+
+    Row ``r`` is the ``r``-th root the walk visits — ``roots``
+    reversed, as a stack pops them. ``attr`` / ``lo`` / ``hi`` hold one
+    entry per ``(root, constraint position)``, row-major and padded to
+    one column past the widest root: the index of the constraint's
+    attribute in ``columns`` and its closed float64 bounds. Padding and
+    the rows that have no array form carry ``(inf, -inf)`` on an
+    attribute index one past the last column, so no value passes them
+    and every row ends in a cell that fails; string
+    equalities are ``pins[attribute, value]``, the flat cells that
+    value satisfies, and ``closures`` lists ``(row, count)`` for the
+    roots only their closure decides. ``lines`` / ``pages`` are what
+    the roots' visits read (:class:`_Reads`). ``masks`` caches the
+    attribute gate per header shape.
+    """
+
+    __slots__ = ("generation", "nodes", "n", "columns", "attr", "lo",
+                 "hi", "pins", "closures", "lines", "pages", "masks")
+
+    #: Header shapes whose gate mask is kept (a stream repeats a
+    #: handful; names arrive from outside, so the cache is bounded).
+    MAX_MASKS = 64
+
+    def __init__(self, roots: List[PosetNode], generation: int) -> None:
+        self.generation = generation
+        self.nodes = nodes = roots[::-1]
+        rows = _ScanRows(*zip(*map(_scan_rows, nodes))) if nodes \
+            else _ScanRows(*[()] * len(_ScanRows._fields))
+        self.n = n = _lengths(rows.attributes)
+        # one column more than the widest root: every row ends in padding
+        width = int(n.max()) + 1 if nodes else 1
+        prefix = _prefixes(width)
+        held = prefix[n]        # the cells that hold a constraint
+        names = list(chain.from_iterable(rows.attributes))
+        self.columns = columns = {
+            name: column
+            for column, name in enumerate(dict.fromkeys(names))}
+        self.attr = np.full(held.shape, len(columns), dtype=np.int64)
+        self.attr[held] = np.fromiter(
+            map(columns.__getitem__, names), dtype=np.int64,
+            count=len(names))
+        self.lo = _padded(rows.lo, held, _INF, np.float64)
+        self.hi = _padded(rows.hi, held, -_INF, np.float64)
+        # group the pinned cells by (attribute, value) without a Python
+        # step per root: number the keys, sort the cells by number
+        keys = list(chain.from_iterable(rows.pin_keys))
+        numbers = {key: number
+                   for number, key in enumerate(dict.fromkeys(keys))}
+        number = np.fromiter(map(numbers.__getitem__, keys),
+                             dtype=np.int64, count=len(keys))
+        cells = np.repeat(np.arange(len(nodes)) * width,
+                          _lengths(rows.pin_keys)) \
+            + np.frombuffer(b"".join(rows.pin_positions), dtype=np.int64)
+        cells = cells[np.argsort(number, kind="stable")]
+        ends = np.bincount(number).cumsum().tolist()
+        self.pins = {key: cells[start:end] for key, start, end
+                     in zip(numbers, [0] + ends, ends)}
+        self.closures = [(row, count)
+                         for row, count in enumerate(rows.count)
+                         if count is not None]
+        counted = prefix[n + 1]     # a length for each of 0 .. n
+        self.lines = _Reads(rows.lines, rows.line_lens, counted)
+        self.pages = _Reads(rows.pages, rows.page_lens, counted)
+        self.masks: Dict[frozenset, Tuple[object, int]] = {}
+
+    def check(self, roots: List[PosetNode], generation: int) -> None:
+        """Raise unless this scan is what a fresh compile of ``roots``
+        at ``generation`` yields — rows in visit order, arrays of the
+        dtypes and shapes the pass relies on, prefix tables that say
+        what each root's ``spans`` say, one mask per cached header
+        shape that says what the attribute gate says."""
+        if self.generation != generation:
+            raise MatchingError("root scan outlived its generation")
+        nodes = self.nodes
+        if len(nodes) != len(roots) or any(
+                node is not root
+                for node, root in zip(nodes, reversed(roots))):
+            raise MatchingError(
+                "root scan rows are not the roots in visit order")
+        if any(node.scan_rows != _pack_rows(node) for node in nodes):
+            raise MatchingError("a node's cached scan rows went stale")
+        fresh = _RootScan(roots, generation)
+        width = 1 + max((len(node.subscription.items) for node in nodes),
+                        default=0)
+        grid = (len(nodes), width)
+        for mine, theirs, dtype, shape in (
+                (self.n, fresh.n, np.int64, grid[:1]),
+                (self.attr, fresh.attr, np.int64, grid),
+                (self.lo, fresh.lo, np.float64, grid),
+                (self.hi, fresh.hi, np.float64, grid),
+                (self.lines.numbers, fresh.lines.numbers, object,
+                 fresh.lines.numbers.shape),
+                (self.pages.numbers, fresh.pages.numbers, object,
+                 fresh.pages.numbers.shape),
+                (self.lines.lengths, fresh.lines.lengths, np.int64, grid),
+                (self.pages.lengths, fresh.pages.lengths, np.int64,
+                 grid)):
+            if mine.dtype != dtype or mine.shape != shape \
+                    or not np.array_equal(mine, theirs):
+                raise MatchingError(
+                    "a root scan array is not a fresh compile's")
+        if self.columns != fresh.columns \
+                or self.closures != fresh.closures \
+                or self.pins.keys() != fresh.pins.keys() \
+                or not all(np.array_equal(cells, fresh.pins[key])
+                           for key, cells in self.pins.items()):
+            raise MatchingError(
+                "root scan columns, pins or closures are not a fresh "
+                "compile's")
+        for row, node in enumerate(nodes):
+            for reads, part in ((self.lines, 0), (self.pages, 1)):
+                if reads.lengths[row, 0]:
+                    raise MatchingError(
+                        "a root that is not visited reads nothing")
+                for n_evals, span in enumerate(node.spans or ()):
+                    if n_evals and list(span[part]) != reads.numbers[
+                            row, :reads.lengths[row, n_evals]].tolist():
+                        raise MatchingError(
+                            "root scan prefix tables disagree with a "
+                            "root's spans")
+        for present, (mask, cut) in self.masks.items():
+            passes = [node.required_attributes <= present
+                      for node in nodes]
+            if cut != passes.count(False) or (mask is None) != (not cut) \
+                    or (mask is not None and mask.tolist() != passes):
+                raise MatchingError(
+                    "cached gate mask disagrees with the attribute gate")
+
+    def lead(self, header: dict):
+        """Per root, the constraints ``header`` passes before the
+        first it fails: a root matches where this reaches ``n``, and a
+        visit evaluates one more than this, ``n`` at most.
+
+        One value vector (a missing attribute, or a string, is NaN,
+        which no bound admits; a number float64 cannot hold is compared
+        as its two float64 neighbours), one gather, one compare, the
+        pinned cells of the header's strings set true, and per row the
+        first position that fails (``argmin``: every row ends in
+        padding, which fails).
+        """
+        columns = self.columns
+        pins = self.pins
+        values = [_NAN] * (len(columns) + 1)
+        inexact = []
+        pinned = []
+        for name, value in header.items():
+            column = columns.get(name)
+            if column is None:
+                continue
+            if isinstance(value, str):
+                flat = pins.get((name, value))
+                if flat is not None:
+                    pinned.append(flat)
+            elif -_EXACT_INTS <= value <= _EXACT_INTS:
+                values[column] = value
+            else:
+                inexact.append((column, value))
+        down = up = np.array(values, dtype=np.float64)
+        if inexact:
+            up = down.copy()
+            for column, value in inexact:
+                down[column], up[column] = _bracket(value)
+        attr = self.attr
+        column = down[attr]
+        passes = self.lo <= column
+        passes &= (up[attr] if inexact else column) <= self.hi
+        for flat in pinned:
+            passes.reshape(-1)[flat] = True
+        lead = passes.argmin(axis=1)    # padding ends every row
+        for row, count in self.closures:
+            n_evals = count(header)
+            lead[row] = n_evals if n_evals > 0 else -n_evals - 1
+        return lead
+
+    def gate(self, present: frozenset) -> Tuple[object, int]:
+        """The attribute gate for one header shape: ``(mask, cut)``,
+        ``mask[r]`` true where the header carries every attribute root
+        ``r`` requires, None when it cuts no root."""
+        cached = self.masks.get(present)
+        if cached is None:
+            if len(self.masks) >= self.MAX_MASKS:
+                self.masks.clear()
+            columns = self.columns
+            carried = np.zeros(len(columns) + 1, dtype=bool)
+            carried[-1] = True      # the padding's column
+            for name in present:
+                column = columns.get(name)
+                if column is not None:
+                    carried[column] = True
+            mask = carried[self.attr].all(axis=1)
+            cut = len(mask) - int(np.count_nonzero(mask))
+            cached = self.masks[present] = (mask if cut else None, cut)
+        return cached
 
 
 class ContainmentForest:
@@ -154,8 +558,10 @@ class ContainmentForest:
         # share a node even when the first-cover descent, after
         # re-parenting, would not walk past the existing copy.
         self._by_key: dict = {}
-        #: (generation, header attribute set -> gate survivors)
-        self._gate_cache: Tuple[int, dict] = (0, {})
+        #: The roots compiled for the walk's first level
+        #: (:class:`_RootScan`): built by the first match after a
+        #: write, dropped by the next write.
+        self._scan: Optional[_RootScan] = None
 
     # -- memory model ----------------------------------------------------------
 
@@ -221,6 +627,7 @@ class ContainmentForest:
         # Even an idempotent re-registration may extend a subscriber
         # set, so every insert invalidates derived match planes.
         self.generation += 1
+        self._scan = None
         arena = self.arena if self.trace_inserts else None
         # The descent reads every node it compares against whole; the
         # model gets the reads as one batch (all resident, typically)
@@ -288,6 +695,7 @@ class ContainmentForest:
         if node is None or subscriber not in node.subscribers:
             return False
         self.generation += 1
+        self._scan = None
         node.subscribers.discard(subscriber)
         self.n_subscriptions -= 1
         if not node.subscribers:
@@ -329,39 +737,31 @@ class ContainmentForest:
 
     # -- matching -----------------------------------------------------------------
 
-    def _entry_roots(self, event: Event) -> Tuple[List[PosetNode], int]:
-        """Roots surviving the attribute-set gate + how many it cut.
-
-        A fresh list each call (the walks consume it as their stack).
-        The survivors depend only on which attributes the header
-        carries, and streams repeat a handful of attribute sets, so
-        they are kept per set until the next registration change.
-        """
-        roots = self.roots
-        if not self.root_gate:
-            return list(roots), 0
-        generation, survivors_by_set = self._gate_cache
-        if generation != self.generation or len(survivors_by_set) > 64:
-            survivors_by_set = {}
-            self._gate_cache = (self.generation, survivors_by_set)
-        present = frozenset(event.header)
-        survivors = survivors_by_set.get(present)
-        if survivors is None:
-            survivors = survivors_by_set[present] = [
-                root for root in roots
-                if root.required_attributes <= present]
-        return list(survivors), len(roots) - len(survivors)
+    def _root_scan(self) -> _RootScan:
+        """The roots compiled at the current generation."""
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = _RootScan(self.roots, self.generation)
+        return scan
 
     def match(self, event: Event) -> Set[object]:
         """All subscribers whose subscription matches ``event``.
 
-        Untraced fast path (no memory accounting) — used by wall-clock
-        benchmarks and by correctness tests. Evaluates the compiled
-        per-node closures behind the per-root attribute gate.
+        Untraced (no memory accounting) — used by wall-clock
+        benchmarks and by correctness tests. The roots are answered by
+        the compiled scan (a root the attribute gate would cut fails
+        its scan too, so the gate is not consulted), the subtrees of
+        the roots that match by their nodes' compiled closures.
         """
         header = event.header
+        scan = self._root_scan()
+        nodes = scan.nodes
         matched: Set[object] = set()
-        stack, _gated = self._entry_roots(event)
+        stack: List[PosetNode] = []
+        for row in np.flatnonzero(scan.lead(header) == scan.n).tolist():
+            node = nodes[row]
+            matched |= node.subscribers
+            stack += node.children
         pop = stack.pop
         while stack:
             node = pop()
@@ -376,13 +776,56 @@ class ContainmentForest:
         Touches each visited node's arena allocation and returns
         ``(subscribers, nodes_visited, predicates_evaluated)`` so the
         caller can charge per-evaluation cycles to the platform.
+
+        The roots — every one the attribute gate lets through, in the
+        order a stack pops them — are one pass of the compiled scan,
+        which yields how many constraints each evaluated and, from the
+        prefix tables, the lines and pages those visits read. Only the
+        roots that match descend, through :func:`_walk`; a stack
+        explores a matched root's subtree before it pops the next
+        root, so each subtree's reads go directly after its root's. The
+        whole walk reaches the memory model as one batch.
         """
         if self.arena is None:
             raise MatchingError("match_traced requires an arena-backed "
                                 "index")
-        stack, gated = self._entry_roots(event)
-        matched, visited, evaluated = walk_traced(stack, event.header,
-                                                  self.arena)
+        header = event.header
+        scan = self._root_scan()
+        nodes = scan.nodes
+        lead = scan.lead(header)
+        n_evals = np.minimum(lead + 1, scan.n)
+        gated = 0
+        if self.root_gate:
+            mask, gated = scan.gate(frozenset(header))
+            if gated:
+                n_evals *= mask     # not visited: evaluates, reads none
+        lines, line_counts = scan.lines.of(n_evals)
+        pages, page_counts = scan.pages.of(n_evals)
+        visited = len(nodes) - gated
+        evaluated = int(n_evals.sum())
+        matched: Set[object] = set()
+        descents = []
+        for row in np.flatnonzero(lead == scan.n).tolist():
+            node = nodes[row]
+            matched |= node.subscribers
+            if node.children:
+                descents.append(row)
+        if descents:
+            # back to front, so the earlier offsets stay good
+            for row, line_end, page_end in zip(
+                    descents[::-1],
+                    line_counts.cumsum()[descents].tolist()[::-1],
+                    page_counts.cumsum()[descents].tolist()[::-1]):
+                below_lines: List[int] = []
+                below_pages: List[int] = []
+                below_visited, below_evaluated = _walk(
+                    list(nodes[row].children), header, matched,
+                    below_lines, below_pages)
+                visited += below_visited
+                evaluated += below_evaluated
+                lines[line_end:line_end] = below_lines
+                pages[page_end:page_end] = below_pages
+        self.arena.touch_many(lines, pages)
         counters = self.counters
         if counters is not None:
             counters.matches += 1
@@ -409,7 +852,9 @@ class ContainmentForest:
         path maintains (key map, node/subscription counts, modelled
         bytes) must agree with the structure — removals hoist children
         and splice nodes, so churn is exactly where stale counters and
-        dangling key-map entries would creep in.
+        dangling key-map entries would creep in. A root scan compiled
+        since the last write must be what a fresh compile yields
+        (:meth:`_RootScan.check`).
         """
         seen = set()
         seen_keys = set()
@@ -456,3 +901,5 @@ class ContainmentForest:
         if len(self._by_key) != walked_nodes:
             raise MatchingError(
                 "key map holds entries for nodes not in the forest")
+        if self._scan is not None:
+            self._scan.check(self.roots, self.generation)

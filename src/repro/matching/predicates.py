@@ -11,6 +11,7 @@ which both matching and containment are defined.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
@@ -23,6 +24,10 @@ __all__ = ["Op", "Predicate", "Constraint", "constraint_from_predicates"]
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
+_MAX_FLOAT = sys.float_info.max
+#: float64 holds every int up to here, and adjacent floats inside
+#: these limits are at most 1 apart.
+_EXACT_INTS = 2.0 ** 53
 
 
 class Op:
@@ -297,3 +302,70 @@ def constraint_from_predicates(predicates) -> Constraint:
     return Constraint(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open,
                       equals=equals, is_string=is_string,
                       excluded=frozenset(excluded))
+
+
+# -- float64 forms of bounds and values ---------------------------------------
+#
+# The vectorised matchers (the columnar plane's bound arrays, the
+# forest's root scan) compare float64 arrays, and float64 compares are
+# exact only between float64s, while predicates and headers may carry
+# ints of any length. These functions are the one rule both follow:
+# a bound enters an array only in a closed float64 form that decides
+# every value a header can carry, and a value float64 cannot hold is
+# compared as its two float64 neighbours, never rounded to one.
+
+
+def _closed_bound(bound, is_open: bool, toward: float
+                  ) -> Optional[float]:
+    """The closed float64 bound that stands for ``bound`` over the
+    whole value domain, or None when there is none.
+
+    A closed bound is itself, provided float64 holds it exactly (an
+    int past 2**53 may not). An open one is the adjacent float on the
+    ``toward`` side — exact when nothing a header can carry lies
+    between the two, which holds inside ``±2**53`` (beyond, adjacent
+    floats are two or more apart and an int fits between them; at an
+    infinity there is no neighbour to step to).
+    """
+    try:
+        value = float(bound)
+    except OverflowError:
+        return None
+    if value != bound:
+        return None
+    if not is_open:
+        return value
+    if not -_EXACT_INTS < value < _EXACT_INTS:
+        return None
+    return math.nextafter(value, toward)
+
+
+def _closed_interval(constraint: Constraint
+                     ) -> Optional[Tuple[float, float]]:
+    """The closed float64 ``(lo, hi)`` that admits exactly the numbers
+    ``constraint``'s interval admits, or None when there is none: a
+    bound :func:`_closed_bound` cannot fold, or an open interval
+    between two adjacent floats (satisfiable on paper, it folds to
+    ``lo > hi``). Exclusions and the string domain are the caller's
+    to route."""
+    lo = _closed_bound(constraint.lo, constraint.lo_open, _POS_INF)
+    hi = _closed_bound(constraint.hi, constraint.hi_open, _NEG_INF)
+    if lo is None or hi is None or lo > hi:
+        return None
+    return lo, hi
+
+
+def _bracket(value) -> Tuple[float, float]:
+    """Adjacent float64s ``down <= value <= up`` (equal when float64
+    holds ``value``): ``value >= lo`` is ``down >= lo`` and ``value <=
+    hi`` is ``up <= hi`` for every float64 bound, with no rounding."""
+    try:
+        nearest = float(value)
+    except OverflowError:
+        return (_MAX_FLOAT, _POS_INF) if value > 0 \
+            else (_NEG_INF, -_MAX_FLOAT)
+    if nearest < value:
+        return nearest, math.nextafter(nearest, _POS_INF)
+    if nearest > value:
+        return math.nextafter(nearest, _NEG_INF), nearest
+    return nearest, nearest

@@ -2,10 +2,13 @@
 
 import math
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import messages
 from repro.core.messages import (SecureChannel, decode_header,
                                  decode_public_key, decode_subscription,
                                  encode_header, encode_public_key,
@@ -13,7 +16,8 @@ from repro.core.messages import (SecureChannel, decode_header,
                                  hybrid_decrypt, hybrid_encrypt, to_wire)
 from repro.crypto.encoding import pack_fields, unpack_fields
 from repro.crypto.rsa import _generate_keypair_unchecked
-from repro.errors import AuthenticationError, CryptoError, RoutingError
+from repro.errors import (AuthenticationError, CryptoError,
+                          MatchingError, RoutingError)
 from repro.matching.events import Event
 from repro.matching.predicates import Op, Predicate
 from repro.matching.subscriptions import Subscription
@@ -60,6 +64,49 @@ class TestHeaderCodec:
     def test_roundtrip_property(self, header):
         event = Event(header)
         assert decode_header(encode_header(event)).header == header
+
+    def test_decoded_event_is_what_the_constructor_builds(self):
+        """Names validated by the decoder's memo, values by the
+        decoder: the event equals one that went through
+        ``Event.__post_init__``, with interned names."""
+        event = Event({"symbol": "HAL", "price": 48.25, "volume": 1000})
+        for _ in range(2):              # a first and a repeated arrival
+            decoded = decode_header(encode_header(event), event_id=7)
+            assert decoded == Event(event.header, event_id=7)
+            assert decoded.canonical() == event.canonical()
+            assert all(name is sys.intern(name)
+                       for name in decoded.header)
+
+    @pytest.mark.parametrize("name", ["a|b", "a\nb", "a\x00b", ""])
+    def test_forbidden_name_rejected_on_every_arrival(self, name):
+        blob = pack_fields([name.encode(), b"i" + bytes(8)])
+        for _ in range(3):
+            with pytest.raises(MatchingError):
+                decode_header(blob)
+        assert name.encode() not in messages._NAME_MEMO
+
+    def test_invalid_values_and_empty_header_still_rejected(self):
+        nan = pack_fields([b"x", b"f" + struct.pack(">d", math.nan)])
+        for _ in range(2):
+            with pytest.raises(MatchingError, match="NaN"):
+                decode_header(nan)
+        with pytest.raises(RoutingError):
+            decode_header(pack_fields([b"x", b"b\x01"]))   # no such tag
+        with pytest.raises(MatchingError, match="must not be empty"):
+            decode_header(pack_fields([]))
+        for value in (True, math.nan, None, (1, 2)):
+            with pytest.raises(MatchingError):
+                Event({"x": value})
+
+    def test_name_memo_is_bounded(self):
+        limit = messages._NAME_MEMO_LIMIT
+        for i in range(limit + 50):
+            decode_header(pack_fields([b"n%d" % i, b"i" + bytes(8)]))
+            assert len(messages._NAME_MEMO) <= limit
+        # it started over, and still answers
+        assert len(messages._NAME_MEMO) < limit
+        assert decode_header(
+            pack_fields([b"n0", b"i" + bytes(8)])).header == {"n0": 0}
 
 
 class TestSubscriptionCodec:
