@@ -401,7 +401,8 @@ def merge_phase(existing: Optional[dict], phase: str,
     return record
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The suite's options (``repro hotpath`` takes them as a parent)."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.hotpath",
         description="wall-clock hot-path microbenchmarks")
@@ -449,8 +450,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=0.0, metavar="X",
                         help="fail unless recorded envelopes/s "
                              "speedup vs baseline is at least X")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the suite with parsed options; the exit status."""
     measurements = run_hotpath_bench(
         reduced=args.reduced, matcher_backend=args.matcher_backend)
     for key in sorted(measurements):
@@ -512,6 +516,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

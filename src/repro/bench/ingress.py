@@ -363,7 +363,8 @@ def _print_record(record: Dict[str, object]) -> None:
           f"{record['zero_lost']}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The suite's options (``repro ingress`` takes them as a parent)."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.ingress",
         description="open-loop ingress load bench (offered-rate "
@@ -378,8 +379,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         choices=("forest", "columnar"),
                         default="columnar")
     parser.add_argument("--seed", type=int, default=_SEED)
-    args = parser.parse_args(argv)
+    return parser
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the suite with parsed options; the exit status."""
     record = run_ingress_bench(reduced=args.reduced,
                                matcher_backend=args.matcher_backend,
                                seed=args.seed)
@@ -409,6 +413,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -311,7 +311,8 @@ def _print_record(record: Dict[str, object]) -> None:
           f"grows); wall {record['wall_seconds']}s")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The sweep's options (``repro sharding`` takes them as a parent)."""
     parser = argparse.ArgumentParser(
         prog="repro.bench.sharding",
         description="EPC-exhaustion cliff vs EPC-aware sharded "
@@ -346,8 +347,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(per-slice occupancy, migration counts)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the sweep with parsed options; the exit status."""
     max_subs = args.subs
     if args.reduced:
         max_subs = min(max_subs, 8_000)
@@ -388,6 +392,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.bench import hotpath, ingress, sharding
 from repro.bench.experiments import (default_subscription_sizes,
                                      run_containment_ablation, run_fig5,
                                      run_fig6, run_fig7, run_fig8,
@@ -66,27 +67,54 @@ def _maybe_export(rows, path) -> None:
         print(f"wrote {path}")
 
 
-
-def _run_demo(_args: argparse.Namespace) -> int:
-    # Local import: keeps CLI startup fast for the other commands.
-    from repro import MessageBus, SgxPlatform
-    from repro.core import (Client, Publisher, Router,
-                            ScbrEnclaveLibrary, ServiceProvider)
+def _provisioned_world(bus, **router_kwargs):
+    """One attested, provisioned router on ``bus``: platform,
+    attestation service, vendor key, enclave measurement, router,
+    service provider, provisioning, publisher — in that order.
+    Returns ``(platform, router, provider, publisher)``."""
+    from repro import SgxPlatform
+    from repro.core import (Publisher, Router, ScbrEnclaveLibrary,
+                            ServiceProvider)
     from repro.crypto.rsa import generate_keypair
     from repro.sgx import AttestationService, EnclaveBuilder
 
-    bus = MessageBus()
     platform = SgxPlatform()
     service = AttestationService()
     service.register_platform(platform)
     vendor = generate_keypair(bits=1024)
     expected = EnclaveBuilder(platform, ScbrEnclaveLibrary).measure()
-    router = Router(bus, platform, vendor)
+    router = Router(bus, platform, vendor, **router_kwargs)
     provider = ServiceProvider(bus, rsa_bits=1024,
                                attestation_service=service,
                                expected_mr_enclave=expected)
     provider.provision_router(router)
     publisher = Publisher(bus, provider.keys, provider.group)
+    return platform, router, provider, publisher
+
+
+def _subscribe_without_endpoint(provider, name: str):
+    """Admit ``name`` and file its ``symbol == HAL`` subscription
+    through the provider, without opening a bus endpoint: every
+    delivery to it exhausts its retry schedule and is dead-lettered.
+    Returns the admission, for a later connect."""
+    from repro.core.messages import encode_subscription, hybrid_encrypt
+    from repro.core.protocol import build_subscription_request
+    from repro.matching.subscriptions import Subscription
+    admission = provider.admit_client(name)
+    blob = encode_subscription(Subscription.parse({"symbol": "HAL"}))
+    provider.endpoint.send("provider", [build_subscription_request(
+        name, hybrid_encrypt(provider.keys.public_key, blob,
+                             aad=name.encode()))])
+    return admission
+
+
+def _run_demo(_args: argparse.Namespace) -> int:
+    # Local import: keeps CLI startup fast for the other commands.
+    from repro import MessageBus
+    from repro.core import Client
+
+    bus = MessageBus()
+    platform, router, provider, publisher = _provisioned_world(bus)
     alice = Client(bus, "alice", provider.keys.public_key)
     alice.process_admission(provider.admit_client("alice"))
     alice.subscribe("provider", {"symbol": "HAL", "price": ("<", 50.0)})
@@ -103,46 +131,22 @@ def _run_demo(_args: argparse.Namespace) -> int:
 
 def _run_metrics(args: argparse.Namespace) -> int:
     """Robustness demo: seeded faults, retries, DLQ, metrics dump."""
-    from repro import (FaultPlan, LinkFaults, MessageBus,
-                       MetricsRegistry, SgxPlatform)
+    from repro import FaultPlan, LinkFaults, MessageBus, MetricsRegistry
     from repro.bench.report import format_metrics
-    from repro.core import (Client, Publisher, RetryPolicy, Router,
-                            ScbrEnclaveLibrary, ServiceProvider)
+    from repro.core import Client, RetryPolicy
     from repro.core.protocol import build_deliver
-    from repro.crypto.rsa import generate_keypair
-    from repro.sgx import AttestationService, EnclaveBuilder
 
     registry = MetricsRegistry()
     plan = FaultPlan(seed=args.seed).on_link(
         "publisher", "router", LinkFaults(drop=args.drop))
     bus = MessageBus(fault_plan=plan, metrics=registry)
-    platform = SgxPlatform()
-    service = AttestationService()
-    service.register_platform(platform)
-    vendor = generate_keypair(bits=1024)
-    expected = EnclaveBuilder(platform, ScbrEnclaveLibrary).measure()
-    router = Router(bus, platform, vendor, metrics=registry,
-                    retry_policy=RetryPolicy(max_attempts=3))
-    provider = ServiceProvider(bus, rsa_bits=1024,
-                               attestation_service=service,
-                               expected_mr_enclave=expected)
-    provider.provision_router(router)
-    publisher = Publisher(bus, provider.keys, provider.group)
+    _, router, provider, publisher = _provisioned_world(
+        bus, metrics=registry, retry_policy=RetryPolicy(max_attempts=3))
 
     alice = Client(bus, "alice", provider.keys.public_key)
     alice.process_admission(provider.admit_client("alice"))
     alice.subscribe("provider", {"symbol": "HAL"})
-    # "ghost" subscribes but never opens a bus endpoint: deliveries to
-    # it exhaust the retry schedule and land in the dead-letter queue.
-    provider.admit_client("ghost")
-    from repro.core.messages import encode_subscription, hybrid_encrypt
-    from repro.core.protocol import build_subscription_request
-    from repro.matching.subscriptions import Subscription
-    ghost_blob = encode_subscription(Subscription.parse(
-        {"symbol": "HAL"}))
-    provider.endpoint.send("provider", [build_subscription_request(
-        "ghost", hybrid_encrypt(provider.keys.public_key, ghost_blob,
-                                aad=b"ghost"))])
+    _subscribe_without_endpoint(provider, "ghost")
     provider.pump("router")
     router.pump()
 
@@ -173,52 +177,29 @@ def _run_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_supervised_world(seed: int, mean_interval: int,
-                            checkpoint_interval: int):
-    """One provisioned router under a crash-injecting supervisor."""
+def _run_recover(args: argparse.Namespace) -> int:
+    """Crash-recovery demo: seeded enclave deaths under live traffic,
+    then the recovery-latency sweep."""
     from repro import (CrashSchedule, MessageBus, MetricsRegistry,
-                      RouterSupervisor, SgxPlatform)
-    from repro.core import (Client, Publisher, RetryPolicy, Router,
-                            ScbrEnclaveLibrary, ServiceProvider)
-    from repro.crypto.rsa import generate_keypair
-    from repro.sgx import AttestationService, EnclaveBuilder
+                       RouterSupervisor)
+    from repro.bench.experiments import run_recovery_latency
+    from repro.bench.report import format_metrics
+    from repro.core import Client, RetryPolicy
 
     registry = MetricsRegistry()
     bus = MessageBus(metrics=registry)
-    platform = SgxPlatform()
-    service = AttestationService()
-    service.register_platform(platform)
-    vendor = generate_keypair(bits=1024)
-    expected = EnclaveBuilder(platform, ScbrEnclaveLibrary).measure()
-    router = Router(bus, platform, vendor, metrics=registry,
-                    retry_policy=RetryPolicy(max_attempts=3))
-    provider = ServiceProvider(bus, rsa_bits=1024,
-                               attestation_service=service,
-                               expected_mr_enclave=expected)
-    provider.provision_router(router)
-    publisher = Publisher(bus, provider.keys, provider.group)
+    _, router, provider, publisher = _provisioned_world(
+        bus, metrics=registry, retry_policy=RetryPolicy(max_attempts=3))
     supervisor = RouterSupervisor(
         router, provider.provision_router,
-        schedule=CrashSchedule(seed=seed,
-                               mean_interval=mean_interval),
-        checkpoint_interval=checkpoint_interval)
+        schedule=CrashSchedule(seed=args.seed,
+                               mean_interval=args.mean_interval),
+        checkpoint_interval=args.checkpoint_interval)
     alice = Client(bus, "alice", provider.keys.public_key)
     alice.process_admission(provider.admit_client("alice"))
     alice.subscribe("provider", {"symbol": "HAL"})
     provider.pump("router")
     supervisor.pump()
-    return bus, router, provider, publisher, supervisor, alice
-
-
-def _run_recover(args: argparse.Namespace) -> int:
-    """Crash-recovery demo: seeded enclave deaths under live traffic,
-    then the recovery-latency sweep."""
-    from repro.bench.experiments import run_recovery_latency
-    from repro.bench.report import format_metrics
-
-    (_bus, router, _provider, publisher, supervisor,
-     alice) = _build_supervised_world(args.seed, args.mean_interval,
-                                      args.checkpoint_interval)
     for index in range(args.publications):
         publisher.publish("router", {"symbol": "HAL",
                                      "price": 40.0 + index},
@@ -255,38 +236,17 @@ def _run_recover(args: argparse.Namespace) -> int:
 def _run_dlq(args: argparse.Namespace) -> int:
     """Dead-letter demo: quarantine deliveries to an absent subscriber,
     then requeue them once it connects."""
-    from repro import MessageBus, MetricsRegistry, SgxPlatform
-    from repro.core import (Client, Publisher, RetryPolicy, Router,
-                            ScbrEnclaveLibrary, ServiceProvider)
-    from repro.crypto.rsa import generate_keypair
-    from repro.sgx import AttestationService, EnclaveBuilder
+    from repro import MessageBus, MetricsRegistry
+    from repro.core import Client, RetryPolicy
 
     registry = MetricsRegistry()
     bus = MessageBus(metrics=registry)
-    platform = SgxPlatform()
-    service = AttestationService()
-    service.register_platform(platform)
-    vendor = generate_keypair(bits=1024)
-    expected = EnclaveBuilder(platform, ScbrEnclaveLibrary).measure()
-    router = Router(bus, platform, vendor, metrics=registry,
-                    retry_policy=RetryPolicy(max_attempts=2))
-    provider = ServiceProvider(bus, rsa_bits=1024,
-                               attestation_service=service,
-                               expected_mr_enclave=expected)
-    provider.provision_router(router)
-    publisher = Publisher(bus, provider.keys, provider.group)
+    _, router, provider, publisher = _provisioned_world(
+        bus, metrics=registry, retry_policy=RetryPolicy(max_attempts=2))
 
-    # bob subscribes through the provider but never opens a bus
-    # endpoint: every delivery to him exhausts its retry schedule and
-    # is quarantined with its destination recorded.
-    from repro.core.messages import encode_subscription, hybrid_encrypt
-    from repro.core.protocol import build_subscription_request
-    from repro.matching.subscriptions import Subscription
-    admission = provider.admit_client("bob")
-    blob = encode_subscription(Subscription.parse({"symbol": "HAL"}))
-    provider.endpoint.send("provider", [build_subscription_request(
-        "bob", hybrid_encrypt(provider.keys.public_key, blob,
-                              aad=b"bob"))])
+    # bob subscribes but has no endpoint yet: every delivery to him is
+    # quarantined with its destination recorded.
+    admission = _subscribe_without_endpoint(provider, "bob")
     provider.pump("router")
     router.pump()
     for index in range(args.publications):
@@ -421,63 +381,6 @@ def _run_churn(args: argparse.Namespace) -> int:
     ok = (result.zero_lost and result.zero_duplicated
           and result.delta_saves_bytes)
     return 0 if ok else 1
-
-
-def _run_hotpath(args: argparse.Namespace) -> int:
-    """Wall-clock hot-path suite (delegates to bench.hotpath)."""
-    from repro.bench.hotpath import main as hotpath_main
-    argv: List[str] = []
-    if args.reduced:
-        argv.append("--reduced")
-    if args.record:
-        argv.append("--record")
-    argv += ["--phase", args.phase, "--out", args.out,
-             "--matcher-backend", args.matcher_backend]
-    if args.require_aes_vs_reference is not None:
-        argv += ["--require-aes-vs-reference",
-                 str(args.require_aes_vs_reference)]
-    if args.require_matcher_speedup is not None:
-        argv += ["--require-matcher-speedup",
-                 str(args.require_matcher_speedup)]
-    if args.require_cmac_batch_vs_single is not None:
-        argv += ["--require-cmac-batch-vs-single",
-                 str(args.require_cmac_batch_vs_single)]
-    if args.require_llc_batch_vs_line is not None:
-        argv += ["--require-llc-batch-vs-line",
-                 str(args.require_llc_batch_vs_line)]
-    return hotpath_main(argv)
-
-
-def _run_ingress(args: argparse.Namespace) -> int:
-    """Open-loop ingress load suite (delegates to bench.ingress)."""
-    from repro.bench.ingress import main as ingress_main
-    argv: List[str] = []
-    if args.reduced:
-        argv.append("--reduced")
-    if args.record:
-        argv.append("--record")
-    argv += ["--out", args.out,
-             "--matcher-backend", args.matcher_backend,
-             "--seed", str(args.seed)]
-    return ingress_main(argv)
-
-
-def _run_sharding(args: argparse.Namespace) -> int:
-    """EPC cliff vs sharded cluster (delegates to bench.sharding)."""
-    from repro.bench.sharding import main as sharding_main
-    argv: List[str] = ["--subs", str(args.subs),
-                       "--out", args.out,
-                       "--matcher-backend", args.matcher_backend,
-                       "--seed", str(args.seed)]
-    if args.reduced:
-        argv.append("--reduced")
-    if args.record:
-        argv.append("--record")
-    if args.require_flat:
-        argv.append("--require-flat")
-    if args.metrics:
-        argv.append("--metrics")
-    return sharding_main(argv)
 
 
 def _run_profile(args: argparse.Namespace) -> int:
@@ -762,78 +665,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for the recorded JSON")
     pc.set_defaults(func=_run_churn)
 
-    ph = sub.add_parser(
-        "hotpath", help="crypto/envelope/matcher wall-clock suite")
-    ph.add_argument("--reduced", action="store_true",
-                    help="smaller sizes for smoke runs")
-    ph.add_argument("--record", action="store_true",
-                    help="write/merge BENCH_hotpath.json")
-    ph.add_argument("--phase", choices=("baseline", "current"),
-                    default="current",
-                    help="which section of the record to write")
-    ph.add_argument("--out", default=".", metavar="DIR",
-                    help="directory for BENCH_hotpath.json")
-    ph.add_argument("--require-aes-vs-reference", type=float,
-                    default=None, metavar="RATIO",
-                    help="fail unless the T-table AES beats the pinned "
-                         "pure-loop reference by this factor")
-    ph.add_argument("--matcher-backend", default="both",
-                    choices=("forest", "columnar", "both"),
-                    help="matcher leg(s) to run; 'both' reports the "
-                         "backends side by side")
-    ph.add_argument("--require-matcher-speedup", type=float,
-                    default=None, metavar="RATIO",
-                    help="fail unless the columnar matcher beats the "
-                         "forest walk by this factor")
-    ph.add_argument("--require-cmac-batch-vs-single", type=float,
-                    default=None, metavar="RATIO",
-                    help="fail unless 32-lane verify_many beats "
-                         "one-message CMAC by this factor")
-    ph.add_argument("--require-llc-batch-vs-line", type=float,
-                    default=None, metavar="RATIO",
-                    help="fail unless the cache model's batch entry "
-                         "point beats per-line calls by this factor")
-    ph.set_defaults(func=_run_hotpath)
-
-    pi = sub.add_parser(
-        "ingress", help="open-loop ingress load suite (1x/2x/5x "
-                        "overload)")
-    pi.add_argument("--reduced", action="store_true",
-                    help="smaller sizes for smoke runs")
-    pi.add_argument("--record", action="store_true",
-                    help="write BENCH_ingress.json")
-    pi.add_argument("--out", default=".", metavar="DIR",
-                    help="directory for BENCH_ingress.json")
-    pi.add_argument("--matcher-backend", default="columnar",
-                    choices=("forest", "columnar"),
-                    help="matcher backend behind the ingress tier")
-    pi.add_argument("--seed", type=int, default=20260808,
-                    help="seed for world build + arrival schedules")
-    pi.set_defaults(func=_run_ingress)
-
-    psh = sub.add_parser(
-        "sharding", help="EPC-exhaustion cliff vs EPC-aware sharded "
-                         "cluster with live migration")
-    psh.add_argument("--subs", type=int, default=1_000_000,
-                     help="sweep ceiling (subscriptions)")
-    psh.add_argument("--reduced", action="store_true",
-                     help="small sweep for smoke runs "
-                          "(SCBR_SHARDING_SUBS overrides the size)")
-    psh.add_argument("--record", action="store_true",
-                     help="write BENCH_sharding.json")
-    psh.add_argument("--out", default=".", metavar="DIR",
-                     help="directory for BENCH_sharding.json")
-    psh.add_argument("--require-flat", action="store_true",
-                     help="fail unless the cliff shows and the "
-                          "cluster stays flat")
-    psh.add_argument("--metrics", action="store_true",
-                     help="dump the cluster gauge snapshot")
-    psh.add_argument("--matcher-backend", default="forest",
-                     choices=("forest", "columnar"),
-                     help="matcher backend inside each slice")
-    psh.add_argument("--seed", type=int, default=2016,
-                     help="seed for workload generation")
-    psh.set_defaults(func=_run_sharding)
+    # Suites runnable on their own (``python -m repro.bench.<name>``)
+    # lend the verb their parser, so the two never drift apart.
+    for verb, module, summary in (
+            ("hotpath", hotpath,
+             "crypto/envelope/matcher wall-clock suite"),
+            ("ingress", ingress,
+             "open-loop ingress load suite (1x/2x/5x overload)"),
+            ("sharding", sharding,
+             "EPC-exhaustion cliff vs EPC-aware sharded cluster with "
+             "live migration")):
+        sub.add_parser(verb, parents=[module.build_parser()],
+                       add_help=False, help=summary) \
+            .set_defaults(func=module.run)
 
     pp = sub.add_parser(
         "profile", help="cProfile the seeded hot-path workload")

@@ -32,22 +32,24 @@ and after a migration. ``autoscale`` drives migrations from a
 :class:`repro.core.sharding.ShardingPolicy` over the slices' simulated
 EPC working sets — split before the Fig. 8 cliff, never fall off it.
 
-Two execution backends realise the same cluster semantics:
-
-* ``backend="serial"`` (default) — slices are matched one after the
-  other in the calling process. Simulated latency still reports the
-  parallel figure (max over slices), but wall-clock time is the sum.
-* ``backend="process"`` — each slice lives in a persistent
-  ``multiprocessing`` worker. Workers are spawned once; each builds
-  its index in-process (the compiled per-node matchers are closures
-  and deliberately never cross a pipe), registrations are buffered in
-  the parent and fanned out as batches, and ``match_batch`` ships the
-  whole publication batch to every worker before collecting replies,
-  so slices genuinely overlap. Per-slice operation order is identical
-  to the serial backend, and the simulated platforms are
-  deterministic, so both backends report byte-identical match sets
-  *and* byte-identical simulated latencies — only wall-clock
-  throughput changes.
+The cluster runs one code path wherever a slice lives: each slice sits
+behind a *handle* — ``apply(ops)``, ``send``/``recv`` (``call`` is
+both), ``stop``, ``kill`` — and every request goes through one op table
+(``apply``, ``warm``, ``sample``, ``match_batch``). ``backend`` picks
+the handle type: ``"serial"`` (default) keeps the slice in this process
+and runs a request when it is sent (simulated latency is still the
+parallel max over slices; wall-clock time is the sum); ``"process"``
+hosts it in a persistent ``multiprocessing`` worker that builds its
+index in-process (compiled matchers are closures and never cross a
+pipe). A worker handle owns the registration buffer: ``apply`` appends
+to it and the next request ships it ahead of itself. Every fan-out
+sends to all slices before receiving any reply, so workers overlap.
+Writes that gate a commit are acknowledged round trips, never buffered
+— a migration's target replay before the flip, its source cleanup
+after it, a recovered member's replay — so a dead target fails a
+migration *before* the flip. Per-slice operation order is the same on
+both backends and the platforms are deterministic, so match sets *and*
+simulated latencies are byte-identical; only wall-clock time changes.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ from repro.sgx.cpu import PlatformSpec, SKYLAKE_I7_6700
 from repro.sgx.platform import SgxPlatform
 
 __all__ = ["MatcherSlice", "MatcherCluster", "ClusterMatchResult"]
+
+#: One slice write: ("reg" | "unreg", subscription, subscriber).
+SliceOp = Tuple[str, Subscription, object]
 
 
 class MatcherSlice:
@@ -104,8 +109,7 @@ class MatcherSlice:
         """
         return self.engine.unregister(subscription, subscriber)
 
-    def apply(self, ops: Sequence[Tuple[str, Subscription, object]]
-              ) -> int:
+    def apply(self, ops: Sequence[SliceOp]) -> int:
         """Apply a mixed register/unregister batch in order."""
         applied = 0
         for op, subscription, subscriber in ops:
@@ -165,68 +169,118 @@ class ClusterMatchResult:
             if slice_latencies_us else 0.0
 
 
+#: The requests a slice serves — one table for both handle types (the
+#: worker loop serves it on the far side of its pipe).
+_OPS = {
+    "apply": MatcherSlice.apply,
+    "warm": lambda matcher_slice, _: matcher_slice.warm(),
+    "sample": lambda matcher_slice, _: matcher_slice.sample(),
+    "match_batch": lambda matcher_slice, events: [
+        matcher_slice.match(event) for event in events],
+}
+
+
+def _serve(matcher_slice: MatcherSlice, op: str,
+           payload: object) -> object:
+    handler = _OPS.get(op)
+    if handler is None:
+        raise RoutingError(f"unknown slice op {op!r}")
+    return handler(matcher_slice, payload)
+
+
+class _LocalSlice:
+    """Handle for a slice in this process: a request runs when sent."""
+
+    def __init__(self, slice_id: int, spec: PlatformSpec,
+                 matcher_backend: str = "forest") -> None:
+        self.slice_id = slice_id
+        self.matcher_slice = MatcherSlice(slice_id, spec, matcher_backend)
+        self._reply: object = None
+
+    def apply(self, ops: Sequence[SliceOp]) -> None:
+        self.matcher_slice.apply(ops)
+
+    def send(self, op: str, payload: object = None) -> None:
+        self._reply = _serve(self.matcher_slice, op, payload)
+
+    def recv(self) -> object:
+        reply, self._reply = self._reply, None
+        return reply
+
+    def call(self, op: str, payload: object = None) -> object:
+        self.send(op, payload)
+        return self.recv()
+
+    def stop(self, timeout: float = 5.0) -> None:
+        """Nothing to tear down; :meth:`kill` is the same no-op."""
+
+    kill = stop
+
+
 def _slice_worker_main(conn, slice_id: int, spec: PlatformSpec,
                        matcher_backend: str = "forest") -> None:
     """Entry point of one persistent slice worker process.
 
     Hosts a real :class:`MatcherSlice` and serves a tiny request/reply
-    protocol over the pipe: ``(op, payload)`` in, ``(status, value)``
-    out. The slice's index is built *here* — subscriptions cross the
-    pipe (they are plain frozen dataclasses), compiled poset nodes
-    never do.
+    protocol over the pipe: ``(buffered ops, op, payload)`` in — the
+    ops are applied first — and ``(status, value)`` out. The slice's
+    index is built *here* — subscriptions cross the pipe (they are
+    plain frozen dataclasses), compiled poset nodes never do.
     """
     matcher_slice = MatcherSlice(slice_id, spec, matcher_backend)
     while True:
         try:
-            op, payload = conn.recv()
+            ops, op, payload = conn.recv()
         except (EOFError, OSError):
             break  # parent went away; die quietly
         if op == "stop":
             conn.send(("ok", None))
             break
         try:
-            if op == "register":
-                for subscription, subscriber in payload:
-                    matcher_slice.register(subscription, subscriber)
-                conn.send(("ok", len(payload)))
-            elif op == "apply":
-                conn.send(("ok", matcher_slice.apply(payload)))
-            elif op == "warm":
-                matcher_slice.warm()
-                conn.send(("ok", None))
-            elif op == "match":
-                conn.send(("ok", [matcher_slice.match(event)
-                                  for event in payload]))
-            elif op == "stats":
-                conn.send(("ok", matcher_slice.sample()))
-            else:
-                conn.send(("error", f"unknown op {op!r}"))
+            matcher_slice.apply(ops)
+            conn.send(("ok", _serve(matcher_slice, op, payload)))
         except Exception as exc:  # noqa: BLE001 — reply, don't die
             conn.send(("error", repr(exc)))
     conn.close()
 
 
-class _SliceWorker:
-    """Parent-side handle for one persistent slice worker process."""
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods()
+    else "spawn")
 
-    def __init__(self, slice_id: int, spec: PlatformSpec, ctx,
+
+class _SliceWorker:
+    """Handle for a slice in a persistent worker process.
+
+    Owns the slice's registration buffer: :meth:`apply` appends to it
+    and the next request ships it in the same message, ahead of
+    itself — so a registration costs no round trip of its own and the
+    slice still sees every op in arrival order.
+    """
+
+    def __init__(self, slice_id: int, spec: PlatformSpec,
                  matcher_backend: str = "forest") -> None:
         self.slice_id = slice_id
-        parent_conn, child_conn = ctx.Pipe()
+        parent_conn, child_conn = _CONTEXT.Pipe()
         self._conn = parent_conn
-        self._process = ctx.Process(
+        self._process = _CONTEXT.Process(
             target=_slice_worker_main,
             args=(child_conn, slice_id, spec, matcher_backend),
             daemon=True, name=f"matcher-slice-{slice_id}")
         self._process.start()
         child_conn.close()
+        self._pending: List[SliceOp] = []
+
+    def apply(self, ops: Sequence[SliceOp]) -> None:
+        self._pending.extend(ops)
 
     def send(self, op: str, payload: object = None) -> None:
         try:
-            self._conn.send((op, payload))
+            self._conn.send((self._pending, op, payload))
         except (BrokenPipeError, OSError) as exc:
             raise RoutingError(
                 f"slice {self.slice_id} worker is gone") from exc
+        self._pending = []
 
     def recv(self) -> object:
         try:
@@ -258,7 +312,7 @@ class _SliceWorker:
         """
         if self._process.is_alive() and not self._conn.closed:
             try:
-                self._conn.send(("stop", None))
+                self._conn.send(((), "stop", None))
                 self._conn.recv()
             except (BrokenPipeError, EOFError, OSError):
                 pass
@@ -291,19 +345,20 @@ class MatcherCluster:
     routing table owns the assignment afterwards — migrations move it):
 
     * ``"round-robin"`` (default) — balanced sizes, StreamHub style;
-    * ``"symbol-hash"`` — subscriptions pinning a ``symbol`` equality
-      are routed by its hash (keeps same-symbol subscriptions together,
-      preserving containment density within a slice); subscriptions
-      without one fall back to round-robin;
+    * ``"symbol-hash"`` — subscriptions pinning an equality on
+      :attr:`SYMBOL_ATTRIBUTE` are routed by its hash (keeps
+      same-symbol subscriptions together, preserving containment
+      density within a slice); subscriptions without one fall back to
+      round-robin;
     * ``"epc-aware"`` — least-loaded by estimated working set, so new
       load drains toward the slice with the most EPC headroom.
 
-    ``backend`` chooses how slices execute (see module docstring):
-    ``"serial"`` keeps everything in-process (``self.slices`` holds the
-    live :class:`MatcherSlice` objects); ``"process"`` hosts each slice
-    in a persistent worker process (``self.slices`` is empty — the
-    slices live in the workers) and should be closed via
-    :meth:`close` or by using the cluster as a context manager.
+    ``backend`` chooses where slices live (see module docstring):
+    ``"serial"`` in this process, ``"process"`` each in a persistent
+    worker process started by fork where the platform has it, spawn
+    elsewhere. On both, ``self.slices`` is the list of slice handles;
+    close the cluster via :meth:`close` or by using it as a context
+    manager (a no-op for in-process slices).
 
     ``policy`` (a :class:`~repro.core.sharding.ShardingPolicy`) is the
     default autoscaler consulted by :meth:`autoscale`.
@@ -311,13 +366,12 @@ class MatcherCluster:
 
     ASSIGNMENTS = ("round-robin", "symbol-hash", "epc-aware")
     BACKENDS = ("serial", "process")
+    SYMBOL_ATTRIBUTE = "symbol"
 
     def __init__(self, n_slices: int,
                  spec: PlatformSpec = SKYLAKE_I7_6700,
                  assignment: str = "round-robin",
-                 symbol_attribute: str = "symbol",
                  backend: str = "serial",
-                 start_method: Optional[str] = None,
                  matcher_backend: str = "forest",
                  policy: Optional[ShardingPolicy] = None,
                  metrics=None) -> None:
@@ -331,7 +385,6 @@ class MatcherCluster:
         self.spec = spec
         self.n_slices = n_slices
         self.assignment = assignment
-        self.symbol_attribute = symbol_attribute
         self.backend = backend
         self.policy = policy if policy is not None else ShardingPolicy()
         self._next = 0
@@ -371,31 +424,22 @@ class MatcherCluster:
         self._samples: List[SliceSample] = []
         self._metrics = None
         self._closed = False
-        if backend == "process":
-            if start_method is None:
-                methods = multiprocessing.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else "spawn"
-            self._ctx = multiprocessing.get_context(start_method)
-            self.slices: List[MatcherSlice] = []
-            self._workers = [
-                _SliceWorker(i, spec, self._ctx,
-                             matcher_backend=matcher_backend)
-                for i in range(n_slices)]
-            #: slice ops not yet shipped to workers, per slice —
-            #: ("reg"|"unreg", subscription, subscriber) triples in
-            #: arrival order.
-            self._pending: List[List[Tuple[str, Subscription,
-                                           object]]] = [
-                [] for _ in range(n_slices)]
-        else:
-            self._ctx = None
-            self.slices = [
-                MatcherSlice(i, spec, matcher_backend=matcher_backend)
-                for i in range(n_slices)]
-            self._workers = []
-            self._pending = []
+        self.slices = [self._new_slice(i) for i in range(n_slices)]
         if metrics is not None:
             self.attach_metrics(metrics)
+
+    def _new_slice(self, slice_id: int):
+        """A fresh, empty slice behind its handle — the one place that
+        reads the backend."""
+        handle = _SliceWorker if self.backend == "process" else _LocalSlice
+        return handle(slice_id, self.spec, self.matcher_backend)
+
+    def _fan_out(self, op: str, payload: object = None) -> List[object]:
+        """One request to every slice: send to all, then receive all,
+        so worker slices overlap."""
+        for handle in self.slices:
+            handle.send(op, payload)
+        return [handle.recv() for handle in self.slices]
 
     # -- registration ------------------------------------------------------
 
@@ -407,7 +451,7 @@ class MatcherCluster:
         routing-table hits in :meth:`register`."""
         if self.assignment == "symbol-hash":
             for attribute, constraint in subscription.items:
-                if attribute == self.symbol_attribute \
+                if attribute == self.SYMBOL_ATTRIBUTE \
                         and constraint.is_string \
                         and constraint.equals is not None:
                     digest = zlib.crc32(constraint.equals.encode())
@@ -439,11 +483,10 @@ class MatcherCluster:
         idempotent — it stays on its current slice (matching the
         containment forest's dedup semantics) and is not re-placed.
 
-        The process backend buffers registrations and ships them as
-        one batch per slice right before the next match/warm/stat —
-        amortising pipe round-trips without changing each slice's
-        observed operation order (all registrations still precede the
-        match that follows them, exactly as in the serial backend).
+        The write goes through the slice handle's ``apply``: a worker
+        handle buffers it and ships it ahead of its next request, so
+        every slice still sees its registrations before the match that
+        follows them, on both backends.
         """
         key: RoutingKey = (subscription.key(), subscriber)
         existing = self.table.slice_of(key)
@@ -455,11 +498,7 @@ class MatcherCluster:
         self._estimated_bytes[slice_id] += subscription.size_bytes()
         self.n_subscriptions += 1
         self._mutations += 1
-        if self.backend == "process":
-            self._pending[slice_id].append(
-                ("reg", subscription, subscriber))
-        else:
-            self.slices[slice_id].register(subscription, subscriber)
+        self.slices[slice_id].apply([("reg", subscription, subscriber)])
         self._journal_window_op(slice_id, "REG", key, subscription)
         return slice_id
 
@@ -480,11 +519,7 @@ class MatcherCluster:
         self._estimated_bytes[owner] -= subscription.size_bytes()
         self.n_subscriptions -= 1
         self._mutations += 1
-        if self.backend == "process":
-            self._pending[owner].append(
-                ("unreg", subscription, subscriber))
-        else:
-            self.slices[owner].unregister(subscription, subscriber)
+        self.slices[owner].apply([("unreg", subscription, subscriber)])
         self._journal_window_op(owner, "UNREG", key, subscription)
         return True
 
@@ -503,40 +538,8 @@ class MatcherCluster:
                              _subscriber_token(key[1])])
         ticket.wal.append(kind, frame)
 
-    def _flush_registrations(self) -> None:
-        """Ship buffered slice ops to their workers (batched)."""
-        awaiting = []
-        for slice_id, batch in enumerate(self._pending):
-            if batch:
-                worker = self._workers[slice_id]
-                worker.send("apply", batch)
-                awaiting.append(worker)
-                self._pending[slice_id] = []
-        for worker in awaiting:
-            worker.recv()
-
-    def _apply_ops(self, slice_id: int,
-                   ops: List[Tuple[str, Subscription, object]]) -> None:
-        """Apply a mixed op batch to one slice, after the pending
-        buffer (order-preserving on both backends)."""
-        if not ops:
-            return
-        if self.backend == "process":
-            self._flush_registrations()
-            self._workers[slice_id].call("apply", ops)
-        else:
-            self.slices[slice_id].apply(ops)
-
     def warm(self) -> None:
-        if self.backend == "process":
-            self._flush_registrations()
-            for worker in self._workers:
-                worker.send("warm")
-            for worker in self._workers:
-                worker.recv()
-            return
-        for matcher_slice in self.slices:
-            matcher_slice.warm()
+        self._fan_out("warm")
 
     # -- topology ----------------------------------------------------------
 
@@ -545,15 +548,7 @@ class MatcherCluster:
         new_id = self.n_slices
         self.table.add_slice()
         self._estimated_bytes.append(0)
-        if self.backend == "process":
-            self._workers.append(_SliceWorker(
-                new_id, self.spec, self._ctx,
-                matcher_backend=self.matcher_backend))
-            self._pending.append([])
-        else:
-            self.slices.append(MatcherSlice(
-                new_id, self.spec,
-                matcher_backend=self.matcher_backend))
+        self.slices.append(self._new_slice(new_id))
         self.n_slices += 1
         self._mutations += 1
         if self._metrics is not None:
@@ -597,8 +592,6 @@ class MatcherCluster:
                         f"key not routed to slice {source}: {key!r}")
         if not keys:
             raise RoutingError(f"slice {source} has nothing to migrate")
-        if self.backend == "process":
-            self._flush_registrations()
         from repro.core.messages import encode_subscription
         entries = [self._objects[key] for key in keys]
         payload = pack_fields([
@@ -629,6 +622,12 @@ class MatcherCluster:
         bump between match batches, and the moved entries are then
         removed from the source, so no match ever sees a key in zero
         or two slices. Returns how many registrations moved.
+
+        Fail-before-flip: the target replay is acknowledged, so a dead
+        target raises :class:`RoutingError` with the ticket staged, the
+        table unflipped and the source serving every staged key;
+        :meth:`recover_slice` on the target, then completing again,
+        finishes the move.
         """
         if ticket.state != "staged":
             raise RoutingError(
@@ -644,7 +643,7 @@ class MatcherCluster:
                 "verification") from exc
         by_token = {(key[0], _subscriber_token(key[1])): key
                     for key in ticket.keys}
-        target_ops: List[Tuple[str, Subscription, object]] = []
+        target_ops: List[SliceOp] = []
         sealed_fields = unpack_fields(payload)
         if len(sealed_fields) != len(ticket.keys):
             raise RoutingError(
@@ -669,7 +668,7 @@ class MatcherCluster:
                     "unstaged key")
             op = "reg" if record.kind == "REG" else "unreg"
             target_ops.append((op,) + self._objects[key])
-        self._apply_ops(ticket.target, target_ops)
+        self.slices[ticket.target].call("apply", target_ops)
         alive = [key for key in ticket.keys
                  if self.table.slice_of(key) == ticket.source]
         self.table.flip({key: ticket.target for key in alive})
@@ -679,9 +678,8 @@ class MatcherCluster:
             moved_bytes += size
             self._estimated_bytes[ticket.source] -= size
             self._estimated_bytes[ticket.target] += size
-        self._apply_ops(ticket.source,
-                        [("unreg",) + self._objects[key]
-                         for key in alive])
+        self.slices[ticket.source].call(
+            "apply", [("unreg",) + self._objects[key] for key in alive])
         ticket.state = "completed"
         ticket.moved = len(alive)
         del self._staged_by_source[ticket.source]
@@ -771,32 +769,17 @@ class MatcherCluster:
         and WAL suffix live in the parent, so completion still works
         against the recovered member.
 
-        On the process backend the member's worker is hard-killed and
-        respawned; the replay (which already includes any registrations
-        still buffered for that slice) rebuilds its index in the fresh
-        worker.
+        The member's handle is killed and replaced; the replay, an
+        acknowledged round trip, supersedes anything the old handle
+        still buffered.
         """
         self._check_slice_id(slice_id)
-        replay = [self._objects[key]
+        replay = [("reg",) + self._objects[key]
                   for key in self.table.members(slice_id)]
         self._mutations += 1
-        if self.backend == "process":
-            self._workers[slice_id].kill()
-            replacement_worker = _SliceWorker(
-                slice_id, self.spec, self._ctx,
-                matcher_backend=self.matcher_backend)
-            self._workers[slice_id] = replacement_worker
-            self._pending[slice_id] = []  # table replay supersedes it
-            if replay:
-                replacement_worker.call("register", replay)
-            self.slices_recovered += 1
-            return len(replay)
-        replacement = MatcherSlice(
-            slice_id, self.spec,
-            matcher_backend=self.matcher_backend)
-        for subscription, subscriber in replay:
-            replacement.register(subscription, subscriber)
-        self.slices[slice_id] = replacement
+        self.slices[slice_id].kill()
+        self.slices[slice_id] = self._new_slice(slice_id)
+        self.slices[slice_id].call("apply", replay)
         self.slices_recovered += 1
         return len(replay)
 
@@ -804,43 +787,28 @@ class MatcherCluster:
 
     def match(self, event: Event) -> ClusterMatchResult:
         """Fan the publication out to every slice; union the matches."""
-        if self.backend == "process":
-            return self.match_batch([event])[0]
-        self._mutations += 1
-        subscribers: Set[object] = set()
-        latencies: List[float] = []
-        for matcher_slice in self.slices:
-            matched, elapsed = matcher_slice.match(event)
-            subscribers |= matched
-            latencies.append(elapsed)
-        return ClusterMatchResult(subscribers, latencies)
+        return self.match_batch([event])[0]
 
     def match_batch(self,
                     events: Sequence[Event]) -> List[ClusterMatchResult]:
         """Match a batch of publications against every slice.
 
-        The process backend ships the whole batch to *all* workers
-        before collecting any reply, so the slices' wall-clock work
-        overlaps; results are unioned per event in the parent. The
-        serial backend is the plain loop. Both return identical match
-        sets and identical simulated latencies.
+        The whole batch goes to *all* slices before any reply is
+        collected, so worker slices' wall-clock work overlaps; results
+        are unioned per event here. Both backends return identical
+        match sets and identical simulated latencies.
         """
         events = list(events)
         if not events:
             return []
-        if self.backend != "process":
-            return [self.match(event) for event in events]
         self._mutations += 1
-        self._flush_registrations()
-        for worker in self._workers:
-            worker.send("match", events)
-        per_worker = [worker.recv() for worker in self._workers]
+        per_slice = self._fan_out("match_batch", events)
         results: List[ClusterMatchResult] = []
         for index in range(len(events)):
             subscribers: Set[object] = set()
             latencies: List[float] = []
-            for worker_results in per_worker:
-                matched, elapsed = worker_results[index]
+            for slice_results in per_slice:
+                matched, elapsed = slice_results[index]
                 subscribers |= matched
                 latencies.append(elapsed)
             results.append(ClusterMatchResult(subscribers, latencies))
@@ -849,13 +817,13 @@ class MatcherCluster:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop worker processes (no-op for the serial backend)."""
+        """Stop every slice handle (a no-op for in-process slices)."""
         if self._closed:
             return
         self._closed = True
-        for worker in self._workers:
+        for handle in self.slices:
             try:
-                worker.stop()
+                handle.stop()
             except Exception:  # noqa: BLE001 — best-effort teardown
                 pass
 
@@ -880,21 +848,13 @@ class MatcherCluster:
     def slice_samples(self, refresh: bool = False) -> List[SliceSample]:
         """Per-slice working-set snapshot (cached until state changes).
 
-        Serial slices are read directly; process workers answer one
-        ``stats`` round-trip each. The cache key is the cluster's
-        mutation counter, so gauge snapshots that read several fields
-        of several slices cost one sampling pass, not one RPC per
-        gauge."""
+        One ``sample`` request per slice. The cache key is the
+        cluster's mutation counter, so gauge snapshots that read
+        several fields of several slices cost one sampling pass, not
+        one request per gauge."""
         if not refresh and self._samples_at == self._mutations:
             return self._samples
-        if self.backend == "process":
-            self._flush_registrations()
-            for worker in self._workers:
-                worker.send("stats")
-            raw = [worker.recv() for worker in self._workers]
-        else:
-            raw = [matcher_slice.sample()
-                   for matcher_slice in self.slices]
+        raw = self._fan_out("sample")
         self._samples = [
             SliceSample(slice_id=i, subscriptions=subs,
                         index_bytes=index_bytes, live_bytes=live,

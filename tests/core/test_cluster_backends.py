@@ -12,7 +12,7 @@ shutdown, context manager).
 
 import pytest
 
-from repro.core.cluster import MatcherCluster
+from repro.core.cluster import MatcherCluster, _LocalSlice, _SliceWorker
 from repro.errors import RoutingError
 from repro.matching.events import Event
 from repro.matching.subscriptions import Subscription
@@ -91,6 +91,58 @@ class TestBackendEquivalence:
                 process.match_batch(dataset.publications))
         finally:
             process.close()
+
+
+class TestHandleParity:
+    """A local handle and a worker handle are two places for the same
+    slice: one op script gets equal replies from both, simulated
+    latencies included."""
+
+    def test_op_script_replies_are_equal(self):
+        dataset = build_dataset("e80a1", 80, 16, seed=5)
+        pairs = [(subscription, f"c{index}") for index, subscription
+                 in enumerate(dataset.subscriptions)]
+        events = dataset.publications
+        script = [
+            ("apply", [("reg",) + pair for pair in pairs]),
+            ("sample", None),
+            ("warm", None),
+            ("match_batch", events),
+            ("apply", [("unreg",) + pair for pair in pairs[::4]]
+             + [("unreg", pairs[1][0], "never-registered")]),
+            ("sample", None),
+            ("match_batch", events),
+        ]
+        local = _LocalSlice(0, SPEC)
+        worker = _SliceWorker(0, SPEC)
+        try:
+            for op, payload in script:
+                assert local.call(op, payload) == \
+                    worker.call(op, payload)
+            # buffered writes land before the next request on both
+            rejoin = [("reg",) + pair for pair in pairs[::4]]
+            local.apply(rejoin)
+            worker.apply(rejoin)
+            assert local.call("match_batch", events) == \
+                worker.call("match_batch", events)
+            for handle in (local, worker):
+                with pytest.raises(RoutingError):
+                    handle.call("no-such-op")
+            # the worker replied with the error and kept serving
+            assert local.call("sample") == worker.call("sample")
+        finally:
+            worker.stop()
+
+    def test_slices_is_the_handle_list_on_both_backends(self):
+        for backend, handle_type in (("serial", _LocalSlice),
+                                     ("process", _SliceWorker)):
+            with MatcherCluster(2, spec=SPEC, backend=backend) as cluster:
+                assert [type(handle) for handle in cluster.slices] == \
+                    [handle_type] * 2
+                cluster.add_slice()
+                cluster.recover_slice(0)
+                assert [type(handle) for handle in cluster.slices] == \
+                    [handle_type] * 3
 
 
 class TestColumnarSlices:
@@ -214,7 +266,7 @@ class TestWorkerTeardownIdempotency:
         process = MatcherCluster(2, spec=SPEC, backend="process")
         process.register(Subscription.parse({"x": 1}), "alice")
         process.match(Event({"x": 1}))  # flush so workers are live
-        worker = process._workers[0]
+        worker = process.slices[0]
         worker.kill()
         worker.stop()   # dead process, closed pipe: must not raise
         worker.kill()   # and the other order too
@@ -223,7 +275,7 @@ class TestWorkerTeardownIdempotency:
     def test_double_stop_and_double_kill(self):
         process = MatcherCluster(2, spec=SPEC, backend="process")
         try:
-            worker = process._workers[1]
+            worker = process.slices[1]
             worker.stop()
             worker.stop()
             worker.kill()
@@ -236,7 +288,7 @@ class TestWorkerTeardownIdempotency:
         process = MatcherCluster(2, spec=SPEC, backend="process")
         process.register(Subscription.parse({"x": 1}), "alice")
         process.match(Event({"x": 1}))
-        victim = process._workers[0]._process
+        victim = process.slices[0]._process
         victim.terminate()
         victim.join(5.0)
         process.close()

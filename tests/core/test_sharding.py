@@ -365,7 +365,7 @@ class TestCrashDuringMigration:
             table_before = {
                 key: cluster.table.slice_of(key)
                 for key in cluster.table.members(source)}
-            cluster._workers[source].kill()
+            cluster.slices[source].kill()
             replayed = cluster.recover_slice(source)
             assert replayed == len(table_before)
             # recovery must not touch the routing table
@@ -383,9 +383,37 @@ class TestCrashDuringMigration:
             n_slices=2, backend="process")
         try:
             ticket = cluster.stage_migration(0, target=1)
-            cluster._workers[ticket.target].kill()
+            cluster.slices[ticket.target].kill()
             cluster.recover_slice(ticket.target)
             cluster.complete_migration(ticket)
+            _assert_matches_reference(cluster, reference,
+                                      dataset.publications)
+        finally:
+            cluster.close()
+
+    def test_dead_target_fails_before_the_flip(self):
+        """The target replay is acknowledged, not buffered: completing
+        onto a dead target raises with the ticket still staged, the
+        table unflipped and the source serving every staged key; after
+        recovering the target the same ticket completes exactly."""
+        cluster, reference, dataset = _registered_cluster(
+            n_slices=2, backend="process")
+        try:
+            ticket = cluster.stage_migration(0, target=1)
+            version = cluster.table.version
+            cluster.slices[ticket.target].kill()
+            with pytest.raises(RoutingError):
+                cluster.complete_migration(ticket)
+            assert ticket.state == "staged"
+            assert cluster.table.version == version
+            assert all(cluster.table.slice_of(key) == ticket.source
+                       for key in ticket.keys)
+            cluster.recover_slice(ticket.target)
+            _assert_matches_reference(cluster, reference,
+                                      dataset.publications)
+            assert cluster.complete_migration(ticket) == \
+                len(ticket.keys)
+            assert cluster.table.version == version + 1
             _assert_matches_reference(cluster, reference,
                                       dataset.publications)
         finally:
@@ -405,7 +433,7 @@ class TestCrashDuringMigration:
                 source = sources[schedule.pick(len(sources))]
                 ticket = cluster.stage_migration(source)
                 victim = schedule.pick(cluster.n_slices)
-                cluster._workers[victim].kill()
+                cluster.slices[victim].kill()
                 cluster.recover_slice(victim)
                 cluster.complete_migration(ticket)
                 assert cluster.n_subscriptions == \
