@@ -1,7 +1,8 @@
 """Micro-benchmarks A3: primitive costs (real wall-clock).
 
-pytest-benchmark timings of the from-scratch crypto (§3.5's building
-blocks) and of the simulated enclave transition. These are the only
+pytest-benchmark timings of the crypto (§3.5's building blocks: AES
+through OpenSSL, RSA from scratch) and of the simulated enclave
+transition. These are the only
 benchmarks whose absolute numbers are meant as real wall-clock — they
 characterise this reproduction's substrate, not the paper's hardware.
 """

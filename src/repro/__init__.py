@@ -2,7 +2,7 @@
 
 Reproduction of Pires, Pasin, Felber, Fetzer — "Secure Content-Based
 Routing Using Intel Software Guard Extensions", ACM Middleware 2016 —
-as a pure-Python library with a simulated SGX platform (no SGX silicon
+as a Python library with a simulated SGX platform (no SGX silicon
 required; see DESIGN.md for the substitution rationale).
 
 Quickstart::

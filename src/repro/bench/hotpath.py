@@ -9,15 +9,10 @@ perf overhaul targets —
   production :class:`repro.crypto.ctr.AesCtr`;
 * ``reference_aes_ctr_mbps`` — the same workload through the pinned
   pure-loop :class:`repro.crypto.reference.ReferenceAesCtr`, so the
-  speedup of the T-table data plane is measured in-process and cannot
+  speedup of the OpenSSL binding is measured in-process and cannot
   drift with hardware;
-* ``cmac_mbps`` — AES-CMAC tag throughput, one message at a time (the
-  word loop ``open`` / ``tag`` / ``verify`` run);
-* ``cmac_batch_mbps`` — the same MAC over a batch of
-  ``_CMAC_LANES`` x 1 KiB messages through
-  :meth:`~repro.crypto.cmac.AesCmac.verify_many`, one lane of the AES
-  batch kernel per message (what ``open_many`` runs);
-  ``cmac_batch_vs_single`` is the in-process ratio of the two;
+* ``cmac_mbps`` — AES-CMAC tag throughput, one message at a time (what
+  ``open`` / ``open_many`` / ``tag`` / ``verify`` run);
 * ``envelopes_per_s`` — end-to-end batched publications through a
   provisioned :class:`~repro.core.engine.ScbrEnclaveLibrary`
   (``match_publications`` ecall: CMAC verify, CTR decrypt, header
@@ -51,10 +46,8 @@ the same file*:
 CI's ``hotpath-smoke`` job runs the reduced suite with
 ``--require-aes-vs-reference`` as an absolute in-process gate: the
 production CTR path must beat the pinned reference regardless of what
-the committed record says. ``--require-cmac-batch-vs-single`` gates the
-lane-parallel CMAC against the word loop the same way, and
-``--require-llc-batch-vs-line`` the cache model's all-hit batch path
-against per-line calls.
+the committed record says. ``--require-llc-batch-vs-line`` gates the
+cache model's all-hit batch path against per-line calls the same way.
 """
 
 from __future__ import annotations
@@ -133,26 +126,6 @@ def _bench_cmac(total_bytes: int, chunk_bytes: int = 4 * 1024,
         mac.tag(chunk)
     elapsed = time.perf_counter() - start
     return _mbps(n_chunks * len(chunk), elapsed)
-
-
-#: Lanes of the batched CMAC leg: one ``IngressTier`` batch.
-_CMAC_LANES = 32
-
-
-def _bench_cmac_batch(total_bytes: int, message_bytes: int = 1024
-                      ) -> float:
-    """MB/s of ``verify_many`` over batches of ``_CMAC_LANES`` messages."""
-    mac = AesCmac(_KEY)
-    messages = [bytes([lane]) * message_bytes
-                for lane in range(_CMAC_LANES)]
-    tags = mac.tag_many(messages)  # also pays the lane-key warm-up
-    batch_bytes = _CMAC_LANES * message_bytes
-    n_batches = max(1, total_bytes // batch_bytes)
-    start = time.perf_counter()
-    for _ in range(n_batches):
-        mac.verify_many(messages, tags)
-    elapsed = time.perf_counter() - start
-    return _mbps(n_batches * batch_bytes, elapsed)
 
 
 def _bench_envelopes(n_subscriptions: int, n_envelopes: int,
@@ -339,7 +312,6 @@ def run_hotpath_bench(reduced: bool = False,
         "reference_aes_ctr_mbps": _bench_ctr(ref_bytes,
                                              reference=True),
         "cmac_mbps": _bench_cmac(cmac_bytes),
-        "cmac_batch_mbps": _bench_cmac_batch(8 * cmac_bytes),
     }
     measurements.update(_bench_envelopes(n_subs, n_env, batch))
     measurements.update(_bench_matcher(m_subs, m_events,
@@ -349,9 +321,6 @@ def run_hotpath_bench(reduced: bool = False,
         measurements["aes_ctr_mbps"]
         / measurements["reference_aes_ctr_mbps"], 3) \
         if measurements["reference_aes_ctr_mbps"] > 0 else 0.0
-    measurements["cmac_batch_vs_single"] = round(
-        measurements["cmac_batch_mbps"] / measurements["cmac_mbps"], 3) \
-        if measurements["cmac_mbps"] > 0 else 0.0
     return measurements
 
 
@@ -431,11 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fail unless AesCtr is at least X times "
                              "faster than the pinned reference "
                              "(in-process gate, CI)")
-    parser.add_argument("--require-cmac-batch-vs-single", type=float,
-                        default=0.0, metavar="R",
-                        help="fail unless verify_many over 32 x 1 KiB "
-                             "lanes is at least R times the MB/s of "
-                             "one-message CMAC (in-process gate, CI)")
     parser.add_argument("--require-llc-batch-vs-line", type=float,
                         default=0.0, metavar="R",
                         help="fail unless the cache model's batch "
@@ -482,13 +446,6 @@ def run(args: argparse.Namespace) -> int:
         failures.append(
             f"AesCtr is only {ratio:.2f}x the pinned reference "
             f"(required {args.require_aes_vs_reference:.2f}x)")
-    cmac_ratio = measurements.get("cmac_batch_vs_single", 0.0)
-    if args.require_cmac_batch_vs_single and \
-            cmac_ratio < args.require_cmac_batch_vs_single:
-        failures.append(
-            f"lane-parallel CMAC is only {cmac_ratio:.2f}x the "
-            f"one-message word loop (required "
-            f"{args.require_cmac_batch_vs_single:.2f}x)")
     llc_ratio = measurements.get("llc_batch_vs_line", 0.0)
     if args.require_llc_batch_vs_line and \
             llc_ratio < args.require_llc_batch_vs_line:

@@ -20,7 +20,7 @@ import math
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.encoding import (b64decode, b64encode, pack_fields,
                                    unpack_fields)
@@ -247,37 +247,20 @@ class SecureChannel:
         Semantically a loop of :meth:`open`: the first envelope, in
         batch order, that is malformed or fails its tag raises what
         :meth:`open` would have raised for it, before anything is
-        returned. A batch of one *is* :meth:`open`. From two envelopes
-        up the work is laid out by stage instead: every envelope is
-        parsed, then all CMACs are checked in one
-        :meth:`~repro.crypto.cmac.AesCmac.verify_many` — the CBC-MAC
-        chains run side by side, one lane of the AES batch kernel per
-        envelope, where the kernel beats the word loop :meth:`open`
-        uses — and the CTR decryptions run through one
+        returned. The work is laid out by stage: every envelope is
+        parsed and its tag checked, in batch order, and only then do
+        the CTR decryptions run, through one
         :meth:`~repro.crypto.ctr.AesCtr.process_many`. This is what
         the engine's ``match_publications`` ecall rides.
         """
-        if len(blobs) == 1:
-            return [self.open(blobs[0])]
-        messages: List[bytes] = []
-        tags: List[bytes] = []
+        verify = self._mac.verify
         pairs: List[Tuple[bytes, bytes]] = []
         aads: List[bytes] = []
-        malformed: Optional[CryptoError] = None
         for blob in blobs:
-            try:
-                nonce, ciphertext, tag, aad = self._fields(blob)
-            except CryptoError as exc:
-                malformed = exc
-                break
-            messages.append(nonce + aad + ciphertext)
-            tags.append(tag)
+            nonce, ciphertext, tag, aad = self._fields(blob)
+            verify(nonce + aad + ciphertext, tag)
             pairs.append((nonce, ciphertext))
             aads.append(aad)
-        # A bad tag ahead of the malformed envelope fails first.
-        self._mac.verify_many(messages, tags)
-        if malformed is not None:
-            raise malformed
         return list(zip(self._ctr.process_many(pairs), aads))
 
 

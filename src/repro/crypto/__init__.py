@@ -1,9 +1,10 @@
-"""Cryptographic substrate for SCBR, implemented from scratch.
+"""Cryptographic substrate for SCBR.
 
 The paper (s3.5) uses AES-CTR for symmetric encryption (Crypto++ outside
 the enclave, Intel SDK crypto inside) and RSA for the client-to-provider
 registration path. This package provides those primitives plus the MACs
-and KDFs the simulated SGX platform needs.
+and KDFs the simulated SGX platform needs: AES runs in OpenSSL's
+libcrypto (:mod:`repro.crypto.aes`), RSA is implemented from scratch.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE, xor_bytes

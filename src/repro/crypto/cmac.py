@@ -9,18 +9,16 @@ implementation, as does the authenticated envelope in
 from __future__ import annotations
 
 import hmac
-from struct import Struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
-from repro.crypto.aes import (AES, BLOCK_SIZE, MAX_LANES, _pack_lanes,
-                              _unpack_lanes, xor_bytes)
+from repro.crypto.aes import BLOCK_SIZE, EvpCipher, xor_bytes
 from repro.errors import AuthenticationError, CryptoError
 
 __all__ = ["AesCmac", "cmac", "cmac_verify"]
 
 _RB = 0x87  # constant for 128-bit block size subkey derivation
 
-_PACK4 = Struct(">4I")
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
 def _left_shift_one(block: bytes) -> bytes:
@@ -34,8 +32,9 @@ class AesCmac:
     """CMAC tag generation/verification bound to one AES key."""
 
     def __init__(self, key: bytes) -> None:
-        self._aes = AES(key)
-        zero = self._aes.encrypt_block(bytes(BLOCK_SIZE))
+        self._cbc = EvpCipher("cbc", key)
+        # One CBC block under a zero IV is the block cipher itself.
+        zero = self._cbc.run(_ZERO_BLOCK, _ZERO_BLOCK)
         k1 = _left_shift_one(zero)
         if zero[0] & 0x80:
             k1 = k1[:-1] + bytes([k1[-1] ^ _RB])
@@ -57,95 +56,23 @@ class AesCmac:
         return n_blocks - 1, xor_bytes(message[-BLOCK_SIZE:], self._k1)
 
     def tag(self, message: bytes) -> bytes:
-        """Compute the 16-byte CMAC tag of ``message``."""
-        full_blocks, last = self._split_last(message)
+        """Compute the 16-byte CMAC tag of ``message``.
 
-        # The CBC-MAC chain stays in 32-bit words end to end: one
-        # unpack per message block, no intermediate bytes objects.
-        encrypt = self._aes._encrypt_words
-        unpack_from = _PACK4.unpack_from
-        s0 = s1 = s2 = s3 = 0
-        for i in range(full_blocks):
-            b0, b1, b2, b3 = unpack_from(message, i * BLOCK_SIZE)
-            s0, s1, s2, s3 = encrypt(s0 ^ b0, s1 ^ b1,
-                                     s2 ^ b2, s3 ^ b3)
-        b0, b1, b2, b3 = _PACK4.unpack(last)
-        return _PACK4.pack(*encrypt(s0 ^ b0, s1 ^ b1,
-                                    s2 ^ b2, s3 ^ b3))
-
-    def tag_many(self, messages: Sequence[bytes]) -> List[bytes]:
-        """The tags of many messages, ``[tag(m) for m in messages]``.
-
-        A CBC-MAC chain is sequential within a message, but the chains
-        of different messages are independent, so two or more run side
-        by side: message *j* is lane *j* of the AES batch kernel
-        (:meth:`~repro.crypto.aes.AES._encrypt_lanes`), step *i* XORs
-        block *i* of every lane into the batch state and encrypts all
-        lanes in one kernel call. A lane's RFC 4493 final block sits at
-        that lane's own last step and its tag is read there; the lane
-        then idles (its later blocks are zero and its state is never
-        read again) so the batch keeps one width for its longest
-        message. A single message — where the kernel is slower than the
-        word loop — goes through :meth:`tag`.
+        The CBC-MAC chain is one AES-CBC run under a zero IV over the
+        leading full blocks and the final block; the tag is its last
+        ciphertext block.
         """
-        tags: List[bytes] = []
-        for start in range(0, len(messages), MAX_LANES):
-            window = messages[start:start + MAX_LANES]
-            if len(window) < 2:
-                tags.extend(self.tag(message) for message in window)
-            else:
-                tags.extend(self._tag_lanes(window))
-        return tags
-
-    def _tag_lanes(self, messages: Sequence[bytes]) -> List[bytes]:
-        n = len(messages)
-        lanes: List[bytes] = []
-        finishing: Dict[int, List[int]] = {}
-        for lane, message in enumerate(messages):
-            full_blocks, last = self._split_last(message)
-            lanes.append(message[:full_blocks * BLOCK_SIZE] + last)
-            finishing.setdefault(full_blocks, []).append(lane)
-        stride = (max(finishing) + 1) * BLOCK_SIZE
-        buffer = b"".join([lane.ljust(stride, b"\x00") for lane in lanes])
-
-        encrypt = self._aes._encrypt_lanes
-        tags: List[bytes] = [b""] * n
-        state = 0
-        for offset in range(0, stride, BLOCK_SIZE):
-            state = encrypt(state ^ _pack_lanes(buffer, offset, stride), n)
-            finished = finishing.get(offset // BLOCK_SIZE)
-            if finished:
-                blocks = _unpack_lanes(state, n)
-                for lane in finished:
-                    tags[lane] = blocks[lane * BLOCK_SIZE:
-                                        (lane + 1) * BLOCK_SIZE]
-        return tags
-
-    @staticmethod
-    def _check(expected: bytes, tag: bytes) -> None:
-        if len(tag) != BLOCK_SIZE:
-            raise CryptoError(f"CMAC tag must be 16 bytes, got {len(tag)}")
-        if not hmac.compare_digest(expected, tag):
-            raise AuthenticationError("CMAC verification failed")
+        full_blocks, last = self._split_last(message)
+        return self._cbc.run(
+            _ZERO_BLOCK,
+            message[:full_blocks * BLOCK_SIZE] + last)[-BLOCK_SIZE:]
 
     def verify(self, message: bytes, tag: bytes) -> None:
         """Raise :class:`AuthenticationError` unless ``tag`` is valid."""
-        self._check(self.tag(message), tag)
-
-    def verify_many(self, messages: Sequence[bytes],
-                    tags: Sequence[bytes]) -> None:
-        """:meth:`verify` every ``(message, tag)`` pair, in order.
-
-        Raises what a loop of :meth:`verify` would have raised — the
-        first failing pair decides, a mis-sized tag as
-        :class:`CryptoError`, a wrong one as
-        :class:`AuthenticationError` — but computes the tags through
-        :meth:`tag_many`.
-        """
-        if len(messages) != len(tags):
-            raise CryptoError("verify_many needs one tag per message")
-        for expected, tag in zip(self.tag_many(messages), tags):
-            self._check(expected, tag)
+        if len(tag) != BLOCK_SIZE:
+            raise CryptoError(f"CMAC tag must be 16 bytes, got {len(tag)}")
+        if not hmac.compare_digest(self.tag(message), tag):
+            raise AuthenticationError("CMAC verification failed")
 
 
 def cmac(key: bytes, message: bytes) -> bytes:

@@ -6,11 +6,10 @@ CTR turns the AES block cipher into a stream cipher, so encryption and
 decryption are the same operation and no padding is needed.
 
 The nonce handling mirrors common practice (and the Intel SDK's
-``sgx_aes_ctr_encrypt``): a 16-byte initial counter block whose low bits
-are incremented per block, big-endian — here the counter is a plain
-128-bit integer, the whole keystream is generated up front by the block
-cipher's :meth:`~repro.crypto.aes.AES.ctr_keystream`, and the XOR is a
-single big-integer operation instead of a per-byte loop.
+``sgx_aes_ctr_encrypt``): a 16-byte initial counter block, incremented
+per block as one big-endian 128-bit integer that wraps mod 2^128. A
+call is one IV reset and one update of an OpenSSL CTR context
+(:class:`~repro.crypto.aes.EvpCipher`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import secrets
 from typing import List, Sequence, Tuple
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.aes import EvpCipher
 from repro.errors import CryptoError
 
 __all__ = ["AesCtr", "ctr_encrypt", "ctr_decrypt"]
@@ -36,52 +35,23 @@ class AesCtr:
     b'attack at dawn'
     """
 
-    __slots__ = ("_aes",)
+    __slots__ = ("_cipher",)
 
     def __init__(self, key: bytes) -> None:
-        self._aes = AES(key)
+        self._cipher = EvpCipher("ctr", key)
 
     def process(self, nonce: bytes, data: bytes) -> bytes:
         """Encrypt or decrypt ``data`` under the given initial counter."""
-        if len(nonce) != NONCE_SIZE:
-            raise CryptoError(
-                f"CTR nonce must be {NONCE_SIZE} bytes, got {len(nonce)}"
-            )
-        n = len(data)
-        if not n:
-            return b""
-        n_blocks = -(-n // BLOCK_SIZE)
-        keystream = self._aes.ctr_keystream(
-            int.from_bytes(nonce, "big"), n_blocks)
-        return (int.from_bytes(data, "big")
-                ^ int.from_bytes(keystream[:n], "big")).to_bytes(n, "big")
+        return self._cipher.run(nonce, data)
 
     def process_many(self, pairs: Sequence[Tuple[bytes, bytes]]
                      ) -> List[bytes]:
         """Apply :meth:`process` to many ``(nonce, data)`` pairs.
 
-        The batched entry point the engine's envelope path uses: one
-        call sites the whole batch's keystream generation behind a
-        single attribute-resolved hot loop.
+        The batched entry point the engine's envelope path uses.
         """
-        keystream = self._aes.ctr_keystream
-        out: List[bytes] = []
-        for nonce, data in pairs:
-            if len(nonce) != NONCE_SIZE:
-                raise CryptoError(
-                    f"CTR nonce must be {NONCE_SIZE} bytes, "
-                    f"got {len(nonce)}"
-                )
-            n = len(data)
-            if not n:
-                out.append(b"")
-                continue
-            ks = keystream(int.from_bytes(nonce, "big"),
-                           -(-n // BLOCK_SIZE))
-            out.append((int.from_bytes(data, "big")
-                        ^ int.from_bytes(ks[:n], "big"))
-                       .to_bytes(n, "big"))
-        return out
+        run = self._cipher.run
+        return [run(nonce, data) for nonce, data in pairs]
 
     def encrypt_with_fresh_nonce(self, data: bytes) -> bytes:
         """Encrypt under a random nonce; returns ``nonce || ciphertext``."""

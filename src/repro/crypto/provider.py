@@ -1,9 +1,9 @@
 """Per-key cached crypto transforms shared by all hot paths.
 
-Constructing :class:`~repro.crypto.aes.AES` runs the FIPS-197 key
-expansion plus the inverse-schedule transform, and
-:class:`~repro.crypto.cmac.AesCmac` additionally derives its two
-subkeys. The engine's envelope path, sealing, the recovery WAL's
+Constructing :class:`~repro.crypto.ctr.AesCtr` or
+:class:`~repro.crypto.cmac.AesCmac` allocates and keys an OpenSSL
+cipher context (the key expansion), and the CMAC additionally derives
+its two subkeys. The engine's envelope path, sealing, the recovery WAL's
 record chaining and the overlay advert channel all re-key with the
 *same* long-lived keys over and over — the SK provisioned once per
 enclave, the platform's sealing and report keys, a checkpoint chain
@@ -24,22 +24,20 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, TypeVar
 
-from repro.crypto.aes import AES
 from repro.crypto.cmac import AesCmac
 from repro.crypto.ctr import AesCtr
 
-__all__ = ["aes_for_key", "ctr_for_key", "cmac_for_key",
+__all__ = ["ctr_for_key", "cmac_for_key",
            "clear_key_cache", "CACHE_CAPACITY"]
 
 #: Per-transform cache bound. Generous for long-lived keys (one SK per
 #: provider, a handful of platform keys) while keeping the worst case —
 #: a stream of single-use hybrid content keys — at a few hundred small
-#: objects.
+#: objects. An evicted transform's cipher context is freed with it.
 CACHE_CAPACITY = 256
 
 _T = TypeVar("_T")
 
-_aes_cache: "OrderedDict[bytes, AES]" = OrderedDict()
 _ctr_cache: "OrderedDict[bytes, AesCtr]" = OrderedDict()
 _cmac_cache: "OrderedDict[bytes, AesCmac]" = OrderedDict()
 
@@ -58,11 +56,6 @@ def _lookup(cache: "OrderedDict[bytes, _T]", key: bytes,
     return entry
 
 
-def aes_for_key(key: bytes) -> AES:
-    """The cached block cipher for ``key`` (expanded schedule reused)."""
-    return _lookup(_aes_cache, key, AES)
-
-
 def ctr_for_key(key: bytes) -> AesCtr:
     """The cached CTR transform for ``key``."""
     return _lookup(_ctr_cache, key, AesCtr)
@@ -75,6 +68,5 @@ def cmac_for_key(key: bytes) -> AesCmac:
 
 def clear_key_cache() -> None:
     """Drop every cached transform (tests; never required for safety)."""
-    _aes_cache.clear()
     _ctr_cache.clear()
     _cmac_cache.clear()

@@ -211,44 +211,29 @@ class WriteAheadLog:
         log._anchor_tag = anchor_tag
         prev_tag = anchor_tag
         expected_seq = pruned_through + 1
-        # Parse first, verify after: a record's body holds the *stored*
-        # previous tag, so the chain links are independent messages and
-        # ``tag_many`` runs their CMACs side by side.
-        records: List[WalRecord] = []
-        torn = False
-        gap: Optional[WalError] = None
+        mac = cmac_for_key(chain_key)
         while offset < len(data):
             parsed = cls._parse_record(data, offset)
             if parsed is None:
                 # Torn tail: drop the partial record and stop.
-                torn = True
+                log.torn_tail_drops += 1
                 break
             record, offset = parsed
-            if record.seq != expected_seq + len(records):
-                gap = WalError(
-                    f"WAL sequence gap: expected "
-                    f"{expected_seq + len(records)}, found {record.seq}")
-                break
-            records.append(record)
-        links = [anchor_tag] + [record.tag for record in records[:-1]]
-        expected = cmac_for_key(chain_key).tag_many([
-            cls._chain_body(link, record.seq, record.kind, record.frame)
-            for link, record in zip(links, records)])
-        for record, tag in zip(records, expected):
-            if not hmac.compare_digest(tag, record.tag):
+            if record.seq != expected_seq:
+                raise WalError(
+                    f"WAL sequence gap: expected {expected_seq}, "
+                    f"found {record.seq}")
+            expected = mac.tag(cls._chain_body(prev_tag, record.seq,
+                                               record.kind, record.frame))
+            if not hmac.compare_digest(expected, record.tag):
                 # A record whose body or tag was damaged in place: the
                 # chain is broken here, so nothing after it can be
-                # trusted either — same treatment as a torn tail, and
-                # replay never gets to whatever ended the parse.
-                torn, gap = True, None
+                # trusted either — same treatment as a torn tail.
+                log.torn_tail_drops += 1
                 break
             log._records.append(record)
             prev_tag = record.tag
             expected_seq += 1
-        if gap is not None:
-            raise gap
-        if torn:
-            log.torn_tail_drops += 1
         log._next_seq = expected_seq
         log._last_tag = prev_tag
         return log

@@ -8,6 +8,7 @@ the seeded demos print, byte for byte, what the commit before the
 multicast printed (``fixtures/``, recorded from that commit).
 """
 
+import gc
 import sys
 from pathlib import Path
 
@@ -43,7 +44,9 @@ def fabric(vendor_key):
 
 def python_calls(function, *args):
     """Python-level ``call`` events (C calls are ``c_call``) of one
-    invocation, ``function``'s own frame included."""
+    invocation, ``function``'s own frame included. The cyclic collector
+    is off meanwhile: a collection would count the finalizers of
+    whatever earlier tests left behind."""
     calls = 0
 
     def profiler(_frame, event, _arg):
@@ -52,11 +55,15 @@ def python_calls(function, *args):
             calls += 1
 
     previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function(*args)
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls
 
 

@@ -32,15 +32,6 @@ class TestRfc4493Vectors:
         assert cmac(KEY, MSG).hex() == \
             "51f0bebf7e3b9d92fc49741779363cfe"
 
-    def test_all_four_as_one_batch(self):
-        """One lane per vector: each finishes at its own step."""
-        tags = AesCmac(KEY).tag_many([b"", MSG[:16], MSG[:20], MSG])
-        assert [tag.hex() for tag in tags] == [
-            "bb1d6929e95937287fa37d129b756746",
-            "070a16b46b4d4144f79bdd9dd04a287c",
-            "7d85449ea6ea19c823a7bf78837dfade",
-            "51f0bebf7e3b9d92fc49741779363cfe"]
-
 
 class TestVerify:
 
@@ -78,38 +69,3 @@ class TestVerify:
         if a == b:
             return
         assert cmac(KEY, a) != cmac(KEY, b)
-
-
-class TestVerifyMany:
-    """``verify_many`` raises what a loop of ``verify`` would."""
-
-    MESSAGES = [b"", b"a" * 16, b"b" * 40, MSG]
-
-    def test_accepts_own_tags(self):
-        mac = AesCmac(KEY)
-        mac.verify_many(self.MESSAGES, mac.tag_many(self.MESSAGES))
-        mac.verify_many([], [])
-
-    @pytest.mark.parametrize("lane", range(4))
-    def test_one_bad_lane_fails(self, lane):
-        mac = AesCmac(KEY)
-        tags = mac.tag_many(self.MESSAGES)
-        tags[lane] = bytes([tags[lane][0] ^ 1]) + tags[lane][1:]
-        with pytest.raises(AuthenticationError):
-            mac.verify_many(self.MESSAGES, tags)
-
-    def test_first_failure_in_order_decides(self):
-        mac = AesCmac(KEY)
-        tags = mac.tag_many(self.MESSAGES)
-        wrong, short = bytes(16), tags[2][:15]
-        with pytest.raises(CryptoError) as caught:
-            mac.verify_many(self.MESSAGES,
-                            [tags[0], short, wrong, tags[3]])
-        assert not isinstance(caught.value, AuthenticationError)
-        with pytest.raises(AuthenticationError):
-            mac.verify_many(self.MESSAGES,
-                            [tags[0], wrong, short, tags[3]])
-
-    def test_needs_one_tag_per_message(self):
-        with pytest.raises(CryptoError):
-            AesCmac(KEY).verify_many(self.MESSAGES, [bytes(16)] * 3)

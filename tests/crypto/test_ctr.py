@@ -72,6 +72,9 @@ class TestErrors:
     def test_bad_nonce_length(self):
         with pytest.raises(CryptoError):
             AesCtr(b"k" * 16).process(b"short", b"data")
+        with pytest.raises(CryptoError):
+            AesCtr(b"k" * 16).process_many([(bytes(16), b"a"),
+                                            (bytes(17), b"")])
 
     def test_truncated_prefixed_blob(self):
         with pytest.raises(CryptoError):

@@ -1,28 +1,25 @@
-"""Extended KATs and old-vs-new differential fuzzing.
+"""Extended KATs and differential tests against the pinned reference.
 
-The optimized data plane (T-table AES, the whole-state batch kernel
-under CTR and lane-parallel CMAC, word-state CMAC) must be byte-for-byte the same function as the pinned pre-PR
-reference implementations in :mod:`repro.crypto.reference`. This module
-holds the two gates:
+The OpenSSL-backed modes (ECB blocks, CTR, CMAC over one CBC run) must
+be byte-for-byte the same functions as the pure-Python reference
+implementations in :mod:`repro.crypto.reference`. This module holds the
+two gates:
 
 * NIST known-answer vectors beyond the basics already in
   ``test_aes.py`` / ``test_ctr.py`` / ``test_cmac.py``: FIPS-197
   decrypt for 192/256-bit keys, SP 800-38A CTR-AES192/256 (F.5.3,
   F.5.5) and SP 800-38B CMAC examples for AES-192/256.
-* A seeded differential fuzz (1000+ cases) driving the optimized and
-  reference implementations through identical inputs — all key sizes,
-  CTR lengths straddling the batch-kernel threshold, a counter-wrap
-  case near 2^128, the kernel lane by lane against ``encrypt_block``
-  and ``tag_many`` over ragged batches.
+* Seeded differential tests driving the production and reference
+  implementations through identical inputs — all key sizes, every CTR
+  length up to 1,100 bytes, counters that wrap past 2^128, and CMAC on
+  empty, whole-block and partial-block messages.
 """
 
 import random
 
 import pytest
 
-from repro.crypto.aes import (AES, BLOCK_SIZE, MAX_LANES,
-                              _SLICE_THRESHOLD, _pack_lanes,
-                              _unpack_lanes)
+from repro.crypto.aes import AES, BLOCK_SIZE
 from repro.crypto.cmac import AesCmac
 from repro.crypto.ctr import AesCtr
 from repro.crypto.reference import (ReferenceAES, ReferenceAesCmac,
@@ -115,11 +112,11 @@ class TestCmacLargerKeys:
 
 
 class TestDifferentialFuzz:
-    """Old-vs-new equivalence over >=1000 seeded random cases.
+    """Equivalence with the reference over >=1000 seeded random cases.
 
-    The reference classes are the pinned pre-optimization per-byte
-    implementations; any divergence here means the fast path is not
-    AES/CTR/CMAC any more and fails the PR's byte-exactness gate.
+    The reference classes are the pinned per-byte implementations; any
+    divergence here means the production path is not AES/CTR/CMAC any
+    more.
     """
 
     def test_block_cipher_differential(self):
@@ -133,36 +130,16 @@ class TestDifferentialFuzz:
             assert fast.decrypt_block(ct_fast) == block
             assert slow.decrypt_block(ct_fast) == block
 
-    def test_ctr_differential_both_paths(self):
-        rng = random.Random(0xC72)
-        # Lengths straddle the batch-kernel threshold so both keystream
-        # code paths (per-block word loop and batch kernel) are
-        # exercised against the reference.
-        word_loop_max = (_SLICE_THRESHOLD - 1) * BLOCK_SIZE
-        lengths = [0, 1, 15, 16, 17, word_loop_max,
-                   word_loop_max + 1, _SLICE_THRESHOLD * BLOCK_SIZE,
-                   1000, 4096]
-        for _case in range(40):
-            key = rng.randbytes(rng.choice([16, 24, 32]))
-            fast, slow = AesCtr(key), ReferenceAesCtr(key)
-            for n in lengths:  # 40 x 10 = 400 cases
-                nonce = rng.randbytes(16)
-                data = rng.randbytes(n)
-                assert fast.process(nonce, data) == \
-                    slow.process(nonce, data)
-
     def test_ctr_counter_wrap(self):
-        """Keystreams that wrap the 128-bit counter past zero."""
+        """Nonces at 2^128 - k: the counter wraps to zero mid-stream."""
         rng = random.Random(0x88F)
-        for _case in range(20):
-            key = rng.randbytes(rng.choice([16, 24, 32]))
-            blocks_past = rng.randrange(1, 2 * _SLICE_THRESHOLD)
-            start = ((1 << 128) - blocks_past) << 0
-            nonce = start.to_bytes(16, "big")
-            data = rng.randbytes(
-                (blocks_past + _SLICE_THRESHOLD) * BLOCK_SIZE)
-            assert AesCtr(key).process(nonce, data) == \
-                ReferenceAesCtr(key).process(nonce, data)
+        for key_len in (16, 24, 32):
+            for blocks_past in (1, 2, 3, 7):
+                key = rng.randbytes(key_len)
+                nonce = ((1 << 128) - blocks_past).to_bytes(16, "big")
+                data = rng.randbytes((blocks_past + 3) * BLOCK_SIZE + 5)
+                assert AesCtr(key).process(nonce, data) == \
+                    ReferenceAesCtr(key).process(nonce, data)
 
     def test_cmac_differential(self):
         rng = random.Random(0x3AC)
@@ -172,72 +149,48 @@ class TestDifferentialFuzz:
             assert AesCmac(key).tag(message) == \
                 ReferenceAesCmac(key).tag(message)
 
-    def test_sliced_keystream_matches_word_loop(self):
-        """The two internal CTR paths agree block-for-block."""
-        rng = random.Random(0x51C)
-        for _case in range(30):
-            key = rng.randbytes(rng.choice([16, 24, 32]))
-            aes = AES(key)
-            counter = rng.getrandbits(128)
-            n_blocks = rng.randrange(_SLICE_THRESHOLD, 2 * MAX_LANES)
-            sliced = aes._ctr_keystream_sliced(counter, n_blocks)
-            per_block = b"".join(
-                aes.encrypt_block(
-                    ((counter + i) & ((1 << 128) - 1)).to_bytes(
-                        16, "big"))
-                for i in range(n_blocks))
-            assert sliced == per_block
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 31, 32, 33, 200])
-    def test_kernel_matches_encrypt_block_lane_by_lane(self, n):
-        rng = random.Random(0x1A9E + n)
-        for key_len in (16, 24, 32):
-            aes = AES(rng.randbytes(key_len))
-            blocks = rng.randbytes(BLOCK_SIZE * n)
-            state = _pack_lanes(blocks, 0, BLOCK_SIZE)
-            assert _unpack_lanes(state, n) == blocks
-            assert _unpack_lanes(aes._encrypt_lanes(state, n), n) \
-                == b"".join(
-                    aes.encrypt_block(blocks[i:i + BLOCK_SIZE])
-                    for i in range(0, len(blocks), BLOCK_SIZE))
+KEY_LENGTHS = (16, 24, 32)
 
-    def test_lane_round_keys_are_bounded_and_per_object(self):
-        rng = random.Random(0xB0D)
-        aes = AES(rng.randbytes(16))
-        aes.encrypt_block(bytes(16))
-        aes.ctr_keystream(7, _SLICE_THRESHOLD - 1)
-        assert not aes._lane_keys and not aes._wide_keys[1]
-        for n in list(range(1, 130)) + [1, 200, 64, 2]:
-            aes._encrypt_lanes(0, n)
-        assert sorted(aes._lane_keys) == list(range(2, MAX_LANES + 1))
-        assert aes._wide_keys[0] == 200
-        # A fresh object of another key at the same widths shares none.
-        other = AES(rng.randbytes(16))
-        for n in (2, 64, 200):
-            assert other._encrypt_lanes(0, n) != aes._encrypt_lanes(0, n)
 
-    LANE_LENGTHS = (0, 1, 15, 16, 17, 31, 32, 33, 1022, 1024)
+class TestEvpAgainstReference:
+    """The OpenSSL-backed modes against the pinned pure-Python ones.
 
-    @pytest.mark.parametrize("key_len", [16, 24, 32])
-    def test_tag_many_differential(self, key_len):
-        rng = random.Random(0x7A6 + key_len)
-        key = rng.randbytes(key_len)
-        fast, slow = AesCmac(key), ReferenceAesCmac(key)
-        lengths = list(self.LANE_LENGTHS)
-        batches = [
-            [],
-            [b""],
-            [b"", rng.randbytes(1024)],           # empty beside long
-            [rng.randbytes(n) for n in lengths],  # every finishing step
-            [rng.randbytes(n) for n in reversed(lengths)],
-            [rng.randbytes(33)] * 3 + [b"", b""],  # duplicates
-            [rng.randbytes(rng.choice(lengths[:8]))
-             for _ in range(2 * MAX_LANES + 1)],  # windows of lanes + 1
-        ]
-        for _case in range(12):
-            batches.append([rng.randbytes(rng.choice(lengths))
-                            for _ in range(rng.randrange(2, 40))])
-        for batch in batches:
-            expected = [slow.tag(message) for message in batch]
-            assert fast.tag_many(batch) == expected
-            fast.verify_many(batch, expected)
+    CTR is compared at every length from 0 to ``MAX_CTR`` bytes (the
+    keystream of a prefix is the prefix of the keystream, so one
+    reference run covers them all), and CMAC on the message shapes
+    RFC 4493 treats apart: whole blocks (K1), and an empty or partial
+    last block (padded, K2).
+    """
+
+    MAX_CTR = 1100
+
+    @pytest.mark.parametrize("key_len", KEY_LENGTHS)
+    def test_ctr_every_length(self, key_len):
+        rng = random.Random(0xC72 + key_len)
+        key, nonce = rng.randbytes(key_len), rng.randbytes(16)
+        data = rng.randbytes(self.MAX_CTR)
+        expected = ReferenceAesCtr(key).process(nonce, data)
+        fast = AesCtr(key)
+        for n in range(self.MAX_CTR + 1):
+            assert fast.process(nonce, data[:n]) == expected[:n], n
+
+    @pytest.mark.parametrize("key_len", KEY_LENGTHS)
+    def test_process_many_equals_process(self, key_len):
+        rng = random.Random(0x9A1 + key_len)
+        ctr = AesCtr(rng.randbytes(key_len))
+        pairs = [(rng.randbytes(16), rng.randbytes(n))
+                 for n in (0, 1, 16, 17, 242, 1100)]
+        assert ctr.process_many(pairs) == \
+            [ctr.process(nonce, data) for nonce, data in pairs]
+
+    @pytest.mark.parametrize("key_len", KEY_LENGTHS)
+    @pytest.mark.parametrize("n_bytes", [16, 32, 64, 1024,         # K1
+                                         0, 1, 15, 17, 33, 1023])  # K2
+    def test_cmac_message_shapes(self, key_len, n_bytes):
+        rng = random.Random(0x3AC + 7 * key_len + n_bytes)
+        key, message = rng.randbytes(key_len), rng.randbytes(n_bytes)
+        mac = AesCmac(key)
+        expected = ReferenceAesCmac(key).tag(message)
+        assert mac.tag(message) == expected
+        mac.verify(message, expected)
