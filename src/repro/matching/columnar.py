@@ -1,71 +1,49 @@
 """Columnar batch matcher: attribute-indexed predicate tables.
 
-The containment forest answers one event per tree walk; profiles after
-the PR 5 crypto overhaul show that walk is now the wall-clock
-bottleneck of the whole pipeline. This module trades the per-event walk
-for a *batch* plane compiled from the registered subscription set:
+The containment forest answers one event per tree walk. This module
+trades the per-event walk for a *batch* plane compiled from the
+registered subscription set:
 
 * per attribute, the constraints of every stored subscription are
-  compiled into an :class:`_AttributeTable` — a hash bucket per
-  equality pin, an "always" list for bare ``exists`` constraints,
-  *bound arrays* for the numeric interval ops (one row per
+  placed in an :class:`_AttributeTable` as their
+  :class:`~repro.matching.predicates.ConstraintForm` says — a hash
+  bucket per pin, an "always" list for bare ``exists`` constraints,
+  *bound arrays* for the other numeric intervals (one row per
   constraint: closed float64 ``lo`` and ``hi`` columns and the slot),
-  and a residual list of compiled closures for the rare shapes
-  (exclusion sets, string wildcards, bounds float64 cannot carry);
+  and a residual list of compiled closures for the rest (exclusion
+  sets, string wildcards, bounds float64 cannot carry);
 * a batch's deficits are one ``n_events x n_slots`` grid of bytes,
   each row starting as the subscriptions' constraint counts, and the
   batch is evaluated column-wise, one pass per attribute: the batch's
-  value column meets the table's bound arrays in one vectorised
-  compare (``lo <= v`` and ``v <= hi``, an ``n_events x n_rows``
-  boolean matrix) that is subtracted from the grid's slot columns in
-  one scatter; buckets, "always" and closures decrement single bytes
-  of the same grid, per event;
+  value column (:func:`~repro.matching.predicates.encode_values`)
+  meets the table's bound arrays in one vectorised compare (``lo <=
+  v`` and ``v <= hi``, an ``n_events x n_rows`` boolean matrix) that
+  is subtracted from the grid's slot columns in one scatter; buckets,
+  "always" and closures decrement single bytes of the same grid, per
+  event;
 * a subscription matches an event exactly when its deficit reaches
   zero — every one of its constraints was satisfied by a distinct
   attribute pass — and the zero bytes of an event's row are found with
   C-speed ``bytearray.find`` scans, so emission cost is proportional
   to the matches, not to the stored set.
 
-There is one representation of a bound and one path over it — no
-sorted list beside the arrays, no per-row loop for small batches, no
-crossover constant. What that costs is numpy's fixed price per call,
-visible only where one event meets a table of a few dozen rows (about
-15 us instead of 3); at 32 events x 580 rows the pass is five times
-cheaper than the list walk it replaced (EXPERIMENTS.md, PR 23).
-
-Exactness: float64 compares are exact only between float64s, while
-headers and predicates may carry ints of any length. A bound enters
-the arrays only where its closed float64 form decides every value a
-header can carry (:func:`~repro.matching.predicates._closed_bound`),
-and goes to the closures otherwise; an event value float64 cannot hold
-is compared as its two float64 neighbours
-(:func:`~repro.matching.predicates._bracket`), never rounded to one.
-The forest's root scan follows the same rule through the same pair.
+There is one representation of a bound and one path over it, no
+crossover constant: one event against a table of a few dozen rows
+pays numpy's fixed price (measured in EXPERIMENTS.md).
 
 The poset (:class:`~repro.matching.poset.ContainmentForest`) remains
-the authoritative registration and covering structure — insertion,
-removal, covering antichains for overlay adverts, and invariants all
-live there. The plane is a *match-time* projection of it, brought up
-to date lazily by the next match after a registration change
-(:attr:`ContainmentForest.generation` moved), in one of two ways:
-
-* **by delta** — a compiled plane arms the forest's change log
-  (:meth:`ContainmentForest.record_changes`), which names the nodes
-  created and spliced out since, and replays it in place: a write
-  costs a few row appends and deletions, not a rebuild of every table;
-* **in bulk** — one :meth:`ColumnarMatchPlane._compile` from
-  ``iter_nodes()`` when the plane was never compiled (or was
-  released), when the log is missing (it overflowed its bound, or
-  another reader armed it), or when the pending changes plus the slots
-  parked by earlier removals exceed a quarter of the slots. Set-up,
-  state restore and migration replay are bulk by construction.
-
-The two agree exactly. A removed subscription's entries are *deleted*,
-never tombstoned, so every probe consults exactly the rows a fresh
-compile would hold; and a slot only *names* a subscription, so match
-sets and the ``(touched, consulted)`` work counters are invariant
-under the renaming of slots and the order of rows that separate
-an edited plane from a rebuilt one.
+the authoritative registration and covering structure. The plane is a
+*match-time* projection of it, brought up to date by the next match
+after a registration change — by replaying the forest's change log in
+place (:meth:`ColumnarMatchPlane._catch_up`: a write costs a few row
+appends and deletions), or in bulk by the same replay over every node
+of a reset plane (:meth:`ColumnarMatchPlane._compile`); see
+:meth:`ColumnarMatchPlane.ensure_compiled` for which. The two agree
+exactly: a removed subscription's entries are *deleted*, never
+tombstoned, and a slot only *names* a subscription, so match sets and
+the ``(touched, consulted)`` work counters are invariant under what
+separates an edited plane from a rebuilt one — the renaming of slots
+and the order of rows.
 
 Memory-trace fidelity: when built over an arena the plane allocates
 one column block per attribute plus one accumulator block, and traced
@@ -78,15 +56,15 @@ event) instead of the forest's pointer-chasing node touches.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import MatchingError
 from repro.matching.events import Event
-from repro.matching.poset import ContainmentForest
-from repro.matching.predicates import (_EXACT_INTS, _bracket,
-                                       _closed_interval)
+from repro.matching.poset import ContainmentForest, PosetNode
+from repro.matching.predicates import encode_values
 from repro.sgx.memory import MemoryArena
 
 __all__ = ["ColumnarMatchPlane", "MATCHER_BACKENDS",
@@ -115,13 +93,6 @@ FREE_SLOT_ARITY = 1
 BULK_SHARE = 1 / 4
 
 _INF = math.inf
-_NAN = math.nan
-
-
-def _too_wide() -> MatchingError:
-    return MatchingError(
-        f"columnar deficit bytes cap subscriptions at {MAX_CONSTRAINTS} "
-        "constraints")
 
 
 def validate_backend(backend: str) -> str:
@@ -136,25 +107,21 @@ def validate_backend(backend: str) -> str:
 class _AttributeTable:
     """Compiled constraint tables for one attribute.
 
-    Placement is decided per constraint shape (:meth:`_place`), most
-    specific first; every stored constraint lands in exactly one of:
+    Every stored constraint lands in exactly one placement, read off
+    its :class:`~repro.matching.predicates.ConstraintForm`:
 
-    * ``eq_buckets`` — single admitted value (numeric or string pin):
-      ``value -> [subscription indexes]``, an O(1) probe per event;
+    * ``eq_buckets`` — a pin (numeric or string): ``value ->
+      [subscription indexes]``, an O(1) probe per event;
     * ``always`` — bare ``exists`` constraints (satisfied by any
       present value of any type);
-    * the **bound arrays** — every other numeric interval, one row per
-      constraint in three parallel columns: ``lo`` and ``hi``
-      (float64, both *closed*: an open bound is stored as the adjacent
-      float, a missing one as ``-inf`` / ``+inf``) and ``sub`` (the
-      slot). One-sided and two-sided constraints are rows of the same
-      arrays, in no particular order, and ``sub`` holds no slot twice
-      (a subscription has one constraint per attribute);
-    * ``residual`` — compiled closures for exclusion sets and string
-      wildcards, for open bounds at an infinity, and for the bounds
-      :func:`~repro.matching.predicates._closed_bound` cannot fold
-      into a float64 (exact but
-      rare; kept off the arrays).
+    * the **bound arrays** — every other constraint with bounds, one
+      row per constraint in three parallel columns: ``lo`` and ``hi``
+      (float64, both *closed*) and ``sub`` (the slot). One-sided and
+      two-sided constraints are rows of the same arrays, in no
+      particular order, and ``sub`` holds no slot twice (a
+      subscription has one constraint per attribute);
+    * ``residual`` — compiled closures for every constraint of no
+      other form (exact but rare; kept off the arrays).
 
     Rows are placed into ``_pending`` and moved into the arrays by
     :meth:`seal` — once per compile or catch-up, so a compile builds
@@ -180,41 +147,23 @@ class _AttributeTable:
         self.address = 0
         self.size = 0
 
-    def _place(self, constraint) -> Tuple[object, object]:
-        """``(rows, key)``: where ``constraint`` is stored.
-
-        ``rows`` is ``eq_buckets`` (the bucket is ``rows[key]``),
-        ``always`` or ``residual`` (``key`` is None), or None for the
-        bound arrays, where ``key`` is the row's ``(lo, hi)``.
-        """
-        if constraint.is_equality():
-            # Satisfiability was enforced at registration, so the
-            # pinned value is never excluded and the bucket is exact.
-            return self.eq_buckets, constraint.equals \
-                if constraint.is_string else constraint.lo
-        if not constraint.is_string and not constraint.excluded:
-            if constraint.is_universal_interval():
-                return self.always, None
-            interval = _closed_interval(constraint)
-            if interval is not None:
-                return None, interval
-        return self.residual, None
-
     def add(self, constraint, sub_index: int) -> None:
         """Store one constraint; :meth:`seal` before the next probe."""
         self.n_entries += 1
-        rows, key = self._place(constraint)
-        if rows is None:
-            self._pending.append(key + (sub_index,))
-        elif rows is self.always:
-            rows.append(sub_index)
-        elif rows is self.residual:
-            rows.append((constraint.compile(), sub_index))
-        elif key in rows:
-            rows[key].append(sub_index)
+        pin, bounds, always = constraint.form
+        if pin is not None:
+            bucket = self.eq_buckets.get(pin)
+            if bucket is None:
+                self.eq_buckets[pin] = [sub_index]
+                self.n_buckets += 1
+            else:
+                bucket.append(sub_index)
+        elif always:
+            self.always.append(sub_index)
+        elif bounds is not None:
+            self._pending.append(bounds + (sub_index,))
         else:
-            rows[key] = [sub_index]
-            self.n_buckets += 1
+            self.residual.append((constraint.compile(), sub_index))
 
     def seal(self) -> None:
         """Append the pending rows to the bound arrays."""
@@ -229,8 +178,16 @@ class _AttributeTable:
         """Delete the entry :meth:`add` stored — no tombstone is left,
         so a probe consults exactly the rows a fresh compile would."""
         self.n_entries -= 1
-        rows, key = self._place(constraint)
-        if rows is None:
+        pin, bounds, always = constraint.form
+        if pin is not None:
+            bucket = self.eq_buckets[pin]
+            bucket.remove(sub_index)
+            if not bucket:
+                del self.eq_buckets[pin]
+                self.n_buckets -= 1
+        elif always:
+            self.always.remove(sub_index)
+        elif bounds is not None:
             # The arrays keep no order: the last row takes the place
             # of the one that names the slot.
             self.seal()
@@ -241,16 +198,9 @@ class _AttributeTable:
                 column[row] = column[last]
             self.lo, self.hi, self.sub = (
                 column[:last] for column in columns)
-        elif rows is self.always:
-            rows.remove(sub_index)
-        elif rows is self.residual:
-            del rows[[sub for _test, sub in rows].index(sub_index)]
         else:
-            bucket = rows[key]
-            bucket.remove(sub_index)
-            if not bucket:
-                del rows[key]
-                self.n_buckets -= 1
+            residual = self.residual
+            del residual[[sub for _test, sub in residual].index(sub_index)]
 
     def bound_slots(self) -> List[int]:
         """The slots the bound arrays name, after checking the arrays:
@@ -299,20 +249,16 @@ class _AttributeTable:
         admits the value and as touched when the upper one does too; a
         row without one is consulted only where it is satisfied (the
         counts of a bisect to the admitted prefix, resp. suffix, of a
-        list sorted by that bound). Strings and missing values ride as
-        NaN, which no compare admits; a number float64 cannot hold is
-        compared as its two float64 neighbours (:func:`_bracket`).
+        list sorted by that bound). The column is
+        :func:`~repro.matching.predicates.encode_values`'s.
         """
         n_slots = grid.shape[1]
         always, buckets, residual = \
             self.always, self.eq_buckets, self.residual
         fixed = (1 if buckets else 0) + len(residual)
         most = -1
-        column = []
-        inexact = []
         for index, value in enumerate(values):
             if value is None:
-                column.append(_NAN)
                 continue
             most = fixed
             start = index * n_slots
@@ -330,20 +276,9 @@ class _AttributeTable:
                     touched += 1
             visited[index] += touched
             consulted[index] += fixed
-            if isinstance(value, str):
-                column.append(_NAN)
-            elif -_EXACT_INTS <= value <= _EXACT_INTS:
-                column.append(value)
-            else:
-                column.append(_NAN)
-                inexact.append(index)
         if most < 0 or not len(self.sub):
             return most
-        down = up = np.array(column, dtype=np.float64)
-        if inexact:
-            up = down.copy()
-            for index in inexact:
-                down[index], up[index] = _bracket(values[index])
+        down, up = encode_values(values)
         admit = self.lo <= down[:, None]
         satisfied = admit & (up[:, None] <= self.hi)
         tests = (admit & (satisfied | (self.lo > -_INF))).sum(axis=1)
@@ -360,95 +295,58 @@ class ColumnarMatchPlane:
     (all of them at a compile, the logged ones at a catch-up) and
     keeps *references* to their live subscriber sets, so a subscriber
     joining or leaving a node that stays needs no edit at all. Column
-    blocks are allocated from ``arena``: a recompile frees and
-    re-allocates all of them, a catch-up only those of the tables
-    whose modelled size changed, so churn does not grow the modelled
-    working set either way; with no arena the plane is untraced —
-    correctness tests use it that way.
+    blocks are allocated from ``arena``: a recompile frees all of them
+    and allocates them anew, a catch-up moves only the tables whose
+    modelled size changed, so churn does not grow the modelled working
+    set either way; with no arena the plane is untraced — correctness
+    tests use it that way.
     """
 
     def __init__(self, forest: ContainmentForest,
                  arena: Optional[MemoryArena] = None) -> None:
         self.forest = forest
         self.arena = arena
-        self._compiled_generation: Optional[int] = None
         #: The forest change log :meth:`ensure_compiled` armed when it
         #: last brought the plane up to date; None before, and after
         #: :meth:`release`.
         self._changes: Optional[list] = None
-        self._tables: List[_AttributeTable] = []
-        #: Slot -> the live subscriber set of the node compiled there.
-        #: A slot is a subscription's index in every table and in the
-        #: deficit bytes; ``_free`` lists the slots of removed nodes.
-        self._subscribers: List[Set[object]] = []
-        self._arity = b""
-        self._free: List[int] = []
-        #: ``attribute -> table``: ``_tables`` by name.
-        self._table_of: Dict[str, _AttributeTable] = {}
-        #: ``id(subscriber set) -> slot``, built by the first catch-up
-        #: after a compile: a plane that is never edited never pays for
-        #: it. Every set named is kept alive by ``_subscribers``, so no
-        #: id can be recycled.
-        self._slot_of: Optional[Dict[int, int]] = None
-        #: Modelled blocks held in the arena: ``address -> size``.
         self._allocated: Dict[int, int] = {}
-        self._acc_address = 0
-        self._acc_size = 0
-        #: Write telemetry (read by tests, benchmarks and the engine's
-        #: snapshot gauges): the times :meth:`ensure_compiled` found
-        #: the plane stale and brought it up to date — an incremental
-        #: compile is a compile; how many of those rebuilt every table
-        #: from scratch; and the forest nodes the others absorbed in
-        #: place.
+        self._reset()
+        #: Write telemetry (tests, benchmarks, the engine's gauges): the
+        #: passes that brought a stale plane up to date, those of them
+        #: that were :meth:`_compile`, and the nodes the others absorbed.
         self.compilations = 0
         self.rebuilds = 0
         self.delta_nodes = 0
 
     # -- compilation -------------------------------------------------------
 
-    def _release_blocks(self) -> None:
+    def _reset(self) -> None:
+        """Return every block to the arena and drop every table."""
         if self.arena is not None:
             for address, size in self._allocated.items():
                 self.arena.free(address, size)
-        self._allocated = {}
+        #: Modelled blocks held in the arena: ``address -> size``.
+        self._allocated: Dict[int, int] = {}
+        self._tables: List[_AttributeTable] = []
+        #: ``attribute -> table``: ``_tables`` by name.
+        self._table_of: Dict[str, _AttributeTable] = {}
+        #: Slot -> the live subscriber set of the node compiled there.
+        #: A slot is a subscription's index in every table and in the
+        #: deficit bytes; ``_free`` lists the slots of removed nodes.
+        self._subscribers: List[Set[object]] = []
+        self._arity = b""
+        self._free: List[int] = []
+        #: ``node -> slot`` for every node compiled in.
+        self._slot_of: Dict[PosetNode, int] = {}
+        self._acc_address = self._acc_size = 0
+        self._compiled_generation: Optional[int] = None
 
     def _compile(self) -> None:
-        self._release_blocks()
-        tables: Dict[str, _AttributeTable] = {}
-        subscribers: List[Set[object]] = []
-        arity = bytearray()
-        for node in self.forest.iter_nodes():
-            sub_index = len(subscribers)
-            subscribers.append(node.subscribers)
-            subscription = node.subscription
-            n_constraints = subscription.n_constraints
-            if n_constraints > MAX_CONSTRAINTS:
-                raise _too_wide()
-            arity.append(n_constraints)
-            for attribute, constraint in subscription.items:
-                table = tables.get(attribute)
-                if table is None:
-                    table = tables[attribute] = \
-                        _AttributeTable(attribute)
-                table.add(constraint, sub_index)
-        for table in tables.values():
-            table.seal()
-        self._tables = list(tables.values())
-        self._table_of = tables
-        self._subscribers = subscribers
-        self._arity = bytes(arity)
-        self._free = []
-        self._slot_of = None
-        if self.arena is not None:
-            for table in self._tables:
-                table.size = table.modelled_bytes()
-                table.address = self.arena.alloc(table.size)
-                self._allocated[table.address] = table.size
-            self._acc_size = max(1, len(subscribers))
-            self._acc_address = self.arena.alloc(self._acc_size)
-            self._allocated[self._acc_address] = self._acc_size
-        self._compiled_generation = self.forest.generation
-        self.compilations += 1
+        """Rebuild every table: a catch-up of a reset plane, with every
+        node of the forest created."""
+        self._reset()
+        self._catch_up(zip(self.forest.iter_nodes(), repeat(True)))
         self.rebuilds += 1
 
     def _reallocate(self, address: int, size: int, new_size: int) -> int:
@@ -470,15 +368,9 @@ class ColumnarMatchPlane:
         node takes a free slot (or a new one) and each of its
         constraints is added to its attribute's table; a removed
         node's entries are deleted, not tombstoned, and its slot is
-        parked with an arity no pass can count down to zero.
+        parked with an arity no pass can count down to zero. An
+        exception leaves the plane half edited: the caller releases it.
         """
-        for node, created in changes:
-            if created and node.subscription.n_constraints \
-                    > MAX_CONSTRAINTS:
-                raise _too_wide()   # before any table is touched
-        if self._slot_of is None:
-            self._slot_of = {id(subscribers): slot for slot, subscribers
-                             in enumerate(self._subscribers)}
         slot_of, table_of = self._slot_of, self._table_of
         subscribers, free = self._subscribers, self._free
         arity = bytearray(self._arity)
@@ -486,17 +378,22 @@ class ColumnarMatchPlane:
         for node, created in changes:
             items = node.subscription.items
             if created:
+                n_constraints = len(items)
+                if n_constraints > MAX_CONSTRAINTS:
+                    raise MatchingError(
+                        "columnar deficit bytes cap subscriptions at "
+                        f"{MAX_CONSTRAINTS} constraints")
                 if free:
                     slot = free.pop()
                     subscribers[slot] = node.subscribers
-                    arity[slot] = len(items)
+                    arity[slot] = n_constraints
                 else:
                     slot = len(subscribers)
                     subscribers.append(node.subscribers)
-                    arity.append(len(items))
-                slot_of[id(node.subscribers)] = slot
+                    arity.append(n_constraints)
+                slot_of[node] = slot
             else:
-                slot = slot_of.pop(id(node.subscribers))
+                slot = slot_of.pop(node)
                 subscribers[slot] = set()
                 arity[slot] = FREE_SLOT_ARITY
                 free.append(slot)
@@ -534,7 +431,6 @@ class ColumnarMatchPlane:
             self._acc_size = size
         self._compiled_generation = self.forest.generation
         self.compilations += 1
-        self.delta_nodes += len(changes)
 
     def ensure_compiled(self) -> None:
         """Bring the plane up to the forest's generation, lazily.
@@ -561,6 +457,7 @@ class ColumnarMatchPlane:
                 self._compile()
             else:
                 self._catch_up(changes)
+                self.delta_nodes += len(changes)
         except BaseException:
             self.release()
             raise
@@ -568,21 +465,10 @@ class ColumnarMatchPlane:
             int(BULK_SHARE * len(self._subscribers)))
 
     def release(self) -> None:
-        """Free the plane's arena blocks and force a recompile.
-
-        Called when the owning engine discards the underlying forest
-        (state restore): the compiled tables reference nodes of an
-        index that no longer exists, and their modelled memory must be
-        returned to the arena.
-        """
-        self._release_blocks()
-        self._tables = []
-        self._table_of = {}
-        self._subscribers = []
-        self._arity = b""
-        self._free = []
-        self._slot_of = None
-        self._compiled_generation = None
+        """Free the plane's arena blocks, disarm its change log, and
+        force a recompile: the owning engine discards the forest (state
+        restore), or an exception left the plane half edited."""
+        self._reset()
         if self.forest.changes is self._changes:
             self.forest.stop_recording()   # nobody left to read it
         self._changes = None
@@ -643,7 +529,6 @@ class ColumnarMatchPlane:
         free = set(self._free)
         if len(free) != len(self._free):
             raise MatchingError("slot parked twice")
-        live: Dict[int, int] = {}
         for slot, subscribers in enumerate(self._subscribers):
             if slot in free:
                 if named[slot] or subscribers \
@@ -653,13 +538,13 @@ class ColumnarMatchPlane:
                 raise MatchingError(
                     f"slot {slot} named {named[slot]} times, arity "
                     f"{self._arity[slot]}")
-            else:
-                live[id(subscribers)] = slot
-        if set(live) != {id(node.subscribers)
-                         for node in self.forest.iter_nodes()}:
+        slot_of = self._slot_of
+        if slot_of.keys() != set(self.forest.iter_nodes()) \
+                or len(slot_of) + len(free) != n_slots \
+                or any(slot in free
+                       or self._subscribers[slot] is not node.subscribers
+                       for node, slot in slot_of.items()):
             raise MatchingError("live slots are not the forest's nodes")
-        if self._slot_of not in (None, live):
-            raise MatchingError("slot map out of sync with the slots")
         if self._table_of != {table.attribute: table
                               for table in self._tables}:
             raise MatchingError("table map out of sync with the tables")
@@ -667,7 +552,7 @@ class ColumnarMatchPlane:
         if self.arena is not None:
             booked = {table.address: table.size for table in self._tables}
             booked[self._acc_address] = self._acc_size
-            if self._acc_size != max(1, len(live)) or any(
+            if self._acc_size != max(1, len(slot_of)) or any(
                     table.size != table.modelled_bytes()
                     for table in self._tables):
                 raise MatchingError("modelled sizes drifted")

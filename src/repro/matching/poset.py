@@ -25,11 +25,13 @@ curves of Figs 5/7/8 are produced from one code path.
 **The root scan.** The first level of a walk is not a loop: the
 constraints of ``roots``, in the order a stack pops them, are compiled
 into arrays (:class:`_RootScan` — an attribute index and closed float64
-``lo`` / ``hi`` per ``(root, constraint position)``, string equalities
-as a ``(attribute, value) -> cells`` dict) and one publication meets
-all of them in one gather, one compare and one first-failure search
-along the positions. ``lead[r]``, the constraints root ``r`` passes
-before its first failure, is everything the walk needs of a root:
+``lo`` / ``hi`` per ``(root, constraint position)``, string pins as a
+``(attribute, value) -> cells`` dict, both read off each constraint's
+:class:`~repro.matching.predicates.ConstraintForm`) and one publication
+meets all of them in one gather, one compare and one first-failure
+search along the positions. ``lead[r]``, the constraints root ``r``
+passes before its first failure, is everything the walk needs of a
+root:
 
 * it matches where ``lead == n_constraints``;
 * it evaluated ``n_evals = min(lead + 1, n_constraints)`` constraints —
@@ -47,27 +49,16 @@ children; a stack explores a matched root's subtree before it pops the
 next root, so each subtree's reads are spliced in directly after its
 root's, and the walk reaches the memory model as one ``touch_many``.
 Counts and trace are those of the per-root loop this replaced
-(``tests/matching/reference_walk.py`` keeps it;
-``tests/matching/fixtures/forest_walk_recorded.json`` was recorded
-from it).
-
-Exactness follows the rule of the columnar plane's bound arrays
-(:func:`~repro.matching.predicates._closed_bound`,
-:func:`~repro.matching.predicates._bracket`): a bound enters the arrays
-only in a closed float64 form that decides every value a header can
-carry, a value float64 cannot hold is compared as its two float64
-neighbours, and a root with a constraint that has no such form —
-``!=`` sets, bare ``exists``, string wildcards, ints past 2**53 that
-float64 rounds, open bounds out there — keeps its closure, whose
-answer is written into the same ``lead`` column.
+(``tests/matching/reference_walk.py`` keeps it). Exactness is the
+columnar plane's — the forms' bounds against
+:func:`~repro.matching.predicates.encode_values`'s column — and a root
+with a constraint that has neither bounds nor a string pin keeps its
+closure, whose answer is written into the same ``lead`` column.
 
 The scan is compiled by the first match after a write and dropped by
-the next write — one per generation, from rows packed once per node
-(:func:`_scan_rows`), about 1.3 ms for 871 roots. There is one path and
-no threshold: what decides the gain is the share of a walk's visits
-that are roots (871 of 874 on ``e100a1``: 3x; a third on ``e80a1``:
-none), and a forest of a few dozen roots pays numpy's fixed price,
-about 25 calls, where the loop paid a few closures (EXPERIMENTS.md,
+the next write, from rows packed once per node (:func:`_scan_rows`).
+There is one path and no threshold: a forest of a few dozen roots pays
+numpy's fixed price where the loop paid a few closures (EXPERIMENTS.md,
 PR 24).
 """
 
@@ -83,15 +74,16 @@ import numpy as np
 
 from repro.errors import MatchingError
 from repro.matching.events import Event
-from repro.matching.predicates import (_EXACT_INTS, _bracket,
-                                       _closed_interval)
+from repro.matching.predicates import encode_values
 from repro.matching.subscriptions import Subscription
 from repro.sgx.memory import MemoryArena
 
 __all__ = ["PosetNode", "ContainmentForest", "walk_traced"]
 
 _INF = math.inf
-_NAN = math.nan
+#: The bounds of a cell no value passes: padding, string pins, and the
+#: rows only a closure decides.
+_NEVER = (_INF, -_INF)
 
 
 class PosetNode:
@@ -183,21 +175,6 @@ def walk_traced(stack: List[PosetNode], header: dict,
     return matched, visited, evaluated
 
 
-def _fold(constraint):
-    """How the root scan decides ``constraint``: closed float64
-    ``(lo, hi)`` for a numeric interval, the pinned value for a string
-    equality, None where only the compiled closure is exact — ``!=``
-    sets, bare ``exists``, string wildcards, and bounds float64 cannot
-    carry (:func:`~repro.matching.predicates._closed_interval`)."""
-    if constraint.excluded:
-        return None
-    if constraint.is_string:
-        return constraint.equals
-    if constraint.is_universal_interval():
-        return None
-    return _closed_interval(constraint)
-
-
 class _ScanRows(NamedTuple):
     """One node's rows of a root scan, packed once and kept on the node
     (``float64`` / ``int64`` bytes, so a compile joins buffers instead
@@ -205,16 +182,13 @@ class _ScanRows(NamedTuple):
 
     #: The constrained attributes, in ``subscription.items`` order.
     attributes: Tuple[str, ...]
-    #: Closed bounds per constraint; ``(inf, -inf)``, which no value
-    #: passes, for a string equality and for every constraint of a
-    #: node that does not fold.
+    #: Closed bounds per constraint (``_NEVER`` where there are none).
     lo: bytes
     hi: bytes
-    #: String equalities: their positions, and ``(attribute, value)``.
+    #: String pins: their positions, and ``(attribute, value)``.
     pin_positions: bytes
     pin_keys: Tuple[Tuple[str, str], ...]
-    #: The node's closure when some constraint has no array form
-    #: (:func:`_fold`) and the scan has to ask it, else None.
+    #: The node's closure when the arrays cannot decide the node.
     count: object
     #: The whole node's line and page numbers (``spans[0]``, the
     #: tuples themselves), and how many of them a visit that evaluated
@@ -241,12 +215,13 @@ def _scan_rows(node: PosetNode) -> _ScanRows:
 
 def _pack_rows(node: PosetNode) -> _ScanRows:
     items = node.subscription.items
-    folded = [_fold(constraint) for _attribute, constraint in items]
-    folds = None not in folded
-    bounds = [form if folds and type(form) is tuple else (_INF, -_INF)
-              for form in folded]
-    pinned = [position for position, form in enumerate(folded)
-              if type(form) is str] if folds else []
+    forms = [constraint.form for _attribute, constraint in items]
+    bounds = [form.bounds or _NEVER for form in forms]
+    pinned = [position for position, form in enumerate(forms)
+              if type(form.pin) is str]
+    count = None
+    if bounds.count(_NEVER) != len(pinned):     # neither bounds nor a pin
+        bounds, pinned, count = [_NEVER] * len(forms), [], node.count
     spans = node.spans or (((), ()),) * (len(items) + 1)
     (lines, line_lens), (pages, page_lens) = (
         (spans[0][part],
@@ -257,9 +232,9 @@ def _pack_rows(node: PosetNode) -> _ScanRows:
         tuple(attribute for attribute, _constraint in items),
         _packed("d", los), _packed("d", his),
         _packed("q", pinned),
-        tuple((items[position][0], folded[position])
+        tuple((items[position][0], forms[position].pin)
               for position in pinned),
-        None if folds else node.count,
+        count,
         lines, line_lens, pages, page_lens)
 
 
@@ -321,14 +296,12 @@ class _RootScan:
     reversed, as a stack pops them. ``attr`` / ``lo`` / ``hi`` hold one
     entry per ``(root, constraint position)``, row-major and padded to
     one column past the widest root: the index of the constraint's
-    attribute in ``columns`` and its closed float64 bounds. Padding and
-    the rows that have no array form carry ``(inf, -inf)`` on an
-    attribute index one past the last column, so no value passes them
-    and every row ends in a cell that fails; string
-    equalities are ``pins[attribute, value]``, the flat cells that
-    value satisfies, and ``closures`` lists ``(row, count)`` for the
-    roots only their closure decides. ``lines`` / ``pages`` are what
-    the roots' visits read (:class:`_Reads`). ``masks`` caches the
+    attribute in ``columns`` and its closed float64 bounds. Padding
+    carries ``_NEVER`` on an attribute index one past the last column,
+    so every row ends in a cell that fails. ``pins[attribute, value]``
+    are the flat cells a string satisfies, ``closures`` the ``(row,
+    count)`` of the roots only their closure decides, ``lines`` /
+    ``pages`` what the visits read (:class:`_Reads`), ``masks`` the
     attribute gate per header shape.
     """
 
@@ -383,59 +356,29 @@ class _RootScan:
 
     def check(self, roots: List[PosetNode], generation: int) -> None:
         """Raise unless this scan is what a fresh compile of ``roots``
-        at ``generation`` yields — rows in visit order, arrays of the
-        dtypes and shapes the pass relies on, prefix tables that say
-        what each root's ``spans`` say, one mask per cached header
-        shape that says what the attribute gate says."""
+        at ``generation`` yields — the roots in visit order, rows that
+        are not stale, every array equal to a fresh compile's and of
+        its dtype — and unless each cached mask says what the
+        attribute gate says."""
         if self.generation != generation:
             raise MatchingError("root scan outlived its generation")
         nodes = self.nodes
-        if len(nodes) != len(roots) or any(
-                node is not root
-                for node, root in zip(nodes, reversed(roots))):
+        if nodes != roots[::-1]:
             raise MatchingError(
                 "root scan rows are not the roots in visit order")
         if any(node.scan_rows != _pack_rows(node) for node in nodes):
             raise MatchingError("a node's cached scan rows went stale")
         fresh = _RootScan(roots, generation)
-        width = 1 + max((len(node.subscription.items) for node in nodes),
-                        default=0)
-        grid = (len(nodes), width)
-        for mine, theirs, dtype, shape in (
-                (self.n, fresh.n, np.int64, grid[:1]),
-                (self.attr, fresh.attr, np.int64, grid),
-                (self.lo, fresh.lo, np.float64, grid),
-                (self.hi, fresh.hi, np.float64, grid),
-                (self.lines.numbers, fresh.lines.numbers, object,
-                 fresh.lines.numbers.shape),
-                (self.pages.numbers, fresh.pages.numbers, object,
-                 fresh.pages.numbers.shape),
-                (self.lines.lengths, fresh.lines.lengths, np.int64, grid),
-                (self.pages.lengths, fresh.pages.lengths, np.int64,
-                 grid)):
-            if mine.dtype != dtype or mine.shape != shape \
-                    or not np.array_equal(mine, theirs):
-                raise MatchingError(
-                    "a root scan array is not a fresh compile's")
+        mine, theirs = ((scan.n, scan.attr, scan.lo, scan.hi,
+                         scan.lines.numbers, scan.lines.lengths,
+                         scan.pages.numbers, scan.pages.lengths,
+                         *scan.pins.values()) for scan in (self, fresh))
         if self.columns != fresh.columns \
                 or self.closures != fresh.closures \
-                or self.pins.keys() != fresh.pins.keys() \
-                or not all(np.array_equal(cells, fresh.pins[key])
-                           for key, cells in self.pins.items()):
-            raise MatchingError(
-                "root scan columns, pins or closures are not a fresh "
-                "compile's")
-        for row, node in enumerate(nodes):
-            for reads, part in ((self.lines, 0), (self.pages, 1)):
-                if reads.lengths[row, 0]:
-                    raise MatchingError(
-                        "a root that is not visited reads nothing")
-                for n_evals, span in enumerate(node.spans or ()):
-                    if n_evals and list(span[part]) != reads.numbers[
-                            row, :reads.lengths[row, n_evals]].tolist():
-                        raise MatchingError(
-                            "root scan prefix tables disagree with a "
-                            "root's spans")
+                or list(self.pins) != list(fresh.pins) \
+                or any(a.dtype != b.dtype or not np.array_equal(a, b)
+                       for a, b in zip(mine, theirs)):
+            raise MatchingError("root scan is not a fresh compile")
         for present, (mask, cut) in self.masks.items():
             passes = [node.required_attributes <= present
                       for node in nodes]
@@ -449,39 +392,29 @@ class _RootScan:
         first it fails: a root matches where this reaches ``n``, and a
         visit evaluates one more than this, ``n`` at most.
 
-        One value vector (a missing attribute, or a string, is NaN,
-        which no bound admits; a number float64 cannot hold is compared
-        as its two float64 neighbours), one gather, one compare, the
-        pinned cells of the header's strings set true, and per row the
-        first position that fails (``argmin``: every row ends in
-        padding, which fails).
+        One value column (:func:`~repro.matching.predicates.
+        encode_values`: a missing attribute, or a string, is NaN, which
+        no bound admits), one gather, one compare, the pinned cells of
+        the header's strings set true, and per row the first position
+        that fails (``argmin``: every row ends in padding, which fails).
         """
         columns = self.columns
         pins = self.pins
-        values = [_NAN] * (len(columns) + 1)
-        inexact = []
+        values = [None] * (len(columns) + 1)
         pinned = []
         for name, value in header.items():
             column = columns.get(name)
-            if column is None:
-                continue
-            if isinstance(value, str):
-                flat = pins.get((name, value))
-                if flat is not None:
-                    pinned.append(flat)
-            elif -_EXACT_INTS <= value <= _EXACT_INTS:
+            if column is not None:
                 values[column] = value
-            else:
-                inexact.append((column, value))
-        down = up = np.array(values, dtype=np.float64)
-        if inexact:
-            up = down.copy()
-            for column, value in inexact:
-                down[column], up[column] = _bracket(value)
+                if isinstance(value, str):
+                    flat = pins.get((name, value))
+                    if flat is not None:
+                        pinned.append(flat)
+        down, up = encode_values(values)
         attr = self.attr
         column = down[attr]
         passes = self.lo <= column
-        passes &= (up[attr] if inexact else column) <= self.hi
+        passes &= (column if up is down else up[attr]) <= self.hi
         for flat in pinned:
             passes.reshape(-1)[flat] = True
         lead = passes.argmin(axis=1)    # padding ends every row
@@ -775,16 +708,11 @@ class ContainmentForest:
 
         Touches each visited node's arena allocation and returns
         ``(subscribers, nodes_visited, predicates_evaluated)`` so the
-        caller can charge per-evaluation cycles to the platform.
-
-        The roots — every one the attribute gate lets through, in the
-        order a stack pops them — are one pass of the compiled scan,
-        which yields how many constraints each evaluated and, from the
-        prefix tables, the lines and pages those visits read. Only the
-        roots that match descend, through :func:`_walk`; a stack
-        explores a matched root's subtree before it pops the next
-        root, so each subtree's reads go directly after its root's. The
-        whole walk reaches the memory model as one batch.
+        caller can charge per-evaluation cycles to the platform. The
+        roots are one pass of the compiled scan, the subtrees of the
+        roots that match go through :func:`_walk`, each subtree's reads
+        directly after its root's, and the whole walk reaches the
+        memory model as one batch (see the module docstring).
         """
         if self.arena is None:
             raise MatchingError("match_traced requires an arena-backed "

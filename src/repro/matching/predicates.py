@@ -5,25 +5,31 @@ comparisons or ranges — "equality constraints or generally any kind of
 ranges over the values of the attributes" (paper §3.2). Subscriptions
 normalise conjunctions of predicates into per-attribute
 :class:`Constraint` objects (an interval plus an exclusion set), on
-which both matching and containment are defined.
+which both matching and containment are defined. Each constraint
+carries its :class:`ConstraintForm`: how the vectorised matchers (the
+columnar plane, the forest's root scan) decide it, classified once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import MatchingError
 from repro.matching.attributes import (AttributeValue, is_numeric,
                                        validate_attribute_name,
                                        validate_value, values_comparable)
 
-__all__ = ["Op", "Predicate", "Constraint", "constraint_from_predicates"]
+__all__ = ["Op", "Predicate", "Constraint", "ConstraintForm",
+           "constraint_from_predicates", "encode_values"]
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
+_NAN = math.nan
 _MAX_FLOAT = sys.float_info.max
 #: float64 holds every int up to here, and adjacent floats inside
 #: these limits are at most 1 apart.
@@ -93,6 +99,25 @@ class Predicate:
         return f"{self.attribute} {self.op} {self.value!r}"
 
 
+class ConstraintForm(NamedTuple):
+    """How the vectorised matchers decide one :class:`Constraint`.
+
+    Plain data, so it pickles with its constraint. A numeric equality
+    has a pin and bounds, any other constraint one kind at most; one
+    with none (``!=`` sets, string wildcards, bounds float64 cannot
+    carry, unsatisfiable shapes) is decided by its compiled closure.
+    """
+
+    #: The one value admitted (a satisfiable equality), else None.
+    pin: Optional[AttributeValue]
+    #: Closed float64 ``(lo, hi)``: a number is admitted iff ``lo <= v
+    #: <= hi`` (``v`` as :func:`encode_values` brackets it), a string
+    #: never; None where no such pair exists.
+    bounds: Optional[Tuple[float, float]]
+    #: Every present value, of any type, is admitted (bare ``exists``).
+    always: bool
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Normalised per-attribute constraint: interval + exclusions.
@@ -112,6 +137,12 @@ class Constraint:
     equals: Optional[str] = None  # exact string pin, if string-typed
     is_string: bool = False
     excluded: FrozenSet[AttributeValue] = frozenset()
+    #: How the vectorised matchers decide this constraint: classified
+    #: once, at construction (:func:`_classify`).
+    form: ConstraintForm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "form", _classify(self))
 
     def is_universal_interval(self) -> bool:
         """True when the numeric interval part constrains nothing.
@@ -206,7 +237,7 @@ class Constraint:
         dispatch :meth:`admits` performs and test only what this
         constraint's shape requires. The containment index caches one
         composed closure per stored node
-        (:attr:`~repro.matching.poset.PosetNode.matcher`).
+        (:attr:`~repro.matching.poset.PosetNode.count`).
         """
         excluded = self.excluded
         if self.is_string:
@@ -306,13 +337,11 @@ def constraint_from_predicates(predicates) -> Constraint:
 
 # -- float64 forms of bounds and values ---------------------------------------
 #
-# The vectorised matchers (the columnar plane's bound arrays, the
-# forest's root scan) compare float64 arrays, and float64 compares are
-# exact only between float64s, while predicates and headers may carry
-# ints of any length. These functions are the one rule both follow:
-# a bound enters an array only in a closed float64 form that decides
-# every value a header can carry, and a value float64 cannot hold is
-# compared as its two float64 neighbours, never rounded to one.
+# float64 compares are exact only between float64s, while predicates
+# and headers may carry ints of any length. The rule both vectorised
+# matchers follow: a bound enters an array only in a closed float64
+# form that decides every value a header can carry, and a value float64
+# cannot hold is compared as its two float64 neighbours.
 
 
 def _closed_bound(bound, is_open: bool, toward: float
@@ -355,6 +384,32 @@ def _closed_interval(constraint: Constraint
     return lo, hi
 
 
+def _classify(constraint: Constraint) -> ConstraintForm:
+    """``constraint``'s :class:`ConstraintForm`, the one classification
+    both vectorised matchers read.
+
+    A satisfiable equality is a pin (a numeric one has its bounds too).
+    Otherwise exclusions and the string domain leave only the closure,
+    an unbounded numeric interval admits every present value, and any
+    other interval has bounds where :func:`_closed_interval` finds them.
+    """
+    if constraint.is_string:
+        pin = constraint.equals
+        if pin is None or pin in constraint.excluded:
+            return ConstraintForm(None, None, False)
+        return ConstraintForm(pin, None, False)
+    if constraint.is_equality():
+        if constraint.lo in constraint.excluded:
+            return ConstraintForm(None, None, False)
+        return ConstraintForm(constraint.lo, _closed_interval(constraint),
+                              False)
+    if constraint.excluded:
+        return ConstraintForm(None, None, False)
+    if constraint.is_universal_interval():
+        return ConstraintForm(None, None, True)
+    return ConstraintForm(None, _closed_interval(constraint), False)
+
+
 def _bracket(value) -> Tuple[float, float]:
     """Adjacent float64s ``down <= value <= up`` (equal when float64
     holds ``value``): ``value >= lo`` is ``down >= lo`` and ``value <=
@@ -369,3 +424,29 @@ def _bracket(value) -> Tuple[float, float]:
     if nearest > value:
         return math.nextafter(nearest, _NEG_INF), nearest
     return nearest, nearest
+
+
+def encode_values(values) -> Tuple[np.ndarray, np.ndarray]:
+    """A column of header values as the float64 pair ``(down, up)``
+    that meets ``ConstraintForm.bounds``: ``lo <= v <= hi`` is ``lo <=
+    down and up <= hi``. A missing value (None) or a string is NaN,
+    which no bound admits; a number is itself, or — outside ``±2**53``
+    — its two float64 neighbours (:func:`_bracket`); ``up is down``
+    when the column holds no such number."""
+    column = []
+    append = column.append
+    wide = []
+    for value in values:
+        if value is None or isinstance(value, str):
+            append(_NAN)
+        elif -_EXACT_INTS <= value <= _EXACT_INTS:
+            append(value)
+        else:
+            wide.append(len(column))
+            append(_NAN)
+    down = up = np.array(column, dtype=np.float64)
+    if wide:
+        up = down.copy()
+        for index in wide:
+            down[index], up[index] = _bracket(values[index])
+    return down, up

@@ -8,12 +8,11 @@ the match path of a plane that has been edited hundreds of times does
 clock cannot resolve that on a shared box; three things that repeat
 exactly can — the Python-level call count (``sys.setprofile``), the
 memory model's counters, and the plane's own rebuild counter. One
-in-process ratio covers the write side: a caught-up write must stay an
+call-count ratio covers the write side: a caught-up write must stay an
 order of magnitude cheaper than the recompile it replaces.
 """
 
 import sys
-import time
 
 from repro.matching.columnar import ColumnarMatchPlane
 from repro.matching.matcher import MatchingEngine
@@ -106,29 +105,21 @@ def test_read_path_carries_no_garbage():
 
 def test_catch_up_is_an_order_of_magnitude_cheaper_than_a_compile():
     _memory, _arena, forest, plane, spares, _events = \
-        traced_world(1000, 12)
-    clock = time.perf_counter
-
-    def timed(function):
-        started = clock()
-        function()
-        return clock() - started
-
-    compile_s = min(timed(plane._compile) for _ in range(5))
+        traced_world(2000, 12)
+    compile_calls = count_calls(plane._compile)
     rebuilds = plane.rebuilds
-    catch_up_s = []
+    catch_up_calls = []
     for turn, (subscriber, subscription) in enumerate(spares):
         forest.insert(subscription, subscriber)
         if turn:
             gone, withdrawn = spares[turn - 1]
             assert forest.remove_subscriber(withdrawn, gone)
-        catch_up_s.append(timed(plane.ensure_compiled))
+        catch_up_calls.append(count_calls(plane.ensure_compiled))
     assert plane.rebuilds == rebuilds
     assert plane.delta_nodes >= len(spares)
-    # Prototype: ~165x at 2,000 nodes. The first catch-up also builds
-    # the slot map; the quietest of the rest is the steady state.
-    assert compile_s >= 10 * min(catch_up_s[1:]), \
-        (compile_s, catch_up_s)
+    # the first turn is one write (an insert), every other one two
+    assert compile_calls >= 10 * max(catch_up_calls), \
+        (compile_calls, catch_up_calls)
 
 
 def test_engine_tells_absorbed_writes_from_recompiles():
