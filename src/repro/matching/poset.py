@@ -60,15 +60,35 @@ the next write, from rows packed once per node (:func:`_scan_rows`).
 There is one path and no threshold: a forest of a few dozen roots pays
 numpy's fixed price where the loop paid a few closures (EXPERIMENTS.md,
 PR 24).
+
+**Insertion.** The root level of an insert is not a loop either. An
+insert descends to the first root, in ``roots`` order, that covers the
+new subscription, and a subscription that stays a root adopts the roots
+it covers; both come from one compare against :class:`_RootTable`, a
+table of the roots kept up to date by every write — one row per root,
+per constraint position an attribute index and six float64 keys read
+off the constraint (:func:`_cover_cell`), an insertion-order key that
+puts the rows in ``roots`` order, freed rows on a freelist. The keys
+make ``Constraint.covers`` a plain ``<=`` on each: the raw bounds and
+the floats they close to together give its lexicographic ``(value,
+open)`` order exactly, and a string pin is a second interval. A
+constraint the keys cannot hold — an exclusion, a string wildcard, a
+bound float64 does not hold — leaves its row (or, in the subscription,
+every row) undecided, for that row's ``Subscription.covers``. Below the
+roots the descent is the scalar loop it was, and a removal searches
+only below the roots the table says cover the node. The descent's
+trace is what the loop read — each compared root whole, in ``roots``
+order, then the scalar levels — sliced from the roots' reads the table
+keeps flat (``tests/matching/reference_insert.py`` keeps the loop).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Set,
-                    Tuple)
+from itertools import chain, filterfalse
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -84,6 +104,10 @@ _INF = math.inf
 #: The bounds of a cell no value passes: padding, string pins, and the
 #: rows only a closure decides.
 _NEVER = (_INF, -_INF)
+#: A string pin's bound keys (:func:`_cover_cell`): ``(-inf, inf)``,
+#: both ends open.
+_STRING_KEYS = (-_INF, math.nextafter(-_INF, _INF), -_INF,
+                math.nextafter(-_INF, _INF))
 
 
 class PosetNode:
@@ -444,6 +468,303 @@ class _RootScan:
         return cached
 
 
+def _cover_cell(constraint) -> Optional[Tuple[Tuple[float, ...],
+                                             Optional[str]]]:
+    """``constraint`` as a cell of the root table — its four bound
+    keys and its string pin — or None when the arrays cannot decide
+    :meth:`~repro.matching.predicates.Constraint.covers` on it exactly:
+    exclusions, a string wildcard, a bound float64 does not hold.
+
+    The keys are ``(lo, up(lo), -hi, -down(hi))``: the raw bounds, and
+    beside each the float it closes to — the next float inward where
+    the bound is open, itself where it is closed. Raw bounds alone miss
+    the open flags, closed ones alone are not enough either (``x <
+    1`` and ``x <= nextafter(1, 0)`` close alike, yet only the first
+    covers the other); the two together are exact. For float64 bounds
+    ``a``, ``b`` with open flags ``p``, ``q``, ``a <= b and up(a) <=
+    up(b)`` holds exactly when ``(a, p) <= (b, q)`` in ``covers``'s
+    lexicographic order, closed before open: if ``a < b``, then
+    ``up(a) <= b``; if ``a == b``, ``up(a) <= up(b)`` fails only for
+    ``p`` open and ``q`` closed — save at an infinity a satisfiable
+    constraint never has open on that side. The upper bound is the
+    mirror image, negated so that every key of a covering cell is the
+    smaller. A string pin's bounds are ``(-inf, inf)``, both open:
+    against a numeric cell they pass exactly when that cell is the
+    universal interval, the one numeric constraint that covers across
+    types.
+    """
+    if constraint.excluded:
+        return None
+    if constraint.is_string:
+        pin = constraint.equals
+        return None if pin is None else (_STRING_KEYS, pin)
+    lo, hi = constraint.lo, constraint.hi
+    try:
+        lo_value, hi_value = float(lo), float(hi)
+    except OverflowError:
+        return None
+    if lo_value != lo or hi_value != hi:
+        return None
+    lo_up = math.nextafter(lo_value, _INF) if constraint.lo_open \
+        else lo_value
+    hi_down = math.nextafter(hi_value, -_INF) if constraint.hi_open \
+        else hi_value
+    return (lo_value, lo_up, -hi_value, -hi_down), None
+
+
+def _cover_cells(subscription: Subscription):
+    """The cells of ``subscription``'s constraints, in ``items`` order,
+    or None if one of them is not exact."""
+    cells = []
+    for _attribute, constraint in subscription.items:
+        cell = _cover_cell(constraint)
+        if cell is None:
+            return None
+        cells.append(cell)
+    return cells
+
+
+def _pin_keys(code: Optional[float]) -> Tuple[float, float]:
+    """A cell's pin keys: ``(code, -code)``, or ``(-inf, -inf)`` — at
+    most any other pair's — for a cell with no pin."""
+    return (-_INF, -_INF) if code is None else (code, -code)
+
+
+class _RootTable:
+    """A forest's roots laid out for the covering compares of a write.
+
+    Row ``r`` holds one root, one cell per constraint position ``p``:
+    ``attr[p, r]``, the index of the constraint's attribute in
+    ``columns``, and ``keys[:, p, r]``, six float64 keys — the four
+    bound keys of :func:`_cover_cell` and the pin's, ``(code, -code)``
+    with ``code`` its number in ``pins``, or ``(-inf, -inf)`` for no
+    pin: one cell covers another exactly when each of its keys is the
+    smaller or equal one. Narrower roots are padded to the widest with
+    inert cells (``attr`` -1, every key -inf). ``key[r]`` orders the
+    rows (``roots`` is the live rows in ascending key order), and
+    ``inexact[r]`` marks a row with a constraint :func:`_cover_cell`
+    cannot place, whose ``Subscription.covers`` decides it instead.
+
+    Rows are edited in place: a new root takes a free row, or the next
+    one, and the next key; a root that stops being one returns its row,
+    inert again, to ``free``. The table also keeps, in ``roots`` order,
+    what reading each root whole reads (:meth:`whole_reads`), so that
+    an insert's trace of the roots it compared is two list slices.
+    """
+
+    __slots__ = ("columns", "pins", "attr", "keys", "key", "inexact",
+                 "nodes", "rows", "free", "next_key", "reads")
+
+    #: A compare spans the rows in use rounded up to whole blocks of
+    #: this many: its arrays then come in a few lengths, not one per
+    #: root count, which would fill numpy's small-buffer cache (one
+    #: bucket per byte size under 1 KiB, ≈ 2 MB of peak RSS on the
+    #: benchmark's 1,200 subscriptions).
+    BLOCK = 256
+
+    def __init__(self) -> None:
+        self.columns: Dict[str, int] = {}
+        self.pins: Dict[str, float] = {}
+        #: ``nodes[r]``: the root in row ``r``, None where it is free;
+        #: ``rows``: the inverse map.
+        self.nodes: List[Optional[PosetNode]] = []
+        self.rows: Dict[PosetNode, int] = {}
+        self.free: List[int] = []
+        self.next_key = 0
+        self.attr = np.full((1, 0), -1, dtype=np.int64)
+        self.keys = np.full((6, 1, 0), -_INF)
+        self.key = np.full(0, -1, dtype=np.int64)
+        self.inexact = np.zeros(0, dtype=bool)
+        #: :meth:`whole_reads`: None until first asked for, then kept.
+        self.reads = None
+
+    def _grow(self, width: int, capacity: int) -> None:
+        """Room for ``capacity`` rows of ``width`` cells, new ones
+        inert."""
+        held_width, held = self.attr.shape
+        attr = np.full((width, capacity), -1, dtype=np.int64)
+        attr[:held_width, :held] = self.attr
+        keys = np.full((6, width, capacity), -_INF)
+        keys[:, :held_width, :held] = self.keys
+        self.attr, self.keys = attr, keys
+        for name, fill in (("key", -1), ("inexact", False)):
+            old = getattr(self, name)
+            new = np.full(capacity, fill, dtype=old.dtype)
+            new[:held] = old
+            setattr(self, name, new)
+
+    def add(self, node: PosetNode) -> None:
+        """``node`` becomes the last root."""
+        if self.free:
+            row = self.free.pop()
+        else:
+            row = len(self.nodes)
+            self.nodes.append(None)
+        items = node.subscription.items
+        width, capacity = self.attr.shape
+        if row >= capacity or len(items) > width:
+            self._grow(max(width, len(items)),
+                       capacity if row < capacity else max(2 * row, 8))
+        columns = self.columns
+        self.attr[:len(items), row] = [
+            columns.setdefault(attribute, len(columns))
+            for attribute, _constraint in items]
+        cells = _cover_cells(node.subscription)
+        if cells is None:
+            self.inexact[row] = True
+        else:
+            pins = self.pins
+            codes = [None if pin is None
+                     else pins.setdefault(pin, float(len(pins)))
+                     for _bounds, pin in cells]
+            self.keys[:, :len(items), row] = np.array(
+                [bounds + _pin_keys(code)
+                 for (bounds, _pin), code in zip(cells, codes)]).T
+        self.key[row] = self.next_key
+        self.next_key += 1
+        self.nodes[row] = node
+        self.rows[node] = row
+        if self.reads is not None:
+            for (numbers, lengths), part in zip(self.reads, node.spans[0]):
+                numbers += part
+                lengths.append(len(part))
+
+    def discard(self, node: PosetNode) -> None:
+        """``node`` is no longer a root: its row goes back, inert."""
+        row = self.rows.pop(node)
+        if self.reads is not None:
+            key = self.key
+            position = int(np.count_nonzero((key >= 0)
+                                            & (key < key[row])))
+            for numbers, lengths in self.reads:
+                start = sum(lengths[:position])
+                del numbers[start:start + lengths.pop(position)]
+        self.nodes[row] = None
+        self.attr[:, row] = -1
+        self.keys[:, :, row] = -_INF
+        self.key[row] = -1
+        self.inexact[row] = False
+        self.free.append(row)
+
+    def whole_reads(self, roots: List[PosetNode]):
+        """What reading each of ``roots`` whole (``spans[0]``) reads, in
+        order: ``((lines, line_counts), (pages, page_counts))``, the
+        numbers flat and how many of them each root reads. Built from
+        ``roots`` the first time it is asked for (a forest with no
+        memory model never is), then edited by :meth:`add` and
+        :meth:`discard`."""
+        if self.reads is None:
+            # per root its line tuple, and its page tuple
+            kinds = tuple(zip(*(root.spans[0] for root in roots))) \
+                or ((), ())
+            self.reads = tuple(
+                (list(chain.from_iterable(parts)), list(map(len, parts)))
+                for parts in kinds)
+        return self.reads
+
+    def compare(self, subscription: Subscription):
+        """Both directions of covering between ``subscription`` and
+        every row, from one gather: ``(covering, covered, undecided)``
+        over the rows in use, in whole blocks (a free row is in none) —
+        ``covering[r]``: root ``r`` covers ``subscription``;
+        ``covered()[r]``: ``subscription`` covers root ``r``, compared
+        when called (only an insert that makes a new root asks);
+        ``undecided[r]``: root ``r`` is live and the arrays cannot
+        tell, so its ``Subscription.covers`` must (an inexact row, or
+        every root when the subscription is inexact).
+
+        The subscription becomes one column of keys per attribute — NaN,
+        which no compare passes, where it has no constraint, and +inf
+        in the last column, which padding reads — gathered onto every
+        cell. A row covers the subscription when every cell's keys are
+        at most the gathered ones (padding passes, a cell on an
+        attribute the subscription lacks fails); the subscription
+        covers a row when as many of its cells as it has constraints
+        hold keys at most the row's (padding and those cells never do).
+        """
+        # the rows in use, rounded up to whole blocks (see the class)
+        used = min(len(self.key),
+                   -(-len(self.nodes) // self.BLOCK) * self.BLOCK)
+        live = self.key[:used] >= 0
+        cells = _cover_cells(subscription)
+        if cells is None:
+            nothing = np.zeros_like(live)
+            return nothing, lambda: nothing, live
+        columns = self.columns
+        theirs = np.full((6, len(columns) + 1), math.nan)
+        theirs[:, -1] = _INF
+        pins = self.pins
+        unheld = float(len(pins))   # the code of a pin no row holds
+        for (attribute, _constraint), (bounds, pin) in zip(
+                subscription.items, cells):
+            column = columns.get(attribute)
+            if column is not None:
+                theirs[:, column] = bounds + _pin_keys(
+                    None if pin is None else pins.get(pin, unheld))
+        keys = self.keys[:, :, :used]
+        gathered = np.take(theirs, self.attr[:, :used], axis=1)
+        undecided = self.inexact[:used]
+        decided = live & ~undecided
+        covering = (keys <= gathered).all(axis=0).all(axis=0)
+        covering &= decided
+
+        def covered():
+            rows = (gathered <= keys).all(axis=0).sum(axis=0) \
+                == len(cells)
+            rows &= decided
+            return rows
+        return covering, covered, undecided
+
+    def check(self, roots: List[PosetNode]) -> None:
+        """Raise unless the live rows are ``roots``, keyed in list
+        order, each what a fresh ``add`` of its node writes, every other
+        row inert, and the reads, once built, what a fresh build
+        yields."""
+        rows = self.rows
+        if len(rows) != len(roots) or not all(map(rows.__contains__,
+                                                  roots)):
+            raise MatchingError("root table rows are not the roots")
+        ordered = [rows[root] for root in roots]
+        if any(self.nodes[row] is not root
+               for row, root in zip(ordered, roots)):
+            raise MatchingError("root table row map out of sync")
+        keys = self.key[ordered]
+        if len(keys) and (keys[0] < 0 or np.any(keys[1:] <= keys[:-1])
+                          or keys[-1] >= self.next_key):
+            raise MatchingError(
+                "root table keys are not ascending in roots order")
+        fresh = _RootTable()
+        fresh.columns, fresh.pins = dict(self.columns), dict(self.pins)
+        for root in roots:
+            fresh.add(root)
+        width = fresh.attr.shape[0]
+        count = len(roots)
+        if fresh.columns != self.columns or fresh.pins != self.pins \
+                or not np.array_equal(self.attr[:width, ordered],
+                                      fresh.attr[:, :count]) \
+                or not np.array_equal(self.keys[:, :width, ordered],
+                                      fresh.keys[:, :, :count]) \
+                or not np.array_equal(self.inexact[ordered],
+                                      fresh.inexact[:count]) \
+                or np.any(self.attr[width:, ordered] != -1) \
+                or np.any(self.keys[:, width:, ordered] != -_INF):
+            raise MatchingError("root table row is not a fresh add")
+        if self.reads is not None \
+                and self.reads != fresh.whole_reads(roots):
+            raise MatchingError("root table reads are not the roots'")
+        free = self.free
+        if sorted(free + ordered) != list(range(len(self.nodes))) \
+                or any(self.nodes[row] is not None for row in free):
+            raise MatchingError("root table free list out of sync")
+        inert = np.ones(len(self.key), dtype=bool)
+        inert[ordered] = False
+        if np.any(self.attr[:, inert] != -1) \
+                or np.any(self.keys[:, :, inert] != -_INF) \
+                or np.any(self.key[inert] != -1) \
+                or np.any(self.inexact[inert]):
+            raise MatchingError("a free root table row is not inert")
+
+
 class ContainmentForest:
     """Covering-based subscription index with arena-traced traversals."""
 
@@ -495,6 +816,10 @@ class ContainmentForest:
         #: (:class:`_RootScan`): built by the first match after a
         #: write, dropped by the next write.
         self._scan: Optional[_RootScan] = None
+        #: The roots laid out for the covering compares of a write
+        #: (:class:`_RootTable`): edited by every write that changes
+        #: ``roots``.
+        self._table = _RootTable()
 
     # -- memory model ----------------------------------------------------------
 
@@ -562,13 +887,29 @@ class ContainmentForest:
         self.generation += 1
         self._scan = None
         arena = self.arena if self.trace_inserts else None
-        # The descent reads every node it compares against whole; the
-        # model gets the reads as one batch (all resident, typically)
-        # and the new node's first write as another.
-        lines: List[int] = []
-        pages: List[int] = []
-        siblings = self.roots
-        while True:
+        key = subscription.key()
+        roots = self.roots
+        # The root level is one compare against the root table: the
+        # descent takes the first root, in ``roots`` order, that covers
+        # the subscription; a new root adopts the roots it covers.
+        covering, covered, undecided = self._table.compare(subscription)
+        container = next(self._roots_where(
+            covering, undecided,
+            lambda root: root.subscription.covers(subscription)), None)
+        # The descent reads every node it compares against whole — at
+        # the root level, the roots up to the first that covers — and
+        # the model gets the reads as one batch (all resident,
+        # typically) and the new node's first write as another.
+        if arena is not None:
+            compared = len(roots) if container is None \
+                else roots.index(container) + 1
+            lines, pages = (numbers[:sum(counts[:compared])]
+                            for numbers, counts
+                            in self._table.whole_reads(roots))
+        siblings = roots
+        while container is not None \
+                and container.subscription.key() != key:
+            siblings = container.children
             container = None
             for node in siblings:
                 if arena is not None:
@@ -578,16 +919,12 @@ class ContainmentForest:
                 if node.subscription.covers(subscription):
                     container = node
                     break
-            if container is None \
-                    or container.subscription.key() == subscription.key():
-                break
-            siblings = container.children
         if arena is not None:
             arena.touch_many(lines, pages)
 
         # the descent ended on the identical subscription or on none
         existing = container if container is not None \
-            else self._by_key.get(subscription.key())
+            else self._by_key.get(key)
         if existing is not None:
             self._add_subscriber(existing, subscriber)
             return existing
@@ -596,20 +933,47 @@ class ContainmentForest:
         new_node.subscribers.add(subscriber)
         self.n_subscriptions += 1
         # Adopt siblings that the new subscription covers.
-        kept = []
-        for node in siblings:
-            if subscription.covers(node.subscription):
-                new_node.children.append(node)
-            else:
-                kept.append(node)
-        siblings[:] = kept
-        siblings.append(new_node)
-        self._by_key[subscription.key()] = new_node
+        if siblings is roots:
+            adopted = list(self._roots_where(
+                covered(), undecided,
+                lambda root: subscription.covers(root.subscription)))
+            if adopted:
+                roots[:] = filterfalse(set(adopted).__contains__, roots)
+                for node in adopted:
+                    self._table.discard(node)
+                new_node.children = adopted
+            roots.append(new_node)
+            self._table.add(new_node)
+        else:
+            kept = []
+            for node in siblings:
+                if subscription.covers(node.subscription):
+                    new_node.children.append(node)
+                else:
+                    kept.append(node)
+            siblings[:] = kept
+            siblings.append(new_node)
+        self._by_key[key] = new_node
         if self.changes is not None:
             self._log_change(new_node, True)
         if arena is not None:
             arena.touch_many(*new_node.spans[0])
         return new_node
+
+    def _roots_where(self, verdict, undecided, covers
+                     ) -> Iterator[PosetNode]:
+        """The roots a :meth:`_RootTable.compare` verdict names, and
+        the undecided ones ``covers`` accepts, lazily in ``roots``
+        order (``covers`` runs only on the undecided ones reached)."""
+        rows = np.flatnonzero(verdict | undecided)
+        if not len(rows):
+            return
+        table = self._table
+        nodes = table.nodes
+        for row in rows[np.argsort(table.key[rows])].tolist():
+            node = nodes[row]
+            if not undecided[row] or covers(node):
+                yield node
 
     def remove_subscriber(self, subscription: Subscription,
                           subscriber: object) -> bool:
@@ -636,6 +1000,10 @@ class ContainmentForest:
             siblings = self._siblings_of(node)
             siblings.remove(node)
             siblings.extend(node.children)
+            if siblings is self.roots:
+                self._table.discard(node)
+                for child in node.children:
+                    self._table.add(child)
             node.children = []
             del self._by_key[node.subscription.key()]
             self.n_nodes -= 1
@@ -654,11 +1022,19 @@ class ContainmentForest:
         The node's ancestors all cover it, so only covering branches
         are explored — but *every* covering branch, since re-parenting
         may have moved the node away from the first-cover path its
-        insertion took.
+        insertion took. A root needs no search (the root table holds
+        it), and the root table names the covering roots.
         """
+        if node in self._table.rows:
+            return self.roots
         subscription = node.subscription
+        covering, _covered, undecided = self._table.compare(subscription)
         stack: List[Tuple[List[PosetNode], PosetNode]] = [
-            (self.roots, root) for root in self.roots]
+            (root.children, child)
+            for root in self._roots_where(
+                covering, undecided,
+                lambda root: root.subscription.covers(subscription))
+            for child in root.children]
         while stack:
             siblings, candidate = stack.pop()
             if candidate is node:
@@ -780,8 +1156,10 @@ class ContainmentForest:
         path maintains (key map, node/subscription counts, modelled
         bytes) must agree with the structure — removals hoist children
         and splice nodes, so churn is exactly where stale counters and
-        dangling key-map entries would creep in. A root scan compiled
-        since the last write must be what a fresh compile yields
+        dangling key-map entries would creep in. The root table must
+        hold the roots as a fresh write of each would
+        (:meth:`_RootTable.check`), and a root scan compiled since the
+        last write must be what a fresh compile yields
         (:meth:`_RootScan.check`).
         """
         seen = set()
@@ -829,5 +1207,6 @@ class ContainmentForest:
         if len(self._by_key) != walked_nodes:
             raise MatchingError(
                 "key map holds entries for nodes not in the forest")
+        self._table.check(self.roots)
         if self._scan is not None:
             self._scan.check(self.roots, self.generation)

@@ -7,7 +7,7 @@ from repro.errors import MatchingError
 from repro.matching.containment import maximal_elements
 from repro.matching.events import Event
 from repro.matching.naive import NaiveMatcher
-from repro.matching.poset import ContainmentForest
+from repro.matching.poset import ContainmentForest, _RootTable
 from repro.matching.predicates import Op, Predicate
 from repro.matching.stats import forest_stats
 from repro.matching.subscriptions import Subscription
@@ -142,19 +142,26 @@ class TestRemove:
 class TestRemoveWalksOnlyToSplice:
     """``_by_key`` names the node, so a removal searches the covering
     branches only for the sibling list an *emptied* node must leave —
-    counted as ``Subscription.covers`` calls, which only a walk makes.
+    counted as ``Subscription.covers`` calls and root-table compares,
+    which only a search makes.
     """
 
     @pytest.fixture()
     def walked(self, monkeypatch):
         calls = []
         covers = Subscription.covers
+        compare = _RootTable.compare
 
         def counting(self, other):
             calls.append(other)
             return covers(self, other)
 
+        def counting_compare(self, subscription):
+            calls.append(subscription)
+            return compare(self, subscription)
+
         monkeypatch.setattr(Subscription, "covers", counting)
+        monkeypatch.setattr(_RootTable, "compare", counting_compare)
         return calls
 
     @staticmethod
