@@ -27,11 +27,12 @@ perf overhaul targets —
   and ``matcher_columnar_vs_forest`` records the in-process ratio;
 * ``llc_batch_ns_per_line`` / ``llc_line_ns_per_line`` — the LLC
   model's cost per resident line through the batch entry point
-  (:meth:`~repro.sgx.cache.CacheModel.access_lines`, what a poset walk
-  hands over) and through one ``access_line`` call each;
-  ``llc_batch_vs_line`` is their in-process ratio, and
-  ``llc_thrash_ns_per_line`` the batch entry point's cost when every
-  line misses and evicts (the per-line loop).
+  (:meth:`~repro.sgx.cache.CacheModel.access_lines`) given a list, and
+  through one ``access_line`` call each; ``llc_batch_vs_line`` is
+  their in-process ratio, ``llc_array_batch_ns_per_line`` the batch
+  entry point given the same lines as an int64 array (what a poset
+  walk hands over), and ``llc_thrash_ns_per_line`` the batch entry
+  point's cost when every line misses and evicts (the per-line loop).
 
 Results land in ``BENCH_hotpath.json`` in two phases so the speedup
 claim is recorded against a baseline captured *on the same machine, in
@@ -58,6 +59,8 @@ import os
 import sys
 import time
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.bench.export import bench_metadata, record_bench
 from repro.core.engine import PROVISION_AAD, ScbrEnclaveLibrary
@@ -271,6 +274,7 @@ def _bench_llc() -> Dict[str, float]:
     resident = CacheModel(8 * 1024 * 1024)
     lines = list(range(first, first + _LLC_LINES))
     resident.access_lines(lines)
+    array = np.array(lines, dtype=np.int64)
 
     def line_by_line() -> None:
         access_line = resident.access_line
@@ -280,6 +284,8 @@ def _bench_llc() -> Dict[str, float]:
     batch_ns = _best_ns(lambda: resident.access_lines(lines),
                         _LLC_LINES)
     line_ns = _best_ns(line_by_line, _LLC_LINES)
+    array_ns = _best_ns(lambda: resident.access_lines(array),
+                        _LLC_LINES)
     # A cyclic sweep over 4x the capacity: LRU misses on every access.
     thrashed = CacheModel(64 * 1024)
     sweep = list(range(first, first + 4 * 1024))
@@ -289,6 +295,7 @@ def _bench_llc() -> Dict[str, float]:
         "llc_line_ns_per_line": line_ns,
         "llc_batch_vs_line": round(line_ns / batch_ns, 3)
         if batch_ns > 0 else 0.0,
+        "llc_array_batch_ns_per_line": array_ns,
         "llc_thrash_ns_per_line": _best_ns(
             lambda: thrashed.access_lines(sweep), len(sweep)),
     }

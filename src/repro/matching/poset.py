@@ -42,12 +42,14 @@ root:
 * the lines and pages its visit reads are the first ``lengths[r,
   n_evals]`` of the node's (:class:`_Reads` — the prefix lengths
   ``spans[n]`` encodes, tabulated) — so the roots' part of the memory
-  trace is two gathers, in visit order, of the nodes' own Python ints.
+  trace is two gathers, in visit order, from int64 tables of the
+  nodes' line and page numbers.
 
 Only the roots that match descend, through the scalar loop over their
 children; a stack explores a matched root's subtree before it pops the
 next root, so each subtree's reads are spliced in directly after its
-root's, and the walk reaches the memory model as one ``touch_many``.
+root's (one ``np.concatenate`` per kind), and the walk reaches the
+memory model as one ``touch_many`` of two int64 arrays.
 Counts and trace are those of the per-root loop this replaced
 (``tests/matching/reference_walk.py`` keeps it). Exactness is the
 columnar plane's — the forms' bounds against
@@ -79,7 +81,8 @@ roots the descent is the scalar loop it was, and a removal searches
 only below the roots the table says cover the node. The descent's
 trace is what the loop read — each compared root whole, in ``roots``
 order, then the scalar levels — sliced from the roots' reads the table
-keeps flat (``tests/matching/reference_insert.py`` keeps the loop).
+keeps flat, in int64 arrays (``tests/matching/reference_insert.py``
+keeps the loop).
 """
 
 from __future__ import annotations
@@ -283,34 +286,34 @@ def _lengths(rows: Iterable):
 class _Reads:
     """What the roots' visits read, of one kind (lines, or pages).
 
-    ``numbers[r]`` are root ``r``'s line (page) numbers, padded — an
-    object array of the nodes' own ``int`` objects, the ones the memory
-    model's tables are keyed by: a trace gathered from it makes no new
-    ints, and a dict probe with the key's own object skips the
-    compare. ``lengths[r, n]`` says how many of them a visit that
-    evaluated ``n`` constraints reads — the prefix length ``spans[n]``
-    encodes, 0 for ``n = 0``, a root not visited.
+    ``numbers[r]`` are root ``r``'s line (page) numbers, an int64 row
+    padded with zeros; ``lengths[r, n]`` says how many of them a visit
+    that evaluated ``n`` constraints reads — the prefix length
+    ``spans[n]`` encodes, 0 for ``n = 0``, a root not visited.
     """
 
-    __slots__ = ("numbers", "lengths", "rows", "prefix")
+    __slots__ = ("numbers", "lengths", "starts", "positions")
 
     def __init__(self, numbers: Tuple[Tuple[int, ...], ...],
                  lengths: Tuple[bytes, ...], counted) -> None:
         whole = _lengths(numbers)
-        #: ``prefix[k]``: the mask of a row's first ``k`` numbers.
-        self.prefix = _prefixes(int(whole.max()) if len(whole) else 0)
-        held = self.prefix[whole]
-        self.numbers = np.zeros(held.shape, dtype=object)
-        self.numbers[held] = list(chain.from_iterable(numbers))
+        #: a row's first ``k`` numbers are where ``positions < k``
+        self.positions = np.arange(int(whole.max()) if len(whole) else 0)
+        held = self.positions < whole[:, None]
+        self.numbers = np.zeros(held.shape, dtype=np.int64)
+        self.numbers[held] = np.fromiter(chain.from_iterable(numbers),
+                                         dtype=np.int64,
+                                         count=int(whole.sum()))
         self.lengths = _padded(lengths, counted, 0, np.int64)
-        self.rows = np.arange(len(whole))
+        #: ``lengths.ravel()[starts[r] + n]`` is ``lengths[r, n]``
+        self.starts = np.arange(len(whole)) * counted.shape[1]
 
-    def of(self, n_evals) -> Tuple[List[int], object]:
+    def of(self, n_evals) -> Tuple[object, object]:
         """The roots' part of a walk's trace — each root's first
         ``lengths[r, n_evals[r]]`` numbers, concatenated in visit
-        order as Python ints — and those per-root counts."""
-        counts = self.lengths[self.rows, n_evals]
-        return self.numbers[self.prefix[counts]].tolist(), counts
+        order into one int64 array — and those per-root counts."""
+        counts = self.lengths.ravel()[self.starts + n_evals]
+        return self.numbers[self.positions < counts[:, None]], counts
 
 
 class _RootScan:
@@ -549,7 +552,7 @@ class _RootTable:
     one, and the next key; a root that stops being one returns its row,
     inert again, to ``free``. The table also keeps, in ``roots`` order,
     what reading each root whole reads (:meth:`whole_reads`), so that
-    an insert's trace of the roots it compared is two list slices.
+    an insert's trace of the roots it compared is two array slices.
     """
 
     __slots__ = ("columns", "pins", "attr", "keys", "key", "inexact",
@@ -625,9 +628,9 @@ class _RootTable:
         self.nodes[row] = node
         self.rows[node] = row
         if self.reads is not None:
-            for (numbers, lengths), part in zip(self.reads, node.spans[0]):
-                numbers += part
-                lengths.append(len(part))
+            for kind, part in zip(self.reads, node.spans[0]):
+                kind[0] = np.concatenate((kind[0], part))
+                kind[1].append(len(part))
 
     def discard(self, node: PosetNode) -> None:
         """``node`` is no longer a root: its row goes back, inert."""
@@ -636,9 +639,12 @@ class _RootTable:
             key = self.key
             position = int(np.count_nonzero((key >= 0)
                                             & (key < key[row])))
-            for numbers, lengths in self.reads:
+            for kind in self.reads:
+                numbers, lengths = kind
                 start = sum(lengths[:position])
-                del numbers[start:start + lengths.pop(position)]
+                kind[0] = np.concatenate(
+                    (numbers[:start],
+                     numbers[start + lengths.pop(position):]))
         self.nodes[row] = None
         self.attr[:, row] = -1
         self.keys[:, :, row] = -_INF
@@ -648,18 +654,19 @@ class _RootTable:
 
     def whole_reads(self, roots: List[PosetNode]):
         """What reading each of ``roots`` whole (``spans[0]``) reads, in
-        order: ``((lines, line_counts), (pages, page_counts))``, the
-        numbers flat and how many of them each root reads. Built from
-        ``roots`` the first time it is asked for (a forest with no
-        memory model never is), then edited by :meth:`add` and
-        :meth:`discard`."""
+        order: ``[[lines, line_counts], [pages, page_counts]]``, the
+        numbers flat in an int64 array and how many of them each root
+        reads. Built from ``roots`` the first time it is asked for (a
+        forest with no memory model never is), then edited by
+        :meth:`add` and :meth:`discard`."""
         if self.reads is None:
             # per root its line tuple, and its page tuple
             kinds = tuple(zip(*(root.spans[0] for root in roots))) \
                 or ((), ())
-            self.reads = tuple(
-                (list(chain.from_iterable(parts)), list(map(len, parts)))
-                for parts in kinds)
+            self.reads = [
+                [np.fromiter(chain.from_iterable(parts), dtype=np.int64),
+                 list(map(len, parts))]
+                for parts in kinds]
         return self.reads
 
     def compare(self, subscription: Subscription):
@@ -749,8 +756,11 @@ class _RootTable:
                 or np.any(self.attr[width:, ordered] != -1) \
                 or np.any(self.keys[:, width:, ordered] != -_INF):
             raise MatchingError("root table row is not a fresh add")
-        if self.reads is not None \
-                and self.reads != fresh.whole_reads(roots):
+        if self.reads is not None and any(
+                numbers.dtype != np.int64 or lengths != fresh_lengths
+                or not np.array_equal(numbers, fresh_numbers)
+                for (numbers, lengths), (fresh_numbers, fresh_lengths)
+                in zip(self.reads, fresh.whole_reads(roots))):
             raise MatchingError("root table reads are not the roots'")
         free = self.free
         if sorted(free + ordered) != list(range(len(self.nodes))) \
@@ -906,6 +916,8 @@ class ContainmentForest:
             lines, pages = (numbers[:sum(counts[:compared])]
                             for numbers, counts
                             in self._table.whole_reads(roots))
+        below_lines: List[int] = []
+        below_pages: List[int] = []
         siblings = roots
         while container is not None \
                 and container.subscription.key() != key:
@@ -914,12 +926,15 @@ class ContainmentForest:
             for node in siblings:
                 if arena is not None:
                     node_lines, node_pages = node.spans[0]
-                    lines += node_lines
-                    pages += node_pages
+                    below_lines += node_lines
+                    below_pages += node_pages
                 if node.subscription.covers(subscription):
                     container = node
                     break
         if arena is not None:
+            if below_lines:
+                lines = np.concatenate((lines, below_lines))
+                pages = np.concatenate((pages, below_pages))
             arena.touch_many(lines, pages)
 
         # the descent ended on the identical subscription or on none
@@ -1115,11 +1130,13 @@ class ContainmentForest:
             if node.children:
                 descents.append(row)
         if descents:
-            # back to front, so the earlier offsets stay good
+            # each subtree's reads right after its root's, front to back
+            line_parts = []
+            page_parts = []
+            line_start = page_start = 0
             for row, line_end, page_end in zip(
-                    descents[::-1],
-                    line_counts.cumsum()[descents].tolist()[::-1],
-                    page_counts.cumsum()[descents].tolist()[::-1]):
+                    descents, line_counts.cumsum()[descents].tolist(),
+                    page_counts.cumsum()[descents].tolist()):
                 below_lines: List[int] = []
                 below_pages: List[int] = []
                 below_visited, below_evaluated = _walk(
@@ -1127,8 +1144,13 @@ class ContainmentForest:
                     below_lines, below_pages)
                 visited += below_visited
                 evaluated += below_evaluated
-                lines[line_end:line_end] = below_lines
-                pages[page_end:page_end] = below_pages
+                line_parts += (lines[line_start:line_end], below_lines)
+                page_parts += (pages[page_start:page_end], below_pages)
+                line_start, page_start = line_end, page_end
+            line_parts.append(lines[line_start:])
+            page_parts.append(pages[page_start:])
+            lines = np.concatenate(line_parts, dtype=np.int64)
+            pages = np.concatenate(page_parts, dtype=np.int64)
         self.arena.touch_many(lines, pages)
         counters = self.counters
         if counters is not None:

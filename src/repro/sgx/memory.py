@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import (Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
+import numpy as np
+
 from repro.errors import SgxError
 from repro.sgx.cache import CacheModel
 from repro.sgx.cpu import PlatformSpec, SKYLAKE_I7_6700
@@ -64,6 +66,14 @@ class MemoryCounters:
             epc_evictions=self.epc_evictions - earlier.epc_evictions,
             minor_faults=self.minor_faults - earlier.minor_faults,
         )
+
+
+def _collapsed(pages: np.ndarray) -> List[int]:
+    """``pages`` without consecutive repeats, as Python ints."""
+    keep = np.empty(len(pages), dtype=bool)
+    keep[:1] = True
+    np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+    return pages[keep].tolist()
 
 
 class MemorySubsystem:
@@ -121,16 +131,24 @@ class MemorySubsystem:
     def touch_many(self, lines: Sequence[int], pages: Sequence[int],
                    enclave: bool) -> None:
         """Account a batch of accesses, given as the line numbers and
-        the page numbers they cover, each in access order.
+        the page numbers they cover, each in access order — int64
+        arrays (what a poset walk hands over) or sequences of ints.
 
         The one accounting entry point (a whole poset walk is one
         call): the LLC and the EPC keep independent state, so feeding
         each model its own sequence gives the counters of interleaving
         them access by access; the per-access costs are integers, so
         the multiplied total is the sum of the per-access charges.
+        An array of pages reaches the EPC with its consecutive repeats
+        collapsed: a repeat of the page just touched is a resident hit
+        that changes no policy's state (LRU: already the most recent;
+        CLOCK: its bit already set; FIFO: nothing), and no counter
+        counts EPC hits.
         """
         costs = self.costs
         misses = self.cache.access_lines(lines)
+        if type(pages) is np.ndarray:
+            pages = _collapsed(pages)
         cycles = (len(lines) - misses) * costs.llc_hit_cycles
         if enclave:
             cycles += (misses * (costs.llc_miss_cycles

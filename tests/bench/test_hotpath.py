@@ -66,6 +66,7 @@ class TestSmokeRun:
                     "cmac_mbps", "envelopes_per_s",
                     "matcher_events_per_s", "aes_vs_reference",
                     "llc_batch_ns_per_line", "llc_line_ns_per_line",
+                    "llc_array_batch_ns_per_line",
                     "llc_thrash_ns_per_line"):
             assert measurements[key] > 0, key
 

@@ -21,6 +21,7 @@ against 200 and against 800 roots that do not match.
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -36,6 +37,7 @@ from tests.matching.reference_walk import reference_match_traced
 from tests.matching.test_columnar_exact import (ANCHORS, WIDE, numbers,
                                                 strings)
 from tests.matching.test_forest_walk_recorded import RecordingArena
+from tests.sgx.test_lru_differential import assert_python_counters
 
 ATTRIBUTES = "abcd"
 
@@ -48,16 +50,19 @@ def recording_forest(root_gate=True):
 
 
 def traced(forest, event):
-    """``match_traced`` plus what it handed the arena and how many
-    roots it reports gated; asserts one batch of Python ints."""
+    """``match_traced`` plus what it handed the arena (as lists) and
+    how many roots it reports gated; asserts one batch of two int64
+    arrays, counts that are Python ints, and memory counters that stay
+    Python ints and floats after the array batch."""
     arena, counters = forest.arena, forest.counters
     arena.batches.clear()
     gated_before = counters.roots_gated
     matched, visited, evaluated = forest.match_traced(event)
     (lines, pages), = arena.batches
-    assert all(type(number) is int
-               for number in (visited, evaluated, *lines, *pages))
-    return (matched, visited, evaluated, lines, pages,
+    assert lines.dtype == pages.dtype == np.int64
+    assert type(visited) is int and type(evaluated) is int
+    assert_python_counters(arena.memory)
+    return (matched, visited, evaluated, lines.tolist(), pages.tolist(),
             counters.roots_gated - gated_before)
 
 

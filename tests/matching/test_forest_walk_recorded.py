@@ -39,6 +39,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.matching.events import Event
@@ -56,6 +57,13 @@ HUGE = 2 ** 60
 SYMBOLS = ("HAL", "IBM", "GE")
 
 
+def _kept(numbers):
+    """A copy of a ``touch_many`` argument: an array stays an array
+    (its dtype is part of what was handed over), anything else becomes
+    a list."""
+    return numbers.copy() if type(numbers) is np.ndarray else list(numbers)
+
+
 class RecordingArena(MemoryArena):
     """An arena that keeps what each ``touch_many`` was handed."""
 
@@ -64,7 +72,7 @@ class RecordingArena(MemoryArena):
         self.batches = []
 
     def touch_many(self, lines, pages):
-        self.batches.append((list(lines), list(pages)))
+        self.batches.append((_kept(lines), _kept(pages)))
         super().touch_many(lines, pages)
 
 
@@ -206,8 +214,11 @@ def replay(root_gate):
             arena.batches.clear()
             matched, visited, evaluated = forest.match_traced(event)
             (lines, pages), = arena.batches     # one batch per walk
-            for number in (visited, evaluated, *lines, *pages):
-                assert type(number) is int
+            # the trace is handed over as int64 arrays, the counts as
+            # Python ints
+            assert lines.dtype == pages.dtype == np.int64
+            assert type(visited) is int and type(evaluated) is int
+            lines, pages = lines.tolist(), pages.tolist()
             digest = hashlib.sha256(repr((
                 [line - base_line for line in lines],
                 [page - base_page for page in pages])).encode())

@@ -124,8 +124,8 @@ def trace(forest):
     arena = forest.arena
     base_line, base_page = (
         part[0] for part in arena.memory.span(arena.base, 1))
-    return [([line - base_line for line in lines],
-             [page - base_page for page in pages])
+    return [((np.asarray(lines, dtype=np.int64) - base_line).tolist(),
+             (np.asarray(pages, dtype=np.int64) - base_page).tolist())
             for lines, pages in arena.batches]
 
 
