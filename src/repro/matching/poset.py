@@ -22,76 +22,65 @@ Nodes are arena-allocated: the index takes an optional
 insert/match reports its touches, which is how the enclave-vs-native
 curves of Figs 5/7/8 are produced from one code path.
 
-**The root scan.** The first level of a walk is not a loop: the
-constraints of ``roots``, in the order a stack pops them, are compiled
-into arrays (:class:`_RootScan` — an attribute index and closed float64
-``lo`` / ``hi`` per ``(root, constraint position)``, string pins as a
-``(attribute, value) -> cells`` dict, both read off each constraint's
-:class:`~repro.matching.predicates.ConstraintForm`) and one publication
-meets all of them in one gather, one compare and one first-failure
-search along the positions. ``lead[r]``, the constraints root ``r``
-passes before its first failure, is everything the walk needs of a
-root:
+**The root table.** The roots are laid out once, in
+:class:`_RootTable`, and every write edits that layout in place: a root
+is one row, with per constraint position its attribute's index, the
+closed float64 match bounds ``lo`` / ``hi`` and the six cover keys read
+off the constraint (:func:`_cover_cell`; the fifth is the string pin's
+code), and the whole node's line and page numbers with the prefix of
+them a visit that evaluated ``n`` constraints reads; beside the rows,
+``order`` lists them in ``roots`` order. A write takes a free row, or
+returns one, inert again, and edits ``order`` to match; it never
+re-lays-out the roots.
 
-* it matches where ``lead == n_constraints``;
-* it evaluated ``n_evals = min(lead + 1, n_constraints)`` constraints —
-  a missing attribute, or a string on a numeric constraint, fails *at
-  its position*, exactly as the node's closure short-circuits — and 0
-  where the attribute gate cut it (one boolean row mask per header
-  shape; a root cut is not visited);
-* the lines and pages its visit reads are the first ``lengths[r,
-  n_evals]`` of the node's (:class:`_Reads` — the prefix lengths
-  ``spans[n]`` encodes, tabulated) — so the roots' part of the memory
-  trace is two gathers, in visit order, from int64 tables of the
-  nodes' line and page numbers.
+The first level of a walk is one pass over the table. The header
+becomes a value column (a missing attribute, or a string, is NaN, which
+no bound admits) and its strings the codes of their pins; one gather,
+one compare of the bounds, one of the pin codes per string and one
+first-failure search along the positions give ``lead[r]``, the
+constraints root ``r`` passes before its first failure, which is
+everything the walk needs of a root:
+
+* it matches where ``lead == n``;
+* it evaluated ``n_evals = min(lead + 1, n)`` constraints — a missing
+  attribute, or a string on a numeric constraint, fails *at its
+  position*, exactly as the node's closure short-circuits — and 0
+  where the attribute gate cut it (one boolean mask per header shape;
+  a root cut is not visited);
+* its visit reads the first ``lengths[n_evals]`` of its line and page
+  numbers, so the roots' part of the memory trace is two gathers, in
+  visit order.
 
 Only the roots that match descend, through the scalar loop over their
 children; a stack explores a matched root's subtree before it pops the
 next root, so each subtree's reads are spliced in directly after its
-root's (one ``np.concatenate`` per kind), and the walk reaches the
-memory model as one ``touch_many`` of two int64 arrays.
-Counts and trace are those of the per-root loop this replaced
-(``tests/matching/reference_walk.py`` keeps it). Exactness is the
-columnar plane's — the forms' bounds against
-:func:`~repro.matching.predicates.encode_values`'s column — and a root
-with a constraint that has neither bounds nor a string pin keeps its
-closure, whose answer is written into the same ``lead`` column.
+root's, and the walk reaches the memory model as one ``touch_many`` of
+two int64 arrays. A root with a constraint that has neither bounds nor
+a string pin, or one the cover keys cannot hold, keeps its closure,
+whose answer is written into the same ``lead`` column. The only state
+derived from the table is its live rows in visit order (``order``
+reversed, as a stack pops ``roots``) with their reads gathered in that
+order (:class:`_Visits`), redone by the first walk after a write that
+changed ``roots``.
 
-The scan is compiled by the first match after a write and dropped by
-the next write, from rows packed once per node (:func:`_scan_rows`).
-There is one path and no threshold: a forest of a few dozen roots pays
-numpy's fixed price where the loop paid a few closures (EXPERIMENTS.md,
-PR 24).
-
-**Insertion.** The root level of an insert is not a loop either. An
-insert descends to the first root, in ``roots`` order, that covers the
-new subscription, and a subscription that stays a root adopts the roots
-it covers; both come from one compare against :class:`_RootTable`, a
-table of the roots kept up to date by every write — one row per root,
-per constraint position an attribute index and six float64 keys read
-off the constraint (:func:`_cover_cell`), an insertion-order key that
-puts the rows in ``roots`` order, freed rows on a freelist. The keys
-make ``Constraint.covers`` a plain ``<=`` on each: the raw bounds and
-the floats they close to together give its lexicographic ``(value,
-open)`` order exactly, and a string pin is a second interval. A
-constraint the keys cannot hold — an exclusion, a string wildcard, a
-bound float64 does not hold — leaves its row (or, in the subscription,
-every row) undecided, for that row's ``Subscription.covers``. Below the
-roots the descent is the scalar loop it was, and a removal searches
-only below the roots the table says cover the node. The descent's
-trace is what the loop read — each compared root whole, in ``roots``
-order, then the scalar levels — sliced from the roots' reads the table
-keeps flat, in int64 arrays (``tests/matching/reference_insert.py``
-keeps the loop).
+An insert meets the roots in one compare of the same rows: the cover
+keys make ``Constraint.covers`` a plain ``<=`` on each, so the first
+root, in ``roots`` order, that covers the new subscription, and the
+roots a new root adopts, come from one gather; a row the keys cannot
+decide is left to its ``Subscription.covers``. Below the roots the
+descent is the scalar loop it was, and a removal searches only below
+the roots the table says cover the node. The descent's trace — each
+compared root whole, in ``roots`` order, then the scalar levels — is a
+gather of the compared prefix of ``order`` from the same reads. Counts
+and traces are those of the loops this replaced (``tests/matching/
+reference_walk.py`` and ``reference_insert.py`` keep them).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from itertools import chain, filterfalse
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Set, Tuple)
+from itertools import filterfalse
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -116,12 +105,8 @@ _STRING_KEYS = (-_INF, math.nextafter(-_INF, _INF), -_INF,
 class PosetNode:
     """One stored subscription plus the subscribers interested in it."""
 
-    #: ``scan_rows`` is not set at construction: the first root scan
-    #: that meets the node fills it (:func:`_scan_rows`), so a node
-    #: that never becomes a root of a matched forest never pays for it.
     __slots__ = ("subscription", "children", "subscribers", "address",
-                 "size", "count", "required_attributes", "spans",
-                 "scan_rows")
+                 "size", "count", "required_attributes", "spans")
 
     def __init__(self, subscription: Subscription,
                  arena: Optional[MemoryArena] = None) -> None:
@@ -202,275 +187,6 @@ def walk_traced(stack: List[PosetNode], header: dict,
     return matched, visited, evaluated
 
 
-class _ScanRows(NamedTuple):
-    """One node's rows of a root scan, packed once and kept on the node
-    (``float64`` / ``int64`` bytes, so a compile joins buffers instead
-    of converting numbers)."""
-
-    #: The constrained attributes, in ``subscription.items`` order.
-    attributes: Tuple[str, ...]
-    #: Closed bounds per constraint (``_NEVER`` where there are none).
-    lo: bytes
-    hi: bytes
-    #: String pins: their positions, and ``(attribute, value)``.
-    pin_positions: bytes
-    pin_keys: Tuple[Tuple[str, str], ...]
-    #: The node's closure when the arrays cannot decide the node.
-    count: object
-    #: The whole node's line and page numbers (``spans[0]``, the
-    #: tuples themselves), and how many of them a visit that evaluated
-    #: ``n`` constraints reads (``spans[n]``), 0 for ``n = 0``: a root
-    #: not visited.
-    lines: Tuple[int, ...]
-    line_lens: bytes
-    pages: Tuple[int, ...]
-    page_lens: bytes
-
-
-def _packed(typecode: str, numbers: Iterable) -> bytes:
-    return array(typecode, numbers).tobytes()
-
-
-def _scan_rows(node: PosetNode) -> _ScanRows:
-    """``node``'s rows, packed the first time a scan meets the node."""
-    try:
-        return node.scan_rows
-    except AttributeError:
-        rows = node.scan_rows = _pack_rows(node)
-        return rows
-
-
-def _pack_rows(node: PosetNode) -> _ScanRows:
-    items = node.subscription.items
-    forms = [constraint.form for _attribute, constraint in items]
-    bounds = [form.bounds or _NEVER for form in forms]
-    pinned = [position for position, form in enumerate(forms)
-              if type(form.pin) is str]
-    count = None
-    if bounds.count(_NEVER) != len(pinned):     # neither bounds nor a pin
-        bounds, pinned, count = [_NEVER] * len(forms), [], node.count
-    spans = node.spans or (((), ()),) * (len(items) + 1)
-    (lines, line_lens), (pages, page_lens) = (
-        (spans[0][part],
-         _packed("q", [0] + [len(span[part]) for span in spans[1:]]))
-        for part in (0, 1))
-    los, his = zip(*bounds)
-    return _ScanRows(
-        tuple(attribute for attribute, _constraint in items),
-        _packed("d", los), _packed("d", his),
-        _packed("q", pinned),
-        tuple((items[position][0], forms[position].pin)
-              for position in pinned),
-        count,
-        lines, line_lens, pages, page_lens)
-
-
-def _prefixes(width: int):
-    """``table[k]``: the mask of the first ``k`` of ``width`` cells."""
-    return np.arange(width + 1)[:, None] > np.arange(width)
-
-
-def _padded(rows: Iterable[bytes], held, fill, dtype):
-    """The ragged rows packed in ``rows`` as one array of ``held``'s
-    shape — ``held[i]`` masks the cells row ``i`` fills, first to
-    last — the other cells holding ``fill``."""
-    table = np.full(held.shape, fill, dtype=dtype)
-    table[held] = np.frombuffer(b"".join(rows), dtype=dtype)
-    return table
-
-
-def _lengths(rows: Iterable):
-    return np.fromiter(map(len, rows), dtype=np.int64)
-
-
-class _Reads:
-    """What the roots' visits read, of one kind (lines, or pages).
-
-    ``numbers[r]`` are root ``r``'s line (page) numbers, an int64 row
-    padded with zeros; ``lengths[r, n]`` says how many of them a visit
-    that evaluated ``n`` constraints reads — the prefix length
-    ``spans[n]`` encodes, 0 for ``n = 0``, a root not visited.
-    """
-
-    __slots__ = ("numbers", "lengths", "starts", "positions")
-
-    def __init__(self, numbers: Tuple[Tuple[int, ...], ...],
-                 lengths: Tuple[bytes, ...], counted) -> None:
-        whole = _lengths(numbers)
-        #: a row's first ``k`` numbers are where ``positions < k``
-        self.positions = np.arange(int(whole.max()) if len(whole) else 0)
-        held = self.positions < whole[:, None]
-        self.numbers = np.zeros(held.shape, dtype=np.int64)
-        self.numbers[held] = np.fromiter(chain.from_iterable(numbers),
-                                         dtype=np.int64,
-                                         count=int(whole.sum()))
-        self.lengths = _padded(lengths, counted, 0, np.int64)
-        #: ``lengths.ravel()[starts[r] + n]`` is ``lengths[r, n]``
-        self.starts = np.arange(len(whole)) * counted.shape[1]
-
-    def of(self, n_evals) -> Tuple[object, object]:
-        """The roots' part of a walk's trace — each root's first
-        ``lengths[r, n_evals[r]]`` numbers, concatenated in visit
-        order into one int64 array — and those per-root counts."""
-        counts = self.lengths.ravel()[self.starts + n_evals]
-        return self.numbers[self.positions < counts[:, None]], counts
-
-
-class _RootScan:
-    """A forest's roots laid out for one vectorised pass per event.
-
-    Row ``r`` is the ``r``-th root the walk visits — ``roots``
-    reversed, as a stack pops them. ``attr`` / ``lo`` / ``hi`` hold one
-    entry per ``(root, constraint position)``, row-major and padded to
-    one column past the widest root: the index of the constraint's
-    attribute in ``columns`` and its closed float64 bounds. Padding
-    carries ``_NEVER`` on an attribute index one past the last column,
-    so every row ends in a cell that fails. ``pins[attribute, value]``
-    are the flat cells a string satisfies, ``closures`` the ``(row,
-    count)`` of the roots only their closure decides, ``lines`` /
-    ``pages`` what the visits read (:class:`_Reads`), ``masks`` the
-    attribute gate per header shape.
-    """
-
-    __slots__ = ("generation", "nodes", "n", "columns", "attr", "lo",
-                 "hi", "pins", "closures", "lines", "pages", "masks")
-
-    #: Header shapes whose gate mask is kept (a stream repeats a
-    #: handful; names arrive from outside, so the cache is bounded).
-    MAX_MASKS = 64
-
-    def __init__(self, roots: List[PosetNode], generation: int) -> None:
-        self.generation = generation
-        self.nodes = nodes = roots[::-1]
-        rows = _ScanRows(*zip(*map(_scan_rows, nodes))) if nodes \
-            else _ScanRows(*[()] * len(_ScanRows._fields))
-        self.n = n = _lengths(rows.attributes)
-        # one column more than the widest root: every row ends in padding
-        width = int(n.max()) + 1 if nodes else 1
-        prefix = _prefixes(width)
-        held = prefix[n]        # the cells that hold a constraint
-        names = list(chain.from_iterable(rows.attributes))
-        self.columns = columns = {
-            name: column
-            for column, name in enumerate(dict.fromkeys(names))}
-        self.attr = np.full(held.shape, len(columns), dtype=np.int64)
-        self.attr[held] = np.fromiter(
-            map(columns.__getitem__, names), dtype=np.int64,
-            count=len(names))
-        self.lo = _padded(rows.lo, held, _INF, np.float64)
-        self.hi = _padded(rows.hi, held, -_INF, np.float64)
-        # group the pinned cells by (attribute, value) without a Python
-        # step per root: number the keys, sort the cells by number
-        keys = list(chain.from_iterable(rows.pin_keys))
-        numbers = {key: number
-                   for number, key in enumerate(dict.fromkeys(keys))}
-        number = np.fromiter(map(numbers.__getitem__, keys),
-                             dtype=np.int64, count=len(keys))
-        cells = np.repeat(np.arange(len(nodes)) * width,
-                          _lengths(rows.pin_keys)) \
-            + np.frombuffer(b"".join(rows.pin_positions), dtype=np.int64)
-        cells = cells[np.argsort(number, kind="stable")]
-        ends = np.bincount(number).cumsum().tolist()
-        self.pins = {key: cells[start:end] for key, start, end
-                     in zip(numbers, [0] + ends, ends)}
-        self.closures = [(row, count)
-                         for row, count in enumerate(rows.count)
-                         if count is not None]
-        counted = prefix[n + 1]     # a length for each of 0 .. n
-        self.lines = _Reads(rows.lines, rows.line_lens, counted)
-        self.pages = _Reads(rows.pages, rows.page_lens, counted)
-        self.masks: Dict[frozenset, Tuple[object, int]] = {}
-
-    def check(self, roots: List[PosetNode], generation: int) -> None:
-        """Raise unless this scan is what a fresh compile of ``roots``
-        at ``generation`` yields — the roots in visit order, rows that
-        are not stale, every array equal to a fresh compile's and of
-        its dtype — and unless each cached mask says what the
-        attribute gate says."""
-        if self.generation != generation:
-            raise MatchingError("root scan outlived its generation")
-        nodes = self.nodes
-        if nodes != roots[::-1]:
-            raise MatchingError(
-                "root scan rows are not the roots in visit order")
-        if any(node.scan_rows != _pack_rows(node) for node in nodes):
-            raise MatchingError("a node's cached scan rows went stale")
-        fresh = _RootScan(roots, generation)
-        mine, theirs = ((scan.n, scan.attr, scan.lo, scan.hi,
-                         scan.lines.numbers, scan.lines.lengths,
-                         scan.pages.numbers, scan.pages.lengths,
-                         *scan.pins.values()) for scan in (self, fresh))
-        if self.columns != fresh.columns \
-                or self.closures != fresh.closures \
-                or list(self.pins) != list(fresh.pins) \
-                or any(a.dtype != b.dtype or not np.array_equal(a, b)
-                       for a, b in zip(mine, theirs)):
-            raise MatchingError("root scan is not a fresh compile")
-        for present, (mask, cut) in self.masks.items():
-            passes = [node.required_attributes <= present
-                      for node in nodes]
-            if cut != passes.count(False) or (mask is None) != (not cut) \
-                    or (mask is not None and mask.tolist() != passes):
-                raise MatchingError(
-                    "cached gate mask disagrees with the attribute gate")
-
-    def lead(self, header: dict):
-        """Per root, the constraints ``header`` passes before the
-        first it fails: a root matches where this reaches ``n``, and a
-        visit evaluates one more than this, ``n`` at most.
-
-        One value column (:func:`~repro.matching.predicates.
-        encode_values`: a missing attribute, or a string, is NaN, which
-        no bound admits), one gather, one compare, the pinned cells of
-        the header's strings set true, and per row the first position
-        that fails (``argmin``: every row ends in padding, which fails).
-        """
-        columns = self.columns
-        pins = self.pins
-        values = [None] * (len(columns) + 1)
-        pinned = []
-        for name, value in header.items():
-            column = columns.get(name)
-            if column is not None:
-                values[column] = value
-                if isinstance(value, str):
-                    flat = pins.get((name, value))
-                    if flat is not None:
-                        pinned.append(flat)
-        down, up = encode_values(values)
-        attr = self.attr
-        column = down[attr]
-        passes = self.lo <= column
-        passes &= (column if up is down else up[attr]) <= self.hi
-        for flat in pinned:
-            passes.reshape(-1)[flat] = True
-        lead = passes.argmin(axis=1)    # padding ends every row
-        for row, count in self.closures:
-            n_evals = count(header)
-            lead[row] = n_evals if n_evals > 0 else -n_evals - 1
-        return lead
-
-    def gate(self, present: frozenset) -> Tuple[object, int]:
-        """The attribute gate for one header shape: ``(mask, cut)``,
-        ``mask[r]`` true where the header carries every attribute root
-        ``r`` requires, None when it cuts no root."""
-        cached = self.masks.get(present)
-        if cached is None:
-            if len(self.masks) >= self.MAX_MASKS:
-                self.masks.clear()
-            columns = self.columns
-            carried = np.zeros(len(columns) + 1, dtype=bool)
-            carried[-1] = True      # the padding's column
-            for name in present:
-                column = columns.get(name)
-                if column is not None:
-                    carried[column] = True
-            mask = carried[self.attr].all(axis=1)
-            cut = len(mask) - int(np.count_nonzero(mask))
-            cached = self.masks[present] = (mask if cut else None, cut)
-        return cached
-
-
 def _cover_cell(constraint) -> Optional[Tuple[Tuple[float, ...],
                                              Optional[str]]]:
     """``constraint`` as a cell of the root table — its four bound
@@ -533,68 +249,118 @@ def _pin_keys(code: Optional[float]) -> Tuple[float, float]:
     return (-_INF, -_INF) if code is None else (code, -code)
 
 
-class _RootTable:
-    """A forest's roots laid out for the covering compares of a write.
+#: The root table's per-row arrays: the fill of an inert cell, the
+#: dtype, and the axes — ``r`` the rows, ``w`` the table's width, ``l``
+#: / ``p`` the most line / page numbers a root reads, ``6`` the cover
+#: keys. A walk searches each row's cells for its first failure, so
+#: they are a row's run; a covering compare reduces the cover keys
+#: position by position, so their row axis is the last.
+_FIELDS = {
+    "attr": (-1, np.int64, "rw"),
+    "lo": (_INF, np.float64, "rw"),
+    "hi": (-_INF, np.float64, "rw"),
+    "keys": (-_INF, np.float64, "6wr"),
+    "lines": (-1, np.int64, "rl"),
+    "line_lengths": (0, np.int64, "rw"),
+    "pages": (-1, np.int64, "rp"),
+    "page_lengths": (0, np.int64, "rw"),
+    "live": (False, bool, "r"),
+    "n": (0, np.int64, "r"),
+    "inexact": (False, bool, "r"),
+    "closure": (False, bool, "r"),
+}
 
-    Row ``r`` holds one root, one cell per constraint position ``p``:
-    ``attr[p, r]``, the index of the constraint's attribute in
-    ``columns``, and ``keys[:, p, r]``, six float64 keys — the four
-    bound keys of :func:`_cover_cell` and the pin's, ``(code, -code)``
-    with ``code`` its number in ``pins``, or ``(-inf, -inf)`` for no
-    pin: one cell covers another exactly when each of its keys is the
-    smaller or equal one. Narrower roots are padded to the widest with
-    inert cells (``attr`` -1, every key -inf). ``key[r]`` orders the
-    rows (``roots`` is the live rows in ascending key order), and
-    ``inexact[r]`` marks a row with a constraint :func:`_cover_cell`
-    cannot place, whose ``Subscription.covers`` decides it instead.
+
+class _RootTable:
+    """A forest's roots laid out for the walk's first level and for the
+    covering compares of a write.
+
+    Row ``r`` holds one root, in every array of :data:`_FIELDS`; per
+    constraint position ``p``:
+
+    * ``attr[r, p]``, the index of the constraint's attribute in
+      ``columns``;
+    * ``lo[r, p]`` / ``hi[r, p]``, its closed float64 match bounds
+      (``ConstraintForm.bounds``; ``_NEVER`` for a string pin);
+    * ``keys[:, p, r]``, six float64 cover keys — the four bound keys of
+      :func:`_cover_cell` and the pin's, ``(code, -code)`` with ``code``
+      its number in ``pins`` (keyed by attribute and value), or ``(-inf,
+      -inf)`` for no pin: one cell covers another exactly when each of
+      its keys is the smaller or equal one, and a string matches a cell
+      whose pin code is its own.
+
+    ``n[r]`` counts the root's constraints; the cells past them are
+    inert (``attr`` -1, which reads the last entry of a column indexed
+    by attribute, match bounds ``_NEVER``, keys -inf), and the table is
+    one cell wider than its widest root, so every row ends in a cell
+    that fails. ``lines[r]`` / ``pages[r]`` are the whole node's line
+    and page numbers (``spans[0]``), padded with -1 (no number is
+    negative), and ``line_lengths[r, k]`` / ``page_lengths[r, k]`` how
+    many of them ``spans[k]`` holds, 0 for ``k = 0``: a root not
+    visited reads nothing. ``live[r]`` marks a row that holds a root;
+    ``inexact[r]`` marks a row with
+    a constraint :func:`_cover_cell` cannot place, whose
+    ``Subscription.covers`` decides it instead, and ``closure[r]`` one
+    with a constraint that has neither bounds nor a string pin. Those
+    two kinds of row are matched by their node's closure.
+
+    ``order[:len(rows)]`` is the live rows in ``roots`` order (the
+    entries past them mean nothing).
 
     Rows are edited in place: a new root takes a free row, or the next
-    one, and the next key; a root that stops being one returns its row,
-    inert again, to ``free``. The table also keeps, in ``roots`` order,
-    what reading each root whole reads (:meth:`whole_reads`), so that
-    an insert's trace of the roots it compared is two array slices.
+    one, and the next place in ``order``; a root that stops being one
+    returns its row, inert again, to ``free`` and leaves ``order``, the
+    places after its own moving up by one.
     """
 
-    __slots__ = ("columns", "pins", "attr", "keys", "key", "inexact",
-                 "nodes", "rows", "free", "next_key", "reads")
+    __slots__ = ("columns", "pins", "nodes", "rows", "free", "order",
+                 "visited", *_FIELDS)
 
-    #: A compare spans the rows in use rounded up to whole blocks of
-    #: this many: its arrays then come in a few lengths, not one per
-    #: root count, which would fill numpy's small-buffer cache (one
-    #: bucket per byte size under 1 KiB, ≈ 2 MB of peak RSS on the
+    #: A compare or a walk spans the rows in use rounded up to whole
+    #: blocks of this many: its arrays then come in a few lengths, not
+    #: one per root count, which would fill numpy's small-buffer cache
+    #: (one bucket per byte size under 1 KiB, ≈ 2 MB of peak RSS on the
     #: benchmark's 1,200 subscriptions).
     BLOCK = 256
 
     def __init__(self) -> None:
         self.columns: Dict[str, int] = {}
-        self.pins: Dict[str, float] = {}
+        self.pins: Dict[Tuple[str, str], float] = {}
         #: ``nodes[r]``: the root in row ``r``, None where it is free;
         #: ``rows``: the inverse map.
         self.nodes: List[Optional[PosetNode]] = []
         self.rows: Dict[PosetNode, int] = {}
         self.free: List[int] = []
-        self.next_key = 0
-        self.attr = np.full((1, 0), -1, dtype=np.int64)
-        self.keys = np.full((6, 1, 0), -_INF)
-        self.key = np.full(0, -1, dtype=np.int64)
-        self.inexact = np.zeros(0, dtype=bool)
-        #: :meth:`whole_reads`: None until first asked for, then kept.
-        self.reads = None
+        self.order = np.zeros(0, dtype=np.int64)
+        #: :meth:`visits`: None until asked for after a write that
+        #: changed the roots.
+        self.visited: Optional[_Visits] = None
+        self._fit(8, 1, 0, 0)
 
-    def _grow(self, width: int, capacity: int) -> None:
-        """Room for ``capacity`` rows of ``width`` cells, new ones
-        inert."""
-        held_width, held = self.attr.shape
-        attr = np.full((width, capacity), -1, dtype=np.int64)
-        attr[:held_width, :held] = self.attr
-        keys = np.full((6, width, capacity), -_INF)
-        keys[:, :held_width, :held] = self.keys
-        self.attr, self.keys = attr, keys
-        for name, fill in (("key", -1), ("inexact", False)):
-            old = getattr(self, name)
-            new = np.full(capacity, fill, dtype=old.dtype)
-            new[:held] = old
-            setattr(self, name, new)
+    def _fit(self, capacity: int, width: int, lines: int,
+             pages: int) -> None:
+        """Room for ``capacity`` rows of ``width`` cells that read up to
+        ``lines`` line and ``pages`` page numbers, new cells inert."""
+        sizes = {"6": 6, "r": capacity, "w": width, "l": lines, "p": pages}
+        for name, (fill, dtype, axes) in _FIELDS.items():
+            old = getattr(self, name, np.empty((0,) * len(axes)))
+            shape = tuple(map(max, old.shape,
+                              [sizes[axis] for axis in axes]))
+            if shape != old.shape:
+                new = np.full(shape, fill, dtype=dtype)
+                new[tuple(map(slice, old.shape))] = old
+                setattr(self, name, new)
+        self.order = np.concatenate(
+            (self.order, np.zeros(len(self.n) - len(self.order), np.int64)))
+
+    def _by_row(self, name: str):
+        """Field ``name`` with its row axis first (a view)."""
+        return getattr(self, name).swapaxes(0, _FIELDS[name][2].index("r"))
+
+    def used(self) -> int:
+        """The rows in use, rounded up to whole blocks (see the class)."""
+        return min(len(self.n),
+                   -(-len(self.nodes) // self.BLOCK) * self.BLOCK)
 
     def add(self, node: PosetNode) -> None:
         """``node`` becomes the last root."""
@@ -604,70 +370,136 @@ class _RootTable:
             row = len(self.nodes)
             self.nodes.append(None)
         items = node.subscription.items
-        width, capacity = self.attr.shape
-        if row >= capacity or len(items) > width:
-            self._grow(max(width, len(items)),
-                       capacity if row < capacity else max(2 * row, 8))
+        n = len(items)
+        spans = node.spans or (((), ()),) * (n + 1)
+        lines, pages = spans[0]
+        capacity = len(self.n)
+        if row >= capacity or n >= self.attr.shape[1] \
+                or len(lines) > self.lines.shape[1] \
+                or len(pages) > self.pages.shape[1]:
+            self._fit(capacity if row < capacity else 2 * row,
+                      n + 1, len(lines), len(pages))
         columns = self.columns
-        self.attr[:len(items), row] = [
-            columns.setdefault(attribute, len(columns))
-            for attribute, _constraint in items]
+        self.attr[row, :n] = [columns.setdefault(attribute, len(columns))
+                              for attribute, _constraint in items]
+        forms = [constraint.form for _attribute, constraint in items]
+        if any(form.bounds is None and type(form.pin) is not str
+               for form in forms):
+            self.closure[row] = True
+        else:
+            self.lo[row, :n], self.hi[row, :n] = zip(
+                *(form.bounds or _NEVER for form in forms))
         cells = _cover_cells(node.subscription)
         if cells is None:
             self.inexact[row] = True
         else:
             pins = self.pins
             codes = [None if pin is None
-                     else pins.setdefault(pin, float(len(pins)))
-                     for _bounds, pin in cells]
-            self.keys[:, :len(items), row] = np.array(
+                     else pins.setdefault((attribute, pin), float(len(pins)))
+                     for (attribute, _constraint), (_bounds, pin)
+                     in zip(items, cells)]
+            self.keys[:, :n, row] = np.array(
                 [bounds + _pin_keys(code)
                  for (bounds, _pin), code in zip(cells, codes)]).T
-        self.key[row] = self.next_key
-        self.next_key += 1
+        self.lines[row, :len(lines)] = lines
+        self.pages[row, :len(pages)] = pages
+        self.line_lengths[row, 1:n + 1], self.page_lengths[row, 1:n + 1] = \
+            zip(*((len(span_lines), len(span_pages))
+                  for span_lines, span_pages in spans[1:]))
+        self.n[row] = n
+        self.live[row] = True
+        self.order[len(self.rows)] = row
         self.nodes[row] = node
         self.rows[node] = row
-        if self.reads is not None:
-            for kind, part in zip(self.reads, node.spans[0]):
-                kind[0] = np.concatenate((kind[0], part))
-                kind[1].append(len(part))
+        self.visited = None
 
     def discard(self, node: PosetNode) -> None:
-        """``node`` is no longer a root: its row goes back, inert."""
+        """``node`` is no longer a root: its row goes back, inert, and
+        leaves ``order``."""
         row = self.rows.pop(node)
-        if self.reads is not None:
-            key = self.key
-            position = int(np.count_nonzero((key >= 0)
-                                            & (key < key[row])))
-            for kind in self.reads:
-                numbers, lengths = kind
-                start = sum(lengths[:position])
-                kind[0] = np.concatenate(
-                    (numbers[:start],
-                     numbers[start + lengths.pop(position):]))
+        order = self.order[:len(self.rows) + 1]
+        place = int((order == row).argmax())
+        order[place:-1] = order[place + 1:]
+        for name, (fill, _dtype, _axes) in _FIELDS.items():
+            self._by_row(name)[row] = fill
         self.nodes[row] = None
-        self.attr[:, row] = -1
-        self.keys[:, :, row] = -_INF
-        self.key[row] = -1
-        self.inexact[row] = False
         self.free.append(row)
+        self.visited = None
 
-    def whole_reads(self, roots: List[PosetNode]):
-        """What reading each of ``roots`` whole (``spans[0]``) reads, in
-        order: ``[[lines, line_counts], [pages, page_counts]]``, the
-        numbers flat in an int64 array and how many of them each root
-        reads. Built from ``roots`` the first time it is asked for (a
-        forest with no memory model never is), then edited by
-        :meth:`add` and :meth:`discard`."""
-        if self.reads is None:
-            # per root its line tuple, and its page tuple
-            kinds = tuple(zip(*(root.spans[0] for root in roots))) \
-                or ((), ())
-            self.reads = [
-                [np.fromiter(chain.from_iterable(parts), dtype=np.int64),
-                 list(map(len, parts))]
-                for parts in kinds]
-        return self.reads
+    def visits(self) -> _Visits:
+        """The live rows in visit order, derived once per set of roots."""
+        visited = self.visited
+        if visited is None:
+            visited = self.visited = _Visits(self)
+        return visited
+
+    def read_whole(self, compared: int) -> Tuple[object, object]:
+        """What reading the first ``compared`` roots whole reads, as
+        ``(lines, pages)`` int64 arrays in ``roots`` order: one gather
+        of their rows from the padded reads."""
+        rows = self.order[:compared]
+        return tuple(numbers[numbers >= 0] for numbers in (
+            self.lines.take(rows, 0), self.pages.take(rows, 0)))
+
+    def lead(self, header: dict):
+        """Per root, in visit order, the constraints ``header`` passes
+        before the first it fails: a root matches where this reaches
+        ``n``, and a visit evaluates one more than this, ``n`` at most.
+
+        One value column (:func:`~repro.matching.predicates.
+        encode_values`: a missing attribute, or a string, is NaN, which
+        no bound admits), one gather, one compare of the bounds, one of
+        the pin codes per string of the header, and per row the first
+        position that fails (``argmin``: every row ends in padding,
+        which fails). The rows only a closure decides take its answer.
+        """
+        columns = self.columns
+        pins = self.pins
+        values = [None] * (len(columns) + 1)
+        codes = []
+        for name, value in header.items():
+            column = columns.get(name)
+            if column is not None:
+                values[column] = value
+                if isinstance(value, str) and (name, value) in pins:
+                    codes.append(pins[name, value])
+        down, up = encode_values(values)
+        used = self.used()
+        attr = self.attr[:used]
+        column = down[attr]
+        passes = self.lo[:used] <= column
+        passes &= (column if up is down else up[attr]) <= self.hi[:used]
+        for code in codes:
+            passes |= self.keys[4, :, :used].T == code
+        lead = passes.argmin(axis=1)    # padding ends every row
+        nodes = self.nodes
+        for row in np.flatnonzero(self.closure[:used]
+                                  | self.inexact[:used]).tolist():
+            n_evals = nodes[row].count(header)
+            lead[row] = n_evals if n_evals > 0 else -n_evals - 1
+        return lead[self.visits().rows]
+
+    def gate(self, present: frozenset) -> Tuple[object, int]:
+        """The attribute gate for one header shape: ``(mask, cut)``,
+        ``mask[i]`` true where the header carries every attribute the
+        ``i``-th root visited requires, None when it cuts no root."""
+        visits = self.visits()
+        masks = visits.masks
+        cached = masks.get(present)
+        if cached is None:
+            if len(masks) >= visits.MAX_MASKS:
+                masks.clear()
+            columns = self.columns
+            carried = np.zeros(len(columns) + 1, dtype=bool)
+            carried[-1] = True      # what padding (attr -1) reads
+            for name in present:
+                column = columns.get(name)
+                if column is not None:
+                    carried[column] = True
+            mask = carried[self.attr[visits.rows]].all(axis=1)
+            cut = len(mask) - int(np.count_nonzero(mask))
+            cached = masks[present] = (mask if cut else None, cut)
+        return cached
 
     def compare(self, subscription: Subscription):
         """Both directions of covering between ``subscription`` and
@@ -689,10 +521,8 @@ class _RootTable:
         covers a row when as many of its cells as it has constraints
         hold keys at most the row's (padding and those cells never do).
         """
-        # the rows in use, rounded up to whole blocks (see the class)
-        used = min(len(self.key),
-                   -(-len(self.nodes) // self.BLOCK) * self.BLOCK)
-        live = self.key[:used] >= 0
+        used = self.used()
+        live = self.live[:used]
         cells = _cover_cells(subscription)
         if cells is None:
             nothing = np.zeros_like(live)
@@ -707,9 +537,12 @@ class _RootTable:
             column = columns.get(attribute)
             if column is not None:
                 theirs[:, column] = bounds + _pin_keys(
-                    None if pin is None else pins.get(pin, unheld))
-        keys = self.keys[:, :, :used]
-        gathered = np.take(theirs, self.attr[:, :used], axis=1)
+                    None if pin is None
+                    else pins.get((attribute, pin), unheld))
+        # the last position is padding in every row, which a compare
+        # need not read (see the class)
+        keys = self.keys[:, :-1, :used]
+        gathered = np.take(theirs, self.attr[:used, :-1].T, axis=1)
         undecided = self.inexact[:used]
         decided = live & ~undecided
         covering = (keys <= gathered).all(axis=0).all(axis=0)
@@ -723,10 +556,10 @@ class _RootTable:
         return covering, covered, undecided
 
     def check(self, roots: List[PosetNode]) -> None:
-        """Raise unless the live rows are ``roots``, keyed in list
-        order, each what a fresh ``add`` of its node writes, every other
-        row inert, and the reads, once built, what a fresh build
-        yields."""
+        """Raise unless the live rows are ``roots``, in ``order`` as in
+        the list, each what a fresh ``add`` of its node writes, every other
+        row inert, and the visits, once derived, what a fresh derivation
+        yields, with each cached mask what the attribute gate says."""
         rows = self.rows
         if len(rows) != len(roots) or not all(map(rows.__contains__,
                                                   roots)):
@@ -735,44 +568,102 @@ class _RootTable:
         if any(self.nodes[row] is not root
                for row, root in zip(ordered, roots)):
             raise MatchingError("root table row map out of sync")
-        keys = self.key[ordered]
-        if len(keys) and (keys[0] < 0 or np.any(keys[1:] <= keys[:-1])
-                          or keys[-1] >= self.next_key):
-            raise MatchingError(
-                "root table keys are not ascending in roots order")
-        fresh = _RootTable()
-        fresh.columns, fresh.pins = dict(self.columns), dict(self.pins)
-        for root in roots:
-            fresh.add(root)
-        width = fresh.attr.shape[0]
-        count = len(roots)
-        if fresh.columns != self.columns or fresh.pins != self.pins \
-                or not np.array_equal(self.attr[:width, ordered],
-                                      fresh.attr[:, :count]) \
-                or not np.array_equal(self.keys[:, :width, ordered],
-                                      fresh.keys[:, :, :count]) \
-                or not np.array_equal(self.inexact[ordered],
-                                      fresh.inexact[:count]) \
-                or np.any(self.attr[width:, ordered] != -1) \
-                or np.any(self.keys[:, width:, ordered] != -_INF):
-            raise MatchingError("root table row is not a fresh add")
-        if self.reads is not None and any(
-                numbers.dtype != np.int64 or lengths != fresh_lengths
-                or not np.array_equal(numbers, fresh_numbers)
-                for (numbers, lengths), (fresh_numbers, fresh_lengths)
-                in zip(self.reads, fresh.whole_reads(roots))):
-            raise MatchingError("root table reads are not the roots'")
+        if self.order[:len(roots)].tolist() != ordered:
+            raise MatchingError("root table order is not the roots'")
         free = self.free
         if sorted(free + ordered) != list(range(len(self.nodes))) \
                 or any(self.nodes[row] is not None for row in free):
             raise MatchingError("root table free list out of sync")
-        inert = np.ones(len(self.key), dtype=bool)
+        fresh = _RootTable()
+        fresh.columns, fresh.pins = dict(self.columns), dict(self.pins)
+        for root in roots:
+            fresh.add(root)
+        # as wide as this table: its cells past a fresh add's are inert
+        fresh._fit(len(fresh.n), self.attr.shape[1], self.lines.shape[1],
+                   self.pages.shape[1])
+        if fresh.columns != self.columns or fresh.pins != self.pins:
+            raise MatchingError("root table row is not a fresh add")
+        inert = np.ones(len(self.n), dtype=bool)
         inert[ordered] = False
-        if np.any(self.attr[:, inert] != -1) \
-                or np.any(self.keys[:, :, inert] != -_INF) \
-                or np.any(self.key[inert] != -1) \
-                or np.any(self.inexact[inert]):
-            raise MatchingError("a free root table row is not inert")
+        for name, (fill, dtype, _axes) in _FIELDS.items():
+            mine, theirs = self._by_row(name), fresh._by_row(name)
+            if mine.dtype != dtype or not np.array_equal(
+                    mine[ordered], theirs[:len(roots)]):
+                raise MatchingError("root table row is not a fresh add")
+            if np.any(mine[inert] != fill):
+                raise MatchingError("a free root table row is not inert")
+        visited = self.visited
+        if visited is None:
+            return
+        mine, theirs = (
+            [visits.rows, visits.n] + [
+                getattr(reads, name) for reads in (visits.lines, visits.pages)
+                for name in _Reads.__slots__]
+            for visits in (visited, _Visits(self)))
+        if any(a.dtype != b.dtype or not np.array_equal(a, b)
+               for a, b in zip(mine, theirs)):
+            raise MatchingError("root visits are not the table's")
+        for present, (mask, cut) in visited.masks.items():
+            passes = [node.required_attributes <= present
+                      for node in reversed(roots)]
+            if cut != passes.count(False) or (mask is None) != (not cut) \
+                    or (mask is not None and mask.tolist() != passes):
+                raise MatchingError(
+                    "cached gate mask disagrees with the attribute gate")
+
+
+class _Reads:
+    """What the roots' visits read, of one kind (lines, or pages), in
+    visit order.
+
+    ``numbers[i]`` are the ``i``-th visited root's line (page) numbers,
+    an int64 row padded with -1; ``lengths[starts[i] + n]`` says how
+    many of them a visit that evaluated ``n`` constraints reads — 0 for
+    ``n = 0``, a root not visited.
+    """
+
+    __slots__ = ("numbers", "lengths", "starts", "prefixes")
+
+    def __init__(self, numbers, lengths) -> None:
+        # ``numbers`` and ``lengths``: a gather of the table's rows
+        self.numbers = numbers
+        self.lengths = lengths.ravel()
+        self.starts = np.arange(len(lengths)) * lengths.shape[1]
+        #: ``prefixes[k]`` masks a row's first ``k`` numbers (a gather
+        #: of its rows beats a broadcast compare along the short axis)
+        width = numbers.shape[1]
+        self.prefixes = np.arange(width + 1)[:, None] > np.arange(width)
+
+    def of(self, n_evals) -> Tuple[object, object]:
+        """The roots' part of a walk's trace — each root's first
+        ``lengths[n_evals[i]]`` numbers, concatenated in visit order
+        into one int64 array — and those per-root counts."""
+        counts = self.lengths[self.starts + n_evals]
+        return self.numbers[self.prefixes.take(counts, 0)], counts
+
+
+class _Visits:
+    """A root table's live rows in visit order — ``roots`` reversed, as
+    a stack pops them — with their reads gathered in that order, and
+    the attribute gate's masks for that order.
+
+    Derived by one gather per array, from the table's ``order``, by the
+    first walk after a write that changed the roots, and dropped with its
+    masks by the next such write.
+    """
+
+    __slots__ = ("rows", "n", "lines", "pages", "masks")
+
+    #: Header shapes whose gate mask is kept (a stream repeats a
+    #: handful; names arrive from outside, so the cache is bounded).
+    MAX_MASKS = 64
+
+    def __init__(self, table: _RootTable) -> None:
+        self.rows = rows = table.order[:len(table.rows)][::-1].copy()
+        self.n = table.n[rows]
+        self.lines = _Reads(table.lines[rows], table.line_lengths[rows])
+        self.pages = _Reads(table.pages[rows], table.page_lengths[rows])
+        self.masks: Dict[frozenset, Tuple[object, int]] = {}
 
 
 class ContainmentForest:
@@ -822,13 +713,9 @@ class ContainmentForest:
         # share a node even when the first-cover descent, after
         # re-parenting, would not walk past the existing copy.
         self._by_key: dict = {}
-        #: The roots compiled for the walk's first level
-        #: (:class:`_RootScan`): built by the first match after a
-        #: write, dropped by the next write.
-        self._scan: Optional[_RootScan] = None
-        #: The roots laid out for the covering compares of a write
-        #: (:class:`_RootTable`): edited by every write that changes
-        #: ``roots``.
+        #: The roots laid out for the walk's first level and the
+        #: covering compares of a write (:class:`_RootTable`): edited
+        #: by every write that changes ``roots``.
         self._table = _RootTable()
 
     # -- memory model ----------------------------------------------------------
@@ -895,7 +782,6 @@ class ContainmentForest:
         # Even an idempotent re-registration may extend a subscriber
         # set, so every insert invalidates derived match planes.
         self.generation += 1
-        self._scan = None
         arena = self.arena if self.trace_inserts else None
         key = subscription.key()
         roots = self.roots
@@ -913,9 +799,7 @@ class ContainmentForest:
         if arena is not None:
             compared = len(roots) if container is None \
                 else roots.index(container) + 1
-            lines, pages = (numbers[:sum(counts[:compared])]
-                            for numbers, counts
-                            in self._table.whole_reads(roots))
+            lines, pages = self._table.read_whole(compared)
         below_lines: List[int] = []
         below_pages: List[int] = []
         siblings = roots
@@ -980,12 +864,10 @@ class ContainmentForest:
         """The roots a :meth:`_RootTable.compare` verdict names, and
         the undecided ones ``covers`` accepts, lazily in ``roots``
         order (``covers`` runs only on the undecided ones reached)."""
-        rows = np.flatnonzero(verdict | undecided)
-        if not len(rows):
-            return
         table = self._table
+        rows = table.order[:len(table.rows)]
         nodes = table.nodes
-        for row in rows[np.argsort(table.key[rows])].tolist():
+        for row in rows[(verdict | undecided)[rows]].tolist():
             node = nodes[row]
             if not undecided[row] or covers(node):
                 yield node
@@ -1007,7 +889,6 @@ class ContainmentForest:
         if node is None or subscriber not in node.subscribers:
             return False
         self.generation += 1
-        self._scan = None
         node.subscribers.discard(subscriber)
         self.n_subscriptions -= 1
         if not node.subscribers:
@@ -1061,29 +942,25 @@ class ContainmentForest:
 
     # -- matching -----------------------------------------------------------------
 
-    def _root_scan(self) -> _RootScan:
-        """The roots compiled at the current generation."""
-        scan = self._scan
-        if scan is None:
-            scan = self._scan = _RootScan(self.roots, self.generation)
-        return scan
-
     def match(self, event: Event) -> Set[object]:
         """All subscribers whose subscription matches ``event``.
 
         Untraced (no memory accounting) — used by wall-clock
         benchmarks and by correctness tests. The roots are answered by
-        the compiled scan (a root the attribute gate would cut fails
-        its scan too, so the gate is not consulted), the subtrees of
-        the roots that match by their nodes' compiled closures.
+        one pass over the root table (a root the attribute gate would
+        cut fails that pass too, so the gate is not consulted), the
+        subtrees of the roots that match by their nodes' compiled
+        closures.
         """
         header = event.header
-        scan = self._root_scan()
-        nodes = scan.nodes
+        table = self._table
+        roots = self.roots
         matched: Set[object] = set()
         stack: List[PosetNode] = []
-        for row in np.flatnonzero(scan.lead(header) == scan.n).tolist():
-            node = nodes[row]
+        # the i-th root visited is roots[~i]
+        for index in np.flatnonzero(
+                table.lead(header) == table.visits().n).tolist():
+            node = roots[~index]
             matched |= node.subscribers
             stack += node.children
         pop = stack.pop
@@ -1100,7 +977,7 @@ class ContainmentForest:
         Touches each visited node's arena allocation and returns
         ``(subscribers, nodes_visited, predicates_evaluated)`` so the
         caller can charge per-evaluation cycles to the platform. The
-        roots are one pass of the compiled scan, the subtrees of the
+        roots are one pass over the root table, the subtrees of the
         roots that match go through :func:`_walk`, each subtree's reads
         directly after its root's, and the whole walk reaches the
         memory model as one batch (see the module docstring).
@@ -1109,38 +986,40 @@ class ContainmentForest:
             raise MatchingError("match_traced requires an arena-backed "
                                 "index")
         header = event.header
-        scan = self._root_scan()
-        nodes = scan.nodes
-        lead = scan.lead(header)
-        n_evals = np.minimum(lead + 1, scan.n)
+        table = self._table
+        visits = table.visits()
+        lead = table.lead(header)
+        n_evals = np.minimum(lead + 1, visits.n)
         gated = 0
         if self.root_gate:
-            mask, gated = scan.gate(frozenset(header))
+            mask, gated = table.gate(frozenset(header))
             if gated:
                 n_evals *= mask     # not visited: evaluates, reads none
-        lines, line_counts = scan.lines.of(n_evals)
-        pages, page_counts = scan.pages.of(n_evals)
-        visited = len(nodes) - gated
+        lines, line_counts = visits.lines.of(n_evals)
+        pages, page_counts = visits.pages.of(n_evals)
+        visited = len(n_evals) - gated
         evaluated = int(n_evals.sum())
+        roots = self.roots
         matched: Set[object] = set()
         descents = []
-        for row in np.flatnonzero(lead == scan.n).tolist():
-            node = nodes[row]
+        # the i-th root visited is roots[~i]
+        for index in np.flatnonzero(lead == visits.n).tolist():
+            node = roots[~index]
             matched |= node.subscribers
             if node.children:
-                descents.append(row)
+                descents.append(index)
         if descents:
             # each subtree's reads right after its root's, front to back
             line_parts = []
             page_parts = []
             line_start = page_start = 0
-            for row, line_end, page_end in zip(
+            for index, line_end, page_end in zip(
                     descents, line_counts.cumsum()[descents].tolist(),
                     page_counts.cumsum()[descents].tolist()):
                 below_lines: List[int] = []
                 below_pages: List[int] = []
                 below_visited, below_evaluated = _walk(
-                    list(nodes[row].children), header, matched,
+                    list(roots[~index].children), header, matched,
                     below_lines, below_pages)
                 visited += below_visited
                 evaluated += below_evaluated
@@ -1179,10 +1058,9 @@ class ContainmentForest:
         bytes) must agree with the structure — removals hoist children
         and splice nodes, so churn is exactly where stale counters and
         dangling key-map entries would creep in. The root table must
-        hold the roots as a fresh write of each would
-        (:meth:`_RootTable.check`), and a root scan compiled since the
-        last write must be what a fresh compile yields
-        (:meth:`_RootScan.check`).
+        hold the roots as a fresh write of each would, and its visits,
+        once derived, what a fresh derivation yields
+        (:meth:`_RootTable.check`).
         """
         seen = set()
         seen_keys = set()
@@ -1230,5 +1108,3 @@ class ContainmentForest:
             raise MatchingError(
                 "key map holds entries for nodes not in the forest")
         self._table.check(self.roots)
-        if self._scan is not None:
-            self._scan.check(self.roots, self.generation)

@@ -7,7 +7,7 @@ normalise conjunctions of predicates into per-attribute
 :class:`Constraint` objects (an interval plus an exclusion set), on
 which both matching and containment are defined. Each constraint
 carries its :class:`ConstraintForm`: how the vectorised matchers (the
-columnar plane, the forest's root scan) decide it, classified once.
+columnar plane, the forest's root table) decide it, classified once.
 """
 
 from __future__ import annotations

@@ -1,24 +1,30 @@
-"""Clock-free guards on the vectorised matchers' compiles and on the
+"""Clock-free guards on the columnar plane's compile and on the
 forest's writes.
 
-The columnar plane's bulk compile and the forest's root-scan compile
-read each constraint's :class:`~repro.matching.predicates.ConstraintForm`
-instead of classifying it on the spot, and an insert meets the roots in
-one compare against the forest's root table instead of one
-``Subscription.covers`` call per root. What must not come back is a
-dearer compile or write: these tests count the Python-level calls one
-makes (``sys.setprofile``, ``call`` + ``c_call`` events, the cyclic
-collector off) on the benchmark geometries and hold them to literals
-recorded at the last revision that classified at compile time, or that
-inserted through the loop, on CPython 3.11 with numpy 2.4 (other
-versions count a few calls differently; the margins below are wide).
+The columnar plane's bulk compile reads each constraint's
+:class:`~repro.matching.predicates.ConstraintForm` instead of
+classifying it on the spot; an insert meets the roots in one compare
+against the forest's root table instead of one ``Subscription.covers``
+call per root; and a walk reads that table as the writes left it, where
+the first walk after a write used to compile a root scan with a Python
+step per root. What must not come back is a dearer compile, write or
+first walk: these tests count the Python-level calls one makes
+(``sys.setprofile``, ``call`` + ``c_call`` events — ``call`` alone
+where the memory model's per-page C calls would count the trace — the
+cyclic collector off) on the benchmark geometries and hold them to
+literals recorded at the last revision that classified at compile time,
+that inserted through the loop, or that compiled the scan, on CPython
+3.11 with numpy 2.4 (other versions count a few calls differently; the
+margins below are wide).
 """
 
 import gc
 import sys
 
 from repro.matching.columnar import ColumnarMatchPlane
-from repro.matching.poset import ContainmentForest, _RootScan
+from repro.matching.events import Event
+from repro.matching.poset import ContainmentForest
+from repro.matching.subscriptions import Subscription
 from repro.sgx.cpu import scaled_spec
 from repro.sgx.memory import MemorySubsystem
 from repro.workloads.datasets import build_dataset
@@ -26,9 +32,11 @@ from repro.workloads.datasets import build_dataset
 #: ``plane._compile()`` over ``e80a1`` x 2,000 nodes (the churn_mix
 #: world), the second of two compiles.
 RECORDED_PLANE_COMPILE = 59_926
-#: ``_RootScan(...)`` over ``e100a1`` x 1,200 subscriptions (871
-#: roots, the paper_path world), the first, which packs every root.
-RECORDED_SCAN_COMPILE = 38_463
+#: One insert that makes a new root of the ``e100a1`` x 1,200 forest
+#: (871 roots, the paper_path world), then one ``match_traced`` of the
+#: world's first publication, which compiled the root scan again
+#: (``call`` events only).
+RECORDED_ROOT_WRITE_AND_WALK = 1_063
 #: 200 inserts into that world's forest, from 1,000 subscriptions (761
 #: roots) to 1,200 (871), through the per-root ``covers`` loop.
 RECORDED_INSERTS = 887_375
@@ -37,12 +45,12 @@ RECORDED_INSERTS = 887_375
 RECORDED_ROOT_REMOVAL = 2_012
 
 
-def count_calls(function):
+def count_calls(function, kinds=("call", "c_call")):
     calls = 0
 
     def profiler(_frame, event, _arg):
         nonlocal calls
-        calls += event in ("call", "c_call")
+        calls += event in kinds
 
     gc.disable()
     sys.setprofile(profiler)
@@ -73,11 +81,46 @@ def test_a_plane_compile_is_no_dearer_than_before():
     assert calls <= RECORDED_PLANE_COMPILE, calls
 
 
-def test_a_root_scan_compile_is_no_dearer_than_before():
+def root_write_and_walk(forest, event):
+    """Python-level calls one insert that makes a new root, and the
+    ``match_traced`` of ``event`` after it, make."""
+    forest.match_traced(event)
+    new_root = Subscription.parse({"unheld": (0, 1)})
+    roots = len(forest.roots)
+
+    def write_and_walk():
+        forest.insert(new_root, "new")
+        forest.match_traced(event)
+    calls = count_calls(write_and_walk, kinds=("call",))
+    assert len(forest.roots) == roots + 1
+    return calls
+
+
+def test_a_root_write_costs_the_next_walk_no_call_per_root():
+    """The walk after a write reads the table the write edited: 200
+    and 800 roots that fail cost it the same calls."""
+    event = Event({"a": 5, "b": 1, "c": 7, "s": "HAL"})
+    counts = []
+    for n_failing in (200, 800):
+        memory = MemorySubsystem(scaled_spec(llc_bytes=8 * 1024 * 1024))
+        forest = ContainmentForest(
+            arena=memory.new_arena(enclave=True, name="counts"))
+        plan = [{"a": (0, 10)}, {"a": (2, 8)}, {"a": (3, 7), "b": 1},
+                {"c": (0, 10), "s": "HAL"}, {"c": (1, 9), "s": "HAL"}]
+        plan += [{"b": (10 + i, 10.5 + i), "c": (0, i)}
+                 for i in range(n_failing)]
+        for subscriber, spec in enumerate(plan):
+            forest.insert(Subscription.parse(spec), subscriber)
+        counts.append(root_write_and_walk(forest, event))
+    assert counts[0] == counts[1], counts
+
+
+def test_a_root_write_and_walk_make_a_quarter_of_the_calls_before():
     forest, _arena = traced_forest("e100a1", 1200, seed=2016)
     assert len(forest.roots) == 871
-    calls = count_calls(lambda: _RootScan(forest.roots, forest.generation))
-    assert calls <= RECORDED_SCAN_COMPILE, calls
+    event = build_dataset("e100a1", 1200, 1, seed=2016).publications[0]
+    calls = root_write_and_walk(forest, event)
+    assert calls <= RECORDED_ROOT_WRITE_AND_WALK // 4, calls
 
 
 def paper_path_forest(inserted):

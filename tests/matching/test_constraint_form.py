@@ -3,7 +3,7 @@
 Every :class:`Constraint` carries a :class:`ConstraintForm` — a pin, a
 closed float64 ``bounds`` pair, "any present value", or none of them
 (its compiled closure decides) — and the columnar plane and the
-forest's root scan place and decide the constraint from it alone. This
+forest's root table place and decide the constraint from it alone. This
 file holds the form to ``Constraint.admits`` directly, on the value
 domain the matchers' own exactness suites draw from
 (``test_columnar_exact.py``): ints from ±2**53 to ±2**70 and past the
@@ -64,7 +64,7 @@ def decisions(constraint, value):
     read = []
     if pin is not None:                 # the plane's bucket probe
         read.append(value == pin)
-    if bounds is not None:              # a bound row, or a scan cell
+    if bounds is not None:              # a bound row, or a root table cell
         (down,), (up,) = encode_values([value])
         read.append(bool(bounds[0] <= down and up <= bounds[1]))
     if always:

@@ -1,18 +1,21 @@
-"""The compiled root scan against the loop it replaced.
+"""The root table's match path against the loop it replaced.
 
-Since PR 24 the roots of a forest walk are one vectorised pass over
-arrays compiled from ``ContainmentForest.roots``; before, each root
-was one trip through the scalar walk. ``reference_walk.py`` keeps that
-loop verbatim, and this file holds the scan to it on everything a walk
-yields — ``(matched, visited, evaluated)``, the exact ``(lines,
+The roots of a forest walk are one vectorised pass over the forest's
+root table, which every write edits in place; before, each root was
+one trip through the scalar walk. ``reference_walk.py`` keeps that
+loop verbatim, and this file holds the table to it on everything a
+walk yields — ``(matched, visited, evaluated)``, the exact ``(lines,
 pages)`` handed to ``arena.touch_many``, ``roots_gated`` — over random
-forests *written between matches*, so that a scan that outlives a
-re-parenting insert or a hoisting removal fails, and over the whole
-value domain: ints from ±2**53 to ±2**70 as bounds and as values,
-floats adjacent to a bound on either side, ``-0.0``, ``±inf``, strings
-on numeric attributes, and attributes missing at the first, a middle
-or the last constraint position (where a visit short-circuits is what
-``evaluated`` and the trace prefix depend on).
+forests *written between matches*, so that visit-order arrays or gate
+masks that outlive a re-parenting insert or a hoisting removal fail,
+and over the whole value domain: ints from ±2**53 to ±2**70 as bounds
+and as values, floats adjacent to a bound on either side, ``-0.0``,
+``±inf``, strings on numeric attributes, and attributes missing at the
+first, a middle or the last constraint position (where a visit
+short-circuits is what ``evaluated`` and the trace prefix depend on).
+One deterministic case holds a gate mask cached before a root was
+inserted to the same oracle, another the visit order to being derived
+once per set of roots and dropped by each write that changes it.
 
 The last test needs no oracle and no clock: under ``sys.setprofile``,
 one ``match_traced`` makes the same number of Python-level calls
@@ -22,10 +25,8 @@ against 200 and against 800 roots that do not match.
 import sys
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.errors import MatchingError
 from repro.matching.events import Event
 from repro.matching.poset import ContainmentForest
 from repro.matching.predicates import Op, Predicate
@@ -162,7 +163,7 @@ def test_scan_is_the_replaced_loop_between_writes(script, root_gate):
             expected = reference_match_traced(forest, event)
             assert traced(forest, event) == expected
             assert forest.match(event) == expected[0]
-            # answered twice from one compiled scan
+            # answered twice from one derivation of the visits
             assert traced(forest, event) == expected
         forest.check_invariants()
 
@@ -214,63 +215,92 @@ def test_value_between_adjacent_floats_is_not_rounded():
         assert forest.match(event) == matched
 
 
-def small_forest():
+def test_a_pin_the_cover_keys_do_not_hold_is_matched_by_its_closure():
+    """A row with a string pin whose cover keys are not written (an
+    exclusion beside the pin, or an int float64 does not hold on
+    another attribute) is decided by its node's closure."""
+    forest = recording_forest()
+    plan = [[Predicate("s", Op.EQ, "HAL"), Predicate("s", Op.NE, "IBM")],
+            [Predicate("t", Op.EQ, "HAL"), Predicate("x", Op.GT, 2 ** 60 + 1)],
+            [Predicate("u", Op.EQ, "HAL")]]
+    for subscriber, predicates in enumerate(plan):
+        forest.insert(Subscription(predicates), subscriber)
+    table = forest._table
+    assert [bool(table.inexact[table.rows[root]])
+            for root in forest.roots] == [True, True, False]
+    for header, matched in (
+            ({"s": "HAL", "t": "HAL", "x": 2 ** 61, "u": "HAL"}, {0, 1, 2}),
+            ({"s": "IBM", "t": "HAL", "x": 2 ** 60 + 1, "u": "IBM"}, set())):
+        event = Event(header)
+        expected = reference_match_traced(forest, event)
+        assert expected[0] == matched
+        assert traced(forest, event) == expected
+        assert forest.match(event) == matched
+
+
+def test_a_new_root_is_gated_by_a_mask_cached_before_it():
+    """A header shape's gate mask holds for one set of roots: a root
+    inserted after the mask was cached, requiring an attribute the
+    shape lacks, is cut, not visited."""
+    forest = recording_forest()
+    for subscriber, spec in enumerate([{"a": (0, 10)}, {"b": (0, 10)}]):
+        forest.insert(Subscription.parse(spec), subscriber)
+    event = Event({"a": 5})
+    assert traced(forest, event) == reference_match_traced(forest, event)
+    assert forest._table.visits().masks[frozenset(event.header)][1] == 1
+    forest.insert(Subscription.parse({"c": (0, 10)}), 2)
+    assert len(forest.roots) == 3
+    expected = reference_match_traced(forest, event)
+    assert expected[0] == {0} and expected[-1] == 2
+    assert traced(forest, event) == expected
+    forest.check_invariants()
+
+
+def test_visits_are_derived_once_per_set_of_roots():
+    """The first walk after a write that changed the roots derives the
+    visit order; the walks after it, and writes that only file a child,
+    keep it; ``check_invariants`` holds it, and its gate masks, to a
+    fresh derivation."""
     forest = recording_forest()
     for subscriber, spec in enumerate(
             [{"a": (0, 10)}, {"a": (2, 8)}, {"b": (50, 60), "d": "HAL"},
              {"c": ("!=", 3)}]):
         forest.insert(Subscription.parse(spec), subscriber)
-    return forest
-
-
-def test_check_invariants_holds_a_compiled_scan_to_a_fresh_compile():
+    table = forest._table
+    forest.check_invariants()           # nothing derived: nothing to check
+    assert table.visited is None
     event = Event({"a": 5, "b": 55, "d": "HAL"})
-    forest = small_forest()
-    forest.check_invariants()           # nothing compiled: nothing to check
-    assert forest._scan is None
     forest.match_traced(event)
     forest.match_traced(Event({"a": 5}))
-    scan = forest._scan
-    assert scan.generation == forest.generation
-    assert len(scan.nodes) == len(forest.roots) == 3
-    assert len(scan.masks) == 2 and len(scan.closures) == 1
+    visits = table.visited
+    assert [table.nodes[row] for row in visits.rows.tolist()] == \
+        forest.roots[::-1]
+    assert len(forest.roots) == 3 and len(visits.masks) == 2
     forest.check_invariants()
-    # a write drops it; the next match compiles the new generation's
-    forest.insert(Subscription.parse({"a": (0, 20)}), 9)
-    assert forest._scan is None
-    forest.match(event)
-    assert forest._scan is not scan
-    assert forest._scan.generation == forest.generation
+    # a child leaves the roots, and so the visits, as they were
+    forest.insert(Subscription.parse({"a": (3, 7)}), 8)
+    assert len(forest.roots) == 3
+    assert forest.match(event) == {0, 1, 2, 8}
+    assert table.visited is visits
     forest.check_invariants()
-
-
-@pytest.mark.parametrize("damage", [
-    lambda scan: scan.lo.__setitem__((0, 0), -1.0),
-    lambda scan: scan.attr.__setitem__((1, 0), 0),
-    lambda scan: scan.lines.lengths.__setitem__((0, 1), 1),
-    lambda scan: scan.pages.lengths.__setitem__((2, 0), 1),
-    lambda scan: scan.lines.numbers.__setitem__((1, 0), 7),
-    lambda scan: scan.nodes.reverse(),
-    lambda scan: setattr(scan, "hi", scan.hi.astype("float32")),
-    lambda scan: setattr(scan, "generation", scan.generation - 1),
-    lambda scan: scan.closures.clear(),
-    lambda scan: scan.pins.clear(),
-    lambda scan: scan.masks.__setitem__(
-        frozenset("a"), (None, 0)),
-])
-def test_check_invariants_rejects_a_scan_that_is_not_a_fresh_compile(
-        damage):
-    forest = small_forest()
-    forest.match_traced(Event({"a": 5, "b": 55, "d": "HAL"}))
-    forest.check_invariants()
-    damage(forest._scan)
-    with pytest.raises(MatchingError):
+    # a new root drops them, and so does a removed one; the next walk
+    # derives the new set's
+    for write, n_roots in (
+            (lambda: forest.insert(Subscription.parse({"e": (0, 1)}), 9), 4),
+            (lambda: forest.remove_subscriber(
+                Subscription.parse({"c": ("!=", 3)}), 3), 3)):
+        write()
+        assert table.visited is None
+        assert traced(forest, event) == reference_match_traced(forest, event)
+        assert table.visited is not visits
+        visits = table.visited
+        assert len(visits.rows) == len(forest.roots) == n_roots
         forest.check_invariants()
 
 
 def call_count(forest, event):
     """Python-level calls one warm ``match_traced`` makes."""
-    forest.match_traced(event)          # compiles the scan
+    forest.match_traced(event)          # derives the visit order
     calls = 0
 
     def profiler(_frame, kind, _argument):

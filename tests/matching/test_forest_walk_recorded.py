@@ -2,9 +2,10 @@
 before PR 24.
 
 PR 24 replaced the root level of the walk — one closure call, one dict
-probe and two list extends per root — by a compiled scan over arrays.
-A scan-vs-scan oracle cannot see a counting rule both sides share, so
-this file pins the scan against the loop it *replaced*:
+probe and two list extends per root — by one pass over arrays, today
+the forest's root table. An array-vs-array oracle cannot see a counting
+rule both sides share, so this file pins the array pass against the
+loop it *replaced*:
 ``fixtures/forest_walk_recorded.json`` was written by this module's
 ``__main__`` at the parent commit (``PYTHONPATH=<parent>/src python
 tests/matching/test_forest_walk_recorded.py``), and the test replays
@@ -22,7 +23,7 @@ each of 384 walks, would make a megabyte of fixture. On a mismatch
 produces the expected sequence to diff against.
 
 The ≈ 300 subscriptions mix one to four constraints of every shape the
-scan has to route: closed, open and half-open intervals, numeric and
+root table has to route: closed, open and half-open intervals, numeric and
 string equalities (``== 50`` and ``== 50.0`` share a node), ``!=``,
 bare ``exists``, ``< inf`` / ``> -inf``, int bounds past 2**53; they
 nest thirteen deep, several subscribers share nodes, and some roots

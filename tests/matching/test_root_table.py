@@ -12,7 +12,9 @@ domain: open, closed and equal bounds, ``!=`` sets, string pins and
 wildcards, bare ``exists``, ``> -inf`` / ``< inf``, ints from ±2**53
 to ±2**70 and past the largest float, ``-0.0`` and ``±inf``. A second
 property holds every verdict the table does give to
-``Subscription.covers`` itself.
+``Subscription.covers`` itself, and the last test holds
+``check_invariants`` to catching a table, or the visit order derived
+from it, that is not what a fresh ``add`` of every root yields.
 """
 
 import math
@@ -259,7 +261,8 @@ def test_rows_it_cannot_place_fall_back_to_covers():
 def churned_forest():
     """Roots adopted, hoisted and removed: rows reused out of order,
     and rows left free."""
-    forest = ContainmentForest()
+    memory = MemorySubsystem(scaled_spec(llc_bytes=256 * 1024))
+    forest = ContainmentForest(arena=memory.new_arena(enclave=True))
     plan = [{"b": (0, 10)}, {"a": (2, 8)}, {"c": "HAL", "a": (1, 2)},
             {"a": (0, 10)}, {"b": (3, 4)}, {"c": ("!=", "IBM")},
             {"d": (0, 1)}, {"d": (5, 6)}, {"e": "HAL"}]
@@ -271,31 +274,46 @@ def churned_forest():
     return forest
 
 
-def test_rows_are_reused_and_keys_follow_the_roots():
+def test_rows_are_reused_and_the_order_follows_the_roots():
     forest = churned_forest()
     table = forest._table
     forest.check_invariants()
     rows = [table.rows[root] for root in forest.roots]
     assert rows != sorted(rows)
-    keys = [int(table.key[row]) for row in rows]
-    assert keys == sorted(keys)
+    assert table.order[:len(rows)].tolist() == rows
     assert len(table.free) == len(table.nodes) - len(forest.roots) > 0
+
+
+def damage_a_pin(table):
+    """Another code in the one pinned cell (``{"e": "HAL"}``)."""
+    (position, row), = np.argwhere(table.keys[4] >= 0)
+    table.keys[4, position, row] += 1
 
 
 @pytest.mark.parametrize("damage", [
     lambda table: table.keys.__setitem__((0, 0, 0), -1.0),
+    lambda table: table.lo.__setitem__((0, 0), -1.0),
+    lambda table: table.line_lengths.__setitem__((0, 1), 1),
+    lambda table: table.pages.__setitem__((0, 0), 7),
+    lambda table: setattr(table, "hi", table.hi.astype("float32")),
+    lambda table: table.closure.__setitem__(0, True),
+    damage_a_pin,
+    lambda table: table.visits().masks.__setitem__(
+        frozenset("a"), (None, 0)),
+    lambda table: table.visits().lines.numbers.__setitem__((0, 0), 7),
     lambda table: table.attr.__setitem__((0, 0), 5),
-    lambda table: table.key.__setitem__(
-        slice(None), table.key[::-1].copy()),
+    lambda table: table.order.__setitem__(
+        slice(0, 2), table.order[1::-1].copy()),
     lambda table: table.inexact.__setitem__(0, True),
     lambda table: table.free.append(0),
     lambda table: table.rows.popitem(),
     lambda table: table.pins.clear(),
     lambda table: table.attr.__setitem__(
-        (0, table.free[0]), 0),
+        (table.free[0], 0), 0),
     lambda table: table.keys.__setitem__(
         (5, 0, table.free[0]), 0.0),
-    lambda table: table.key.__setitem__(table.free[0], 99),
+    lambda table: table.order.__setitem__(0, table.free[0]),
+    lambda table: table.live.__setitem__(table.free[0], True),
 ])
 def test_check_invariants_rejects_a_table_that_is_not_a_fresh_add(
         damage):
