@@ -126,6 +126,8 @@ class FilterSweep:
             publications = publications[:n_publications]
         self.publications = publications
         self._channel = SecureChannel(b"K" * 16)
+        #: The sweep's header-name memo, as the enclave keeps its own.
+        self._names: Dict[bytes, str] = {}
         self._wire = [self._channel.protect(encode_header(event))
                       for event in publications] if encrypted else None
 
@@ -149,7 +151,8 @@ class FilterSweep:
         # amortises compulsory misses to nothing; with our smaller
         # batches we measure the steady state explicitly.
         for event in self.publications if not self.encrypted else (
-                decode_header(self._channel.open(blob)[0])
+                decode_header(self._channel.open(blob)[0],
+                              names=self._names)
                 for blob in self._wire):
             self.engine.match(event)
         memory.cache.reset_counters()
@@ -166,7 +169,7 @@ class FilterSweep:
                 blocks = (len(blob) + 15) // 16
                 memory.charge(costs.aes_setup_cycles
                               + blocks * costs.aes_block_cycles)
-                event = decode_header(plaintext)
+                event = decode_header(plaintext, names=self._names)
             visited_total += self.engine.match(event).nodes_visited
             if self.enclave:
                 memory.charge(costs.eexit_cycles)

@@ -32,7 +32,11 @@ perf overhaul targets —
   their in-process ratio, ``llc_array_batch_ns_per_line`` the batch
   entry point given the same lines as an int64 array (what a poset
   walk hands over), and ``llc_thrash_ns_per_line`` the batch entry
-  point's cost when every line misses and evicts (the per-line loop).
+  point's cost when every line misses and evicts (the per-line loop);
+  ``llc_thrash_vs_reference`` divides that by
+  ``llc_ref_thrash_ns_per_line``, the same sweep through the
+  per-line ``OrderedDict`` LRU the model replaced
+  (``tests/sgx/reference_lru.py`` pins it).
 
 Results land in ``BENCH_hotpath.json`` in two phases so the speedup
 claim is recorded against a baseline captured *on the same machine, in
@@ -48,7 +52,9 @@ CI's ``hotpath-smoke`` job runs the reduced suite with
 ``--require-aes-vs-reference`` as an absolute in-process gate: the
 production CTR path must beat the pinned reference regardless of what
 the committed record says. ``--require-llc-batch-vs-line`` gates the
-cache model's all-hit batch path against per-line calls the same way.
+cache model's all-hit batch path against per-line calls the same way,
+and ``--require-llc-thrash-vs-reference`` its miss path against the
+per-line ``OrderedDict`` LRU.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -268,6 +275,27 @@ def _best_ns(fn, per_call_items: int, repeats: int = 5) -> float:
     return round(best * 1e9 / per_call_items, 1)
 
 
+def _reference_lru(size_bytes: int, ways: int = 16
+                   ) -> Callable[[int], bool]:
+    """``access_line`` of the LLC model :class:`CacheModel` replaced:
+    one ``OrderedDict`` per set, front = LRU, one call per line."""
+    n_sets = size_bytes // (64 * ways)
+    sets = [OrderedDict() for _ in range(n_sets)]
+    mask = n_sets - 1
+
+    def access_line(line: int) -> bool:
+        cache_set = sets[line & mask]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            return True
+        cache_set[line] = None
+        if len(cache_set) > ways:
+            cache_set.popitem(last=False)
+        return False
+
+    return access_line
+
+
 def _bench_llc() -> Dict[str, float]:
     """ns per line of the cache model, resident and thrashing."""
     first = 1 << 30
@@ -290,14 +318,25 @@ def _bench_llc() -> Dict[str, float]:
     thrashed = CacheModel(64 * 1024)
     sweep = list(range(first, first + 4 * 1024))
     thrashed.access_lines(sweep)
+    thrash_ns = _best_ns(lambda: thrashed.access_lines(sweep), len(sweep))
+    reference = _reference_lru(64 * 1024)
+
+    def thrash_reference() -> None:
+        for line in sweep:
+            reference(line)
+
+    thrash_reference()
+    reference_ns = _best_ns(thrash_reference, len(sweep))
     return {
         "llc_batch_ns_per_line": batch_ns,
         "llc_line_ns_per_line": line_ns,
         "llc_batch_vs_line": round(line_ns / batch_ns, 3)
         if batch_ns > 0 else 0.0,
         "llc_array_batch_ns_per_line": array_ns,
-        "llc_thrash_ns_per_line": _best_ns(
-            lambda: thrashed.access_lines(sweep), len(sweep)),
+        "llc_thrash_ns_per_line": thrash_ns,
+        "llc_ref_thrash_ns_per_line": reference_ns,
+        "llc_thrash_vs_reference": round(thrash_ns / reference_ns, 3)
+        if reference_ns > 0 else 0.0,
     }
 
 
@@ -413,6 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "entry point is at least R times cheaper "
                              "per resident line than one access_line "
                              "call each (in-process gate, CI)")
+    parser.add_argument("--require-llc-thrash-vs-reference", type=float,
+                        default=0.0, metavar="R",
+                        help="fail unless a batch that misses on every "
+                             "line costs at most R times per line what "
+                             "the per-line OrderedDict LRU the cache "
+                             "model replaced costs (in-process gate, "
+                             "CI)")
     parser.add_argument("--require-aes-speedup", type=float,
                         default=0.0, metavar="X",
                         help="fail unless recorded aes_ctr speedup "
@@ -460,6 +506,13 @@ def run(args: argparse.Namespace) -> int:
             f"batched LLC accounting is only {llc_ratio:.2f}x "
             f"per-line calls (required "
             f"{args.require_llc_batch_vs_line:.2f}x)")
+    thrash_ratio = measurements.get("llc_thrash_vs_reference", 0.0)
+    if args.require_llc_thrash_vs_reference and \
+            thrash_ratio > args.require_llc_thrash_vs_reference:
+        failures.append(
+            f"a thrashing LLC batch costs {thrash_ratio:.2f}x the "
+            f"per-line OrderedDict LRU (allowed "
+            f"{args.require_llc_thrash_vs_reference:.2f}x)")
     matcher_ratio = measurements.get("matcher_columnar_vs_forest", 0.0)
     if args.require_matcher_speedup and \
             matcher_ratio < args.require_matcher_speedup:

@@ -33,9 +33,9 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import (SecureChannel, decode_header,
-                                 decode_public_key, decode_subscription,
-                                 encode_public_key, encode_subscription,
-                                 hybrid_decrypt)
+                                 decode_headers, decode_public_key,
+                                 decode_subscription, encode_public_key,
+                                 encode_subscription, hybrid_decrypt)
 from repro.crypto.encoding import pack_fields, unpack_fields
 from repro.crypto.rsa import RsaPublicKey, _generate_keypair_unchecked
 from repro.errors import EnclaveError, RoutingError
@@ -118,6 +118,9 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         self._sk_channel: Optional[SecureChannel] = None
         self._provider_pk: Optional[RsaPublicKey] = None
         self._sk: Optional[bytes] = None
+        # This enclave's header-name memo (core.messages): no other
+        # enclave, nor the host, reads or fills it.
+        self._names: Optional[Dict[bytes, str]] = {}
         # Created lazily at first seal; a restarted instance adopts the
         # counter id stored (in plaintext) beside the sealed blob, as
         # real SGX applications do.
@@ -264,12 +267,14 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
     # -- matching (Fig. 4, step 5) ------------------------------------------------------
 
     def _match_decoded(self, events) -> List[List[str]]:
-        """Match decrypted headers; one sorted client list per header.
+        """Match decrypted headers (events, or a decoded batch's
+        columns); one sorted client list per header.
 
         The sort is the ecall's wire form, applied to memo hits and
         misses alike, so a hit is byte-identical to a miss outside.
+        Every subscriber is a ``str``: a client id or a link sentinel.
         """
-        return [sorted(str(client) for client in result.subscribers)
+        return [sorted(result.subscribers)
                 for result in self._engine.match_batch(events)]
 
     @ecall
@@ -278,7 +283,7 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         channel = self._require_provisioned()
         plaintext, _aad = channel.open(header_envelope)
         self._charge_aes(len(header_envelope))
-        event = decode_header(plaintext)
+        event = decode_header(plaintext, names=self._names)
         return self._match_decoded([event])[0]
 
     @ecall
@@ -292,22 +297,35 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         one subscriber list per header, in order.
 
         The batch is processed in two phases — decrypt/parse *every*
-        envelope first, then match the decoded headers back to back —
-        so the crypto stage (AES setup, header decode) and the index
-        stage each run cache-hot instead of interleaving per envelope.
+        envelope first, then match the decoded headers back to back.
+        The parse is one pass over the plaintexts that writes the
+        batch straight into one value column per attribute
+        (:func:`~repro.core.messages.decode_headers`), the form the
+        columnar plane evaluates; :class:`Event` objects are built
+        from the columns only where the forest walk or the match memo
+        takes them. A header the parse rejects fails the whole batch
+        with what :func:`~repro.core.messages.decode_header` raises for
+        it, before anything is matched.
         """
         channel = self._require_provisioned()
-        # open_many checks the batch's CMACs side by side — one lane
-        # of the AES batch kernel per envelope, from two envelopes up —
-        # and decrypts through one CTR pass; the simulated AES charge
-        # per envelope is unchanged.
+        # open_many checks every envelope's CMAC, in batch order, and
+        # then decrypts them all through one CTR pass.
         opened = channel.open_many(header_envelopes)
-        events = []
-        for envelope, (plaintext, _aad) in zip(header_envelopes,
-                                               opened):
+        plaintexts = [plaintext for plaintext, _aad in opened]
+        try:
+            batch = decode_headers(plaintexts, self._names)
+        except Exception:
+            # A rejected batch is charged as an envelope-by-envelope
+            # decode charges it: the AES of each envelope up to and
+            # including the first bad header, which raises again here.
+            for envelope, plaintext in zip(header_envelopes,
+                                           plaintexts):
+                self._charge_aes(len(envelope))
+                decode_header(plaintext, names=self._names)
+            raise
+        for envelope in header_envelopes:
             self._charge_aes(len(envelope))
-            events.append(decode_header(plaintext))
-        return self._match_decoded(events)
+        return self._match_decoded(batch)
 
     # -- persistence -----------------------------------------------------------------
 
@@ -394,10 +412,12 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
                 engine.index_bytes)
 
     def on_destroy(self) -> None:
-        """EREMOVE took the heap: drop the index and every callback
-        that would keep this instance reachable from its registry."""
+        """EREMOVE took the heap: drop the index, the name memo and
+        every callback that would keep this instance reachable from
+        its registry."""
         self._m_link_subscriptions.freeze()
         self._engine.close()
+        self._names = None
 
     @ecall
     def engine_metrics(self) -> Dict[str, float]:

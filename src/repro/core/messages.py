@@ -20,22 +20,24 @@ import math
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.encoding import (b64decode, b64encode, pack_fields,
                                    unpack_fields)
 from repro.crypto.hkdf import hkdf
 from repro.crypto.provider import cmac_for_key, ctr_for_key
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.errors import CryptoError, NetworkError, RoutingError
-from repro.matching.attributes import (validate_attribute_name,
-                                       validate_value)
-from repro.matching.events import Event
-from repro.matching.predicates import Constraint, Op, Predicate
+from repro.errors import (CryptoError, MatchingError, NetworkError,
+                          RoutingError)
+from repro.matching.attributes import validate_attribute_name
+from repro.matching.events import Event, EventColumns
+from repro.matching.predicates import (EXACT_INTS, Constraint, Op,
+                                       Predicate)
 from repro.matching.subscriptions import Subscription
 
 __all__ = [
-    "encode_header", "decode_header",
+    "encode_header", "decode_header", "decode_headers",
+    "NAME_MEMO_LIMIT",
     "encode_subscription", "decode_subscription",
     "SecureChannel", "hybrid_encrypt", "hybrid_decrypt",
     "encode_public_key", "decode_public_key",
@@ -83,40 +85,120 @@ def encode_header(event: Event) -> bytes:
     return pack_fields(fields)
 
 
-#: The bytes of an attribute name as they arrive -> the validated,
-#: interned name. A stream repeats a few dozen names on every frame;
-#: the memo spares each repeat its decode, validation and interning. A
-#: name that fails validation is never stored, so it fails again on
-#: every arrival. Names come from outside the program: past
-#: ``_NAME_MEMO_LIMIT`` entries the memo starts over.
-_NAME_MEMO: Dict[bytes, str] = {}
-_NAME_MEMO_LIMIT = 4096
+#: ``struct`` readers of a field length and of an ``f`` value's body,
+#: and the value tags as ``blob[i]`` reads them.
+_U32 = struct.Struct(">I").unpack_from
+_F64 = struct.Struct(">d").unpack_from
+_TAG_F, _TAG_I, _TAG_S = b"fis"
+
+#: A name memo maps the bytes of an attribute name as they arrive to
+#: the validated, interned name. A stream repeats a few dozen names on
+#: every frame; the memo spares each repeat its decode, validation and
+#: interning. A name that fails validation is never stored, so it fails
+#: again on every arrival. Names come from outside the program: past
+#: ``NAME_MEMO_LIMIT`` entries a memo starts over. The routing enclave
+#: owns one (and drops it when destroyed); a caller that passes none
+#: decodes every name afresh.
+NAME_MEMO_LIMIT = 4096
 
 
-def _decode_name(raw: bytes) -> str:
-    name = _NAME_MEMO.get(raw)
-    if name is None:
-        name = validate_attribute_name(raw.decode("utf-8"))
-        if len(_NAME_MEMO) >= _NAME_MEMO_LIMIT:
-            _NAME_MEMO.clear()
-        _NAME_MEMO[raw] = name
-    return name
+def _scatter(blob: bytes, names: Dict[bytes, str], row: int, n: int,
+             columns: Dict[str, list], irregular: Set[str]) -> None:
+    """Decode one header into row ``row`` of ``columns`` (each column
+    ``n`` long, made on first sight); a repeated name keeps its last
+    value. ``irregular`` collects the names of string values and of
+    ints past ``±2**53`` (see :class:`~repro.matching.events.
+    EventColumns`).
+
+    One pass over the fields, with no call per field: name through
+    ``names``, value by its tag, NaN refused. Errors are those of
+    unpacking the fields and then decoding them one by one, in that
+    order: a bad layout (:func:`~repro.crypto.encoding.unpack_fields`)
+    outranks an odd field count, which outranks a bad name or value
+    (the first, name before value), which outranks an empty header.
+    """
+    count = int.from_bytes(blob[:2], "big")
+    if not count or count & 1:
+        unpack_fields(blob)
+        if count:
+            raise RoutingError("odd field count in header")
+        raise MatchingError("publication header must not be empty")
+    end = 2
+    try:
+        for _ in range(count >> 1):
+            start = end + 4
+            end = start + _U32(blob, end)[0]
+            raw = blob[start:end]
+            name = names.get(raw)
+            if name is None:
+                name = validate_attribute_name(raw.decode("utf-8"))
+                if len(names) >= NAME_MEMO_LIMIT:
+                    names.clear()
+                names[raw] = name
+            start = end + 4
+            end = start + _U32(blob, end)[0]
+            if end - start == 9 and blob[start] == _TAG_F:
+                value = _F64(blob, start + 1)[0]
+                if value != value:
+                    raise MatchingError(
+                        "NaN attribute values are not comparable")
+            elif start == end:
+                raise RoutingError("empty value field")
+            else:
+                tag = blob[start]
+                body = blob[start + 1:end]
+                if tag == _TAG_I:
+                    value = int.from_bytes(body, "big", signed=True)
+                    if not -EXACT_INTS <= value <= EXACT_INTS:
+                        irregular.add(name)
+                elif tag == _TAG_S:
+                    value = body.decode("utf-8")
+                    irregular.add(name)
+                elif tag == _TAG_F:
+                    struct.unpack(">d", body)   # not 8 bytes: raises
+                else:
+                    raise RoutingError(
+                        f"unknown value tag {blob[start:start + 1]!r}")
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = [None] * n
+            column[row] = value
+    except Exception:
+        unpack_fields(blob)     # a bad layout outranks a bad field
+        raise
+    if end != len(blob):
+        unpack_fields(blob)     # raises: truncated, or trailing bytes
 
 
-def decode_header(blob: bytes, event_id: int = 0) -> Event:
-    """Invert :func:`encode_header`.
+def decode_header(blob: bytes, event_id: int = 0,
+                  names: Optional[Dict[bytes, str]] = None) -> Event:
+    """Invert :func:`encode_header`: one header as an :class:`Event`.
 
     Names and values are validated here, once, and the event is built
-    from them as they are (:meth:`Event.validated`).
+    from them as they are (:meth:`Event.validated`). ``names`` is the
+    caller's name memo, if it keeps one.
     """
-    fields = unpack_fields(blob)
-    if len(fields) % 2:
-        raise RoutingError("odd field count in header")
-    header: Dict[str, object] = {}
-    for i in range(0, len(fields), 2):
-        header[_decode_name(fields[i])] = validate_value(
-            _decode_value(fields[i + 1]))
-    return Event.validated(header, event_id)
+    columns: Dict[str, list] = {}
+    _scatter(blob, {} if names is None else names, 0, 1, columns, set())
+    return Event.validated(
+        {name: column[0] for name, column in columns.items()}, event_id)
+
+
+def decode_headers(blobs: Sequence[bytes],
+                   names: Optional[Dict[bytes, str]] = None
+                   ) -> EventColumns:
+    """Invert :func:`encode_header` over a batch, straight into one
+    value column per attribute — no dict and no :class:`Event` per
+    header. Raises what :func:`decode_header` raises for the first
+    blob, in batch order, that it rejects."""
+    n = len(blobs)
+    columns: Dict[str, list] = {}
+    irregular: Set[str] = set()
+    if names is None:
+        names = {}
+    for row, blob in enumerate(blobs):
+        _scatter(blob, names, row, n, columns, irregular)
+    return EventColumns(n, columns, irregular)
 
 
 # -- subscriptions -----------------------------------------------------------------

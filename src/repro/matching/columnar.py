@@ -14,8 +14,11 @@ registered subscription set:
   sets, string wildcards, bounds float64 cannot carry);
 * a batch's deficits are one ``n_events x n_slots`` grid of bytes,
   each row starting as the subscriptions' constraint counts, and the
-  batch is evaluated column-wise, one pass per attribute: the batch's
-  value column (:func:`~repro.matching.predicates.encode_values`)
+  batch is evaluated column-wise, one pass per attribute: the batch
+  arrives as one value column per attribute
+  (:class:`~repro.matching.events.EventColumns`, what the wire decoder
+  writes; a list of events is transposed into it), and a column's
+  float64 form (:func:`~repro.matching.predicates.encode_values`)
   meets the table's bound arrays in one vectorised compare (``lo <=
   v`` and ``v <= hi``, an ``n_events x n_rows`` boolean matrix) that
   is subtracted from the grid's slot columns in one scatter; buckets,
@@ -57,14 +60,13 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.errors import MatchingError
-from repro.matching.events import Event
+from repro.matching.events import Event, EventColumns
 from repro.matching.poset import ContainmentForest, PosetNode
-from repro.matching.predicates import encode_values
 from repro.sgx.memory import MemoryArena
 
 __all__ = ["ColumnarMatchPlane", "MATCHER_BACKENDS",
@@ -227,20 +229,20 @@ class _AttributeTable:
                 + COLUMN_ENTRY_BYTES * self.n_entries
                 + BUCKET_HEADER_BYTES * self.n_buckets)
 
-    def probe(self, values: list, cells: bytearray, grid, visited: list,
-              consulted: list, counts) -> int:
+    def probe(self, values: list, batch: EventColumns, cells: bytearray,
+              grid, visited: list, consulted: list, counts) -> int:
         """One pass of a batch's value column over this table.
 
-        ``values`` holds one entry per event, None where the header
-        lacks the attribute. Every constraint an event's value
-        satisfies costs its slot one decrement in that event's row of
-        the grid (``cells`` is the grid's buffer: the scalar
-        placements address it directly). Subscriptions touched and
-        tests consulted are added per event — to the lists ``visited``
-        / ``consulted`` for the scalar placements, to the two rows of
-        the array ``counts`` for the bound arrays. Returns the most
-        tests any one event consulted, -1 if no event carries the
-        attribute.
+        ``values`` is ``batch``'s column of the attribute: one entry
+        per event, None where the header lacks it. Every constraint an
+        event's value satisfies costs its slot one decrement in that
+        event's row of the grid (``cells`` is the grid's buffer: the
+        scalar placements address it directly). Subscriptions touched
+        and tests consulted are added per event — to the lists
+        ``visited`` / ``consulted`` for the scalar placements, to the
+        two rows of the array ``counts`` for the bound arrays. Returns
+        the most tests any one event consulted, -1 if no event carries
+        the attribute.
 
         The bound arrays take the whole batch in one compare: ``lo <=
         v`` and ``v <= hi`` as ``n_events x n_rows`` booleans, their
@@ -250,7 +252,8 @@ class _AttributeTable:
         row without one is consulted only where it is satisfied (the
         counts of a bisect to the admitted prefix, resp. suffix, of a
         list sorted by that bound). The column is
-        :func:`~repro.matching.predicates.encode_values`'s.
+        :func:`~repro.matching.predicates.encode_values`'s, from
+        :meth:`EventColumns.encoded`.
         """
         n_slots = grid.shape[1]
         always, buckets, residual = \
@@ -278,7 +281,7 @@ class _AttributeTable:
             consulted[index] += fixed
         if most < 0 or not len(self.sub):
             return most
-        down, up = encode_values(values)
+        down, up = batch.encoded(self.attribute)
         admit = self.lo <= down[:, None]
         satisfied = admit & (up[:, None] <= self.hi)
         tests = (admit & (satisfied | (self.lo > -_INF))).sum(axis=1)
@@ -564,10 +567,10 @@ class ColumnarMatchPlane:
 
     # -- matching ----------------------------------------------------------
 
-    def _evaluate(self, events: Sequence[Event], traced: bool
+    def _evaluate(self, batch: EventColumns, traced: bool
                   ) -> Tuple[List[Set[object]], List[int], List[int]]:
         self.ensure_compiled()
-        n_events = len(events)
+        n_events = len(batch)
         n_slots = len(self._arity)
         # The batch's deficits: one row of slot bytes per event, in
         # one buffer — numpy subtracts whole columns of it, the scalar
@@ -578,13 +581,14 @@ class ColumnarMatchPlane:
         visited = [0] * n_events
         consulted = [0] * n_events
         counts = np.zeros((2, n_events), dtype=np.intp)
-        headers = [event.header for event in events]
+        columns = batch.columns
         runs: List[Tuple[int, int]] = []
         for table in self._tables:
-            attribute = table.attribute
-            most = table.probe(
-                [header.get(attribute) for header in headers],
-                cells, grid, visited, consulted, counts)
+            values = columns.get(table.attribute)
+            if values is None:
+                continue    # no event carries the attribute
+            most = table.probe(values, batch, cells, grid, visited,
+                               consulted, counts)
             # Each event streams the entries it consulted of this
             # column; the batch pass coalesces them into one run.
             if traced and most >= 0:
@@ -618,27 +622,35 @@ class ColumnarMatchPlane:
 
     def match(self, event: Event) -> Set[object]:
         """Untraced single-event matching (correctness tests)."""
-        return self._evaluate([event], traced=False)[0][0]
+        return self._evaluate(EventColumns.of([event]),
+                              traced=False)[0][0]
 
-    def match_batch(self, events: Sequence[Event]) -> List[Set[object]]:
-        """Untraced batch matching: one column pass per attribute."""
-        if not events:
+    def match_batch(self, events: Union[Iterable[Event], EventColumns]
+                    ) -> List[Set[object]]:
+        """Untraced batch matching: one column pass per attribute.
+        ``events`` is a sequence of events or an :class:`EventColumns`."""
+        batch = EventColumns.of(events)
+        if not batch:
             return []
-        return self._evaluate(events, traced=False)[0]
+        return self._evaluate(batch, traced=False)[0]
 
-    def match_batch_traced(self, events: Sequence[Event]
+    def match_batch_traced(self,
+                           events: Union[Iterable[Event], EventColumns]
                            ) -> Tuple[List[Set[object]],
                                       List[int], List[int]]:
         """Batch matching with coalesced memory-trace accounting.
 
-        Returns ``(match sets, subscriptions touched, constraint tests
-        consulted)`` — the per-event work counters callers charge
-        compute cycles from, in the same currency as
-        ``(nodes_visited, predicates_evaluated)`` on the forest path.
+        ``events`` is a sequence of events or an
+        :class:`EventColumns`. Returns ``(match sets, subscriptions
+        touched, constraint tests consulted)`` — the per-event work
+        counters callers charge compute cycles from, in the same
+        currency as ``(nodes_visited, predicates_evaluated)`` on the
+        forest path.
         """
         if self.arena is None:
             raise MatchingError(
                 "match_batch_traced requires an arena-backed plane")
-        if not events:
+        batch = EventColumns.of(events)
+        if not batch:
             return [], [], []
-        return self._evaluate(events, traced=True)
+        return self._evaluate(batch, traced=True)

@@ -3,20 +3,26 @@
 A publication is a *header* — the attribute/value map the CBR engine
 filters on — plus an opaque payload that never enters the matcher
 (paper §3.2). The wire representation (encryption, Base64) lives in
-:mod:`repro.core.messages`; here we keep the plain in-memory form.
+:mod:`repro.core.messages`; here we keep the plain in-memory forms:
+one :class:`Event` per header, and :class:`EventColumns`, a batch of
+headers as one value column per attribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+                    Union)
+
+import numpy as np
 
 from repro.errors import MatchingError
 from repro.matching.attributes import (AttributeValue,
                                        validate_attribute_name,
                                        validate_value)
+from repro.matching.predicates import EXACT_INTS, encode_values
 
-__all__ = ["Event"]
+__all__ = ["Event", "EventColumns"]
 
 
 @dataclass(frozen=True)
@@ -89,3 +95,88 @@ class Event:
     def key(self) -> Tuple[Tuple[str, AttributeValue], ...]:
         """Hashable identity of the header (alias of :meth:`canonical`)."""
         return self.canonical()
+
+
+class EventColumns:
+    """A batch of headers as one value column per attribute.
+
+    ``columns[attribute][i]`` is the ``i``-th header's value, None
+    where that header lacks the attribute; an attribute no header
+    carries has no column. This is the form the columnar plane
+    evaluates, one pass per attribute table, and the form the wire
+    decoder (:func:`repro.core.messages.decode_headers`) writes
+    directly, so a decoded batch reaches the plane without a dict per
+    header. The batch also knows which columns hold a string or an int
+    past ``±2**53`` (its ``irregular`` set): the only values
+    :func:`encode_values` does more for than a float64 conversion.
+
+    A batch made from events (:meth:`of`) transposes them when its
+    columns are first asked for; a decoded batch builds its events
+    when they are (:meth:`events`: the forest walk and the match memo
+    take one event at a time).
+    """
+
+    __slots__ = ("n", "_columns", "_irregular", "_events")
+
+    def __init__(self, n: int, columns: Optional[Dict[str, list]],
+                 irregular: Optional[Set[str]]) -> None:
+        self.n = n
+        self._columns = columns
+        self._irregular = irregular
+        self._events = None
+
+    @classmethod
+    def of(cls, events: Union[Iterable[Event], "EventColumns"]
+           ) -> "EventColumns":
+        """``events`` as a batch (a batch is returned as it is)."""
+        if isinstance(events, cls):
+            return events
+        events = list(events)
+        batch = cls(len(events), None, None)
+        batch._events = events
+        return batch
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def columns(self) -> Dict[str, list]:
+        if self._columns is None:
+            columns: Dict[str, list] = {}
+            irregular: Set[str] = set()
+            n = self.n
+            for row, event in enumerate(self._events):
+                for name, value in event.header.items():
+                    column = columns.get(name)
+                    if column is None:
+                        column = columns[name] = [None] * n
+                    column[row] = value
+                    if value.__class__ is not float and (
+                            isinstance(value, str)
+                            or not -EXACT_INTS <= value <= EXACT_INTS):
+                        irregular.add(name)
+            self._columns, self._irregular = columns, irregular
+        return self._columns
+
+    def encoded(self, attribute: str) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`encode_values` of the column of ``attribute``, one of
+        :attr:`columns`: a column of floats, ints float64 holds and
+        gaps is one float64 conversion (None is NaN), with ``up is
+        down``."""
+        column = self._columns[attribute]
+        if attribute in self._irregular:
+            return encode_values(column)
+        down = np.array(column, dtype=np.float64)
+        return down, down
+
+    def events(self) -> List[Event]:
+        """One :class:`Event` per header, in batch order."""
+        if self._events is None:
+            headers: List[dict] = [{} for _ in range(self.n)]
+            for name, column in self._columns.items():
+                for header, value in zip(headers, column):
+                    if value is not None:
+                        header[name] = value
+            self._events = [Event.validated(header)
+                            for header in headers]
+        return self._events

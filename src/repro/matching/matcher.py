@@ -15,10 +15,10 @@ benchmarks read simulated matching time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.matching.columnar import ColumnarMatchPlane, validate_backend
-from repro.matching.events import Event
+from repro.matching.events import Event, EventColumns
 from repro.matching.poset import ContainmentForest
 from repro.matching.stats import MatchCounters
 from repro.matching.subscriptions import Subscription
@@ -263,21 +263,25 @@ class MatchingEngine:
 
     def match(self, event: Event) -> MatchResult:
         """Match one event: a batch of one."""
-        return self._match_group([event])[0]
+        return self._match_group(EventColumns.of([event]))[0]
 
-    def match_batch(self, events: Iterable[Event]) -> List[MatchResult]:
+    def match_batch(self, events: Union[Iterable[Event], EventColumns]
+                    ) -> List[MatchResult]:
         """Match a batch of events, with full cost accounting.
 
-        The columnar backend answers the whole batch with one column
-        pass per attribute; the forest backend walks the index once
-        per event, so an event repeated within the batch already finds
-        its first occurrence in the memo.
+        ``events`` is a sequence of events or an :class:`EventColumns`
+        (what the enclave's batch decode produces). The columnar
+        backend answers the whole batch with one column pass per
+        attribute; the forest backend walks the index once per event,
+        so an event repeated within the batch already finds its first
+        occurrence in the memo.
         """
+        batch = EventColumns.of(events)
         if self.plane is not None:
-            return self._match_group(list(events))
-        return [self.match(event) for event in events]
+            return self._match_group(batch)
+        return [self.match(event) for event in batch.events()]
 
-    def _match_group(self, events: List[Event]) -> List[MatchResult]:
+    def _match_group(self, batch: EventColumns) -> List[MatchResult]:
         """Memo partition -> index walk over the misses -> charge.
 
         With the memo enabled, a repeated header is answered from the
@@ -287,18 +291,20 @@ class MatchingEngine:
         touches + per-test compute); each reports the group-mean
         ``simulated_us`` — the plane evaluates all events in shared
         passes, so per-event attribution below batch granularity is
-        not meaningful.
+        not meaningful. Only the memo's keys and the forest walk need
+        the batch as events; the plane reads its columns.
         """
         memo = self.memo
         counters = self.counters
-        results: List[Optional[MatchResult]] = [None] * len(events)
-        pending, pending_slots = events, range(len(events))
+        results: List[Optional[MatchResult]] = [None] * len(batch)
+        pending, pending_slots = batch, range(len(batch))
         if memo is not None:
-            pending, pending_slots = [], []
+            events = batch.events()
+            missed, pending_slots = [], []
             for slot, event in enumerate(events):
                 cached = memo.lookup(event.key())
                 if cached is None:
-                    pending.append(event)
+                    missed.append(event)
                     pending_slots.append(slot)
                     continue
                 self._m_matches.inc()
@@ -306,6 +312,7 @@ class MatchingEngine:
                 counters.matches += 1
                 counters.memo_hits += 1
                 results[slot] = MatchResult(cached, 0, 0, 0.0)
+            pending = EventColumns.of(missed)
         if not pending:
             return results
         memory = self.memory
@@ -320,18 +327,19 @@ class MatchingEngine:
         else:
             # the forest bumps the shared counters itself
             matched, visited, evaluated = zip(
-                *[self.forest.match_traced(event) for event in pending])
+                *[self.forest.match_traced(event)
+                  for event in pending.events()])
         memory.charge(sum(visited) * costs.node_visit_cycles
                       + sum(evaluated) * costs.predicate_eval_cycles)
         elapsed = memory.spec.cycles_to_us(
             memory.cycles - start_cycles) / len(pending)
-        for slot, event, subscribers, n_visited, n_evaluated in zip(
-                pending_slots, pending, matched, visited, evaluated):
+        for slot, subscribers, n_visited, n_evaluated in zip(
+                pending_slots, matched, visited, evaluated):
             self._m_matches.inc()
             self._m_visited.observe(n_visited)
             if memo is not None:
                 subscribers = frozenset(subscribers)
-                memo.store(event.key(), subscribers)
+                memo.store(events[slot].key(), subscribers)
                 self._m_memo_misses.inc()
                 counters.memo_misses += 1
             results[slot] = MatchResult(subscribers, n_visited,

@@ -25,7 +25,7 @@ from repro.matching.attributes import (AttributeValue, is_numeric,
                                        validate_value, values_comparable)
 
 __all__ = ["Op", "Predicate", "Constraint", "ConstraintForm",
-           "constraint_from_predicates", "encode_values"]
+           "constraint_from_predicates", "encode_values", "EXACT_INTS"]
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -33,7 +33,7 @@ _NAN = math.nan
 _MAX_FLOAT = sys.float_info.max
 #: float64 holds every int up to here, and adjacent floats inside
 #: these limits are at most 1 apart.
-_EXACT_INTS = 2.0 ** 53
+EXACT_INTS = 2.0 ** 53
 
 
 class Op:
@@ -364,7 +364,7 @@ def _closed_bound(bound, is_open: bool, toward: float
         return None
     if not is_open:
         return value
-    if not -_EXACT_INTS < value < _EXACT_INTS:
+    if not -EXACT_INTS < value < EXACT_INTS:
         return None
     return math.nextafter(value, toward)
 
@@ -439,7 +439,7 @@ def encode_values(values) -> Tuple[np.ndarray, np.ndarray]:
     for value in values:
         if value is None or isinstance(value, str):
             append(_NAN)
-        elif -_EXACT_INTS <= value <= _EXACT_INTS:
+        elif -EXACT_INTS <= value <= EXACT_INTS:
             append(value)
         else:
             wide.append(len(column))

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.engine import PROVISION_AAD, ScbrEnclaveLibrary
 from repro.core.keys import ProviderKeyChain
-from repro.core.messages import (decode_public_key, encode_header,
-                                 encode_public_key, encode_subscription,
-                                 hybrid_encrypt)
+from repro.core.messages import (NAME_MEMO_LIMIT, decode_public_key,
+                                 encode_header, encode_public_key,
+                                 encode_subscription, hybrid_encrypt)
 from repro.crypto.encoding import pack_fields
 from repro.crypto.rsa import _generate_keypair_unchecked
 from repro.errors import (AuthenticationError, EnclaveError,
-                          RollbackError, RoutingError)
+                          MatchingError, RollbackError, RoutingError)
 from repro.matching.events import Event
 from repro.matching.subscriptions import Subscription
 from repro.sgx.platform import SgxPlatform
@@ -176,6 +176,45 @@ class TestRegistrationAndMatching:
         register(enclave, keys, {"symbol": "HAL"}, "alice")
         subs, nodes, size = enclave.ecall("engine_stats")
         assert subs == 1 and nodes == 1 and size > 0
+
+
+class TestNameMemo:
+    """The header-name memo is the enclave's own: a name that fails
+    validation is never stored, and the memo is bounded."""
+
+    @pytest.mark.parametrize("name", ["a|b", "a\nb", "a\x00b", ""])
+    def test_forbidden_name_rejected_on_every_arrival(self, setup, name):
+        _platform, enclave, keys = setup
+        provision(enclave, keys)
+        blob = pack_fields([name.encode(), b"i" + bytes(8)])
+        good = encode_header(Event({"x": 1}))
+        for _ in range(3):
+            with pytest.raises(MatchingError):
+                enclave.ecall("match_publication",
+                              keys.channel().protect(blob))
+            with pytest.raises(MatchingError):
+                enclave.ecall("match_publications", [
+                    keys.channel().protect(good),
+                    keys.channel().protect(blob)])
+        assert name.encode() not in enclave._library._names
+
+    def test_name_memo_is_bounded(self, setup):
+        _platform, enclave, keys = setup
+        provision(enclave, keys)
+        names = enclave._library._names
+        limit = NAME_MEMO_LIMIT
+        for first in range(0, limit + 50, 1000):
+            header = pack_fields([
+                field for i in range(first, min(first + 1000,
+                                                limit + 50))
+                for field in (b"n%d" % i, b"i" + bytes(8))])
+            assert enclave.ecall("match_publications", [
+                keys.channel().protect(header)]) == [[]]
+            assert len(names) <= limit
+        # it started over, and still answers
+        assert len(names) < limit
+        assert publish(enclave, keys, {"n0": 0}) == []
+        assert names[b"n0"] == "n0"
 
 
 class TestSealRestore:

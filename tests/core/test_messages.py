@@ -77,13 +77,19 @@ class TestHeaderCodec:
             assert all(name is sys.intern(name)
                        for name in decoded.header)
 
-    @pytest.mark.parametrize("name", ["a|b", "a\nb", "a\x00b", ""])
-    def test_forbidden_name_rejected_on_every_arrival(self, name):
-        blob = pack_fields([name.encode(), b"i" + bytes(8)])
-        for _ in range(3):
-            with pytest.raises(MatchingError):
-                decode_header(blob)
-        assert name.encode() not in messages._NAME_MEMO
+    def test_names_go_into_the_callers_memo_and_nowhere_else(self):
+        """The module keeps no memo: a caller without one decodes each
+        name afresh, a caller with one finds the names it decoded
+        there (the enclave's own memo: ``tests/core/test_engine.py``
+        ``TestNameMemo``)."""
+        blob = encode_header(Event({"symbol": "HAL", "price": 1.5}))
+        assert not [name for name in vars(messages)
+                    if "MEMO" in name and name != "NAME_MEMO_LIMIT"]
+        names = {}
+        for _ in range(2):
+            assert decode_header(blob, names=names) \
+                == decode_header(blob)
+        assert names == {b"symbol": "symbol", b"price": "price"}
 
     def test_invalid_values_and_empty_header_still_rejected(self):
         nan = pack_fields([b"x", b"f" + struct.pack(">d", math.nan)])
@@ -97,16 +103,6 @@ class TestHeaderCodec:
         for value in (True, math.nan, None, (1, 2)):
             with pytest.raises(MatchingError):
                 Event({"x": value})
-
-    def test_name_memo_is_bounded(self):
-        limit = messages._NAME_MEMO_LIMIT
-        for i in range(limit + 50):
-            decode_header(pack_fields([b"n%d" % i, b"i" + bytes(8)]))
-            assert len(messages._NAME_MEMO) <= limit
-        # it started over, and still answers
-        assert len(messages._NAME_MEMO) < limit
-        assert decode_header(
-            pack_fields([b"n0", b"i" + bytes(8)])).header == {"n0": 0}
 
 
 class TestSubscriptionCodec:
