@@ -10,7 +10,7 @@ and what does the SGX tax cost at the *system* level?
 import pytest
 
 from conftest import emit
-from repro.bench.experiments import FilterSweep, bench_spec
+from repro.bench.experiments import FilterSweep
 from repro.bench.queueing import simulate_queue, sustainable_rate
 from repro.bench.report import format_table
 from repro.workloads.datasets import build_dataset
@@ -20,27 +20,14 @@ N_PUBLICATIONS = 30
 LATENCY_BOUND_US = 2000.0
 
 
-def _service_times(dataset, enclave):
-    """Per-publication simulated service times at the target size."""
-    sweep = FilterSweep(dataset, enclave=enclave, encrypted=True)
+def _service_times(dataset):
+    """Per-publication simulated service times at the target size, in
+    and out of the enclave (one index, paid by both platforms)."""
+    sweep = FilterSweep(dataset, ["out-aes", "in-aes"])
     sweep.measure_at(N_SUBSCRIPTIONS)
-    times = []
-    memory = sweep.platform.memory
-    costs = sweep.spec.costs
-    from repro.core.messages import decode_header
-    for index, event in enumerate(dataset.publications):
-        start = memory.cycles
-        memory.charge(costs.eenter_cycles)
-        blob = sweep._wire[index]
-        plaintext, _aad = sweep._channel.open(blob)
-        blocks = (len(blob) + 15) // 16
-        memory.charge(costs.aes_setup_cycles
-                      + blocks * costs.aes_block_cycles)
-        decoded = decode_header(plaintext)
-        sweep.engine.match(decoded)
-        memory.charge(costs.eexit_cycles)
-        times.append(sweep.spec.cycles_to_us(memory.cycles - start))
-    return times
+    native, enclave = zip(*(sweep.publish(index) for index
+                            in range(len(sweep.publications))))
+    return {"native": native, "in-enclave": enclave}
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -49,9 +36,7 @@ def test_ext_sustainable_throughput(benchmark):
     results = {}
 
     def run():
-        for enclave in (False, True):
-            service = _service_times(dataset, enclave)
-            label = "in-enclave" if enclave else "native"
+        for label, service in _service_times(dataset).items():
             mean_service = sum(service) / len(service)
             capacity = 1e6 / mean_service
             points = []

@@ -29,18 +29,18 @@ from repro.aspe.prefilter import PrefilteredAspeMatcher, event_bloom
 from repro.aspe.scheme import AspeScheme
 from repro.core.messages import (SecureChannel, decode_header,
                                  encode_header)
-from repro.matching.events import Event
 from repro.matching.matcher import MatchingEngine
 from repro.matching.naive import NaiveMatcher
 from repro.matching.poset import ContainmentForest
-from repro.matching.stats import forest_stats
 from repro.matching.subscriptions import Subscription
-from repro.sgx.cpu import PlatformSpec, SKYLAKE_I7_6700, scaled_spec
+from repro.sgx.cpu import PlatformSpec, scaled_spec
+from repro.sgx.memory import MemorySubsystem, TraceArena
 from repro.sgx.platform import SgxPlatform
 from repro.workloads.datasets import Dataset, build_dataset
 
 __all__ = [
-    "full_mode", "default_subscription_sizes", "FilterMeasurement",
+    "full_mode", "default_subscription_sizes", "CONFIGURATIONS",
+    "FilterMeasurement",
     "FilterSweep", "AspeSweep", "bench_spec",
     "measure_filter", "measure_aspe", "run_fig5", "run_fig6", "run_fig7",
     "run_fig8", "run_containment_ablation", "run_prefilter_ablation",
@@ -81,7 +81,12 @@ def bench_spec(epc: bool = False) -> PlatformSpec:
     return scaled_spec(llc_bytes=BENCH_LLC_BYTES)
 
 
-# -- single-configuration measurement -----------------------------------------------
+# -- the SCBR filter in the paper's configurations -------------------------------
+
+#: The four configurations of one matcher (§4), in Fig. 5's order:
+#: outside / inside an enclave x plaintext / AES-encrypted headers.
+CONFIGURATIONS = ("out-plain", "out-aes", "in-plain", "in-aes")
+
 
 @dataclass
 class FilterMeasurement:
@@ -91,7 +96,8 @@ class FilterMeasurement:
     n_subscriptions: int
     configuration: str              # "in"/"out" x "aes"/"plain" / "aspe"
     mean_us: float                  # simulated matching time per pub
-    wall_us: float                  # real wall-clock per pub (Python)
+    wall_us: float                  # real wall-clock per pub (Python),
+    #                                 of the sweep's whole measured pass
     llc_miss_rate: float
     epc_faults: int
     index_bytes: int
@@ -99,108 +105,145 @@ class FilterMeasurement:
 
 
 class FilterSweep:
-    """Incremental sweep in one configuration (paper methodology, §4).
+    """Incremental sweep of one index in several configurations (§4).
 
     The database is filled progressively (1 k, 2.5 k, ... as in Fig. 5)
-    and a publication batch is matched at each size. Registration is
-    excluded from the measurement and — for speed — untraced; matching
-    is fully traced through the cache/EPC/MEE models by the same
-    :class:`MatchingEngine` the routing enclave runs — only the arena
-    (enclave or untrusted) differs between "In" and "Out".
+    and a publication batch is matched at each size by the same
+    :class:`MatchingEngine` the routing enclave runs. Registration is
+    excluded from the measurement and — for speed — untraced. The index
+    is built once, over a :class:`~repro.sgx.memory.TraceArena`; each
+    of ``configurations`` (labels from :data:`CONFIGURATIONS`) is a
+    charge target of its own — an arena in the enclave or the
+    untrusted space of a platform of its own — that pays the recorded
+    walks through its own cache, EPC and MEE models. A publication is
+    walked once per kind of event the configurations match: the
+    plaintext event, or the header an ``-aes`` configuration decrypts
+    and decodes from the wire. Each configuration pays, in order:
+    EENTER, AES, the walk's touches and compute, EEXIT.
     """
 
-    def __init__(self, dataset: Dataset, enclave: bool, encrypted: bool,
+    def __init__(self, dataset: Dataset, configurations: Sequence[str],
                  spec: Optional[PlatformSpec] = None,
                  n_publications: Optional[int] = None) -> None:
+        unknown = set(configurations) - set(CONFIGURATIONS)
+        if unknown:
+            raise ValueError(f"unknown configurations {sorted(unknown)}")
         self.dataset = dataset
-        self.enclave = enclave
-        self.encrypted = encrypted
         self.spec = spec if spec is not None else bench_spec()
-        self.platform = SgxPlatform(spec=self.spec)
-        self.engine = MatchingEngine(
-            arena=self.platform.memory.new_arena(enclave=enclave),
-            trace_inserts=False)
+        self.configurations = list(configurations)
+        self.targets = [MemorySubsystem(self.spec).new_arena(
+            enclave=label.startswith("in-"))
+            for label in self.configurations]
+        self.arena = TraceArena(self.spec)
+        self.engine = MatchingEngine(arena=self.arena,
+                                     trace_inserts=False)
         self._registered = 0
         publications = dataset.publications
         if n_publications is not None:
             publications = publications[:n_publications]
         self.publications = publications
+        #: per configuration, whether it walks the decoded header
+        self._decodes = [label.endswith("-aes")
+                         for label in self.configurations]
+        #: nodes visited so far by the walks of each kind of event
+        self._visited = dict.fromkeys(self._decodes, 0)
         self._channel = SecureChannel(b"K" * 16)
         #: The sweep's header-name memo, as the enclave keeps its own.
         self._names: Dict[bytes, str] = {}
         self._wire = [self._channel.protect(encode_header(event))
-                      for event in publications] if encrypted else None
+                      for event in publications]
 
-    def measure_at(self, n_subscriptions: int) -> FilterMeasurement:
-        """Grow the index to ``n_subscriptions`` and measure matching."""
+    def _walk(self, index: int) -> Dict[bool, List[object]]:
+        """Publication ``index`` walked once per kind of event; the
+        trace each walk recorded."""
+        traces = {}
+        for decoded in self._visited:
+            event = self.publications[index]
+            if decoded:
+                plaintext, _aad = self._channel.open(self._wire[index])
+                event = decode_header(plaintext, names=self._names)
+            self._visited[decoded] += self.engine.match(event).nodes_visited
+            traces[decoded] = self.arena.take()
+        return traces
+
+    def publish(self, index: int) -> List[float]:
+        """Charge publication ``index`` to every configuration as its
+        routing path pays for it; returns each one's simulated µs."""
+        costs = self.spec.costs
+        traces = self._walk(index)
+        spent = []
+        for target, decoded in zip(self.targets, self._decodes):
+            memory = target.memory
+            start = memory.cycles
+            if target.enclave:
+                memory.charge(costs.eenter_cycles)
+            if decoded:
+                blocks = (len(self._wire[index]) + 15) // 16
+                memory.charge(costs.aes_setup_cycles
+                              + blocks * costs.aes_block_cycles)
+            self.arena.replay(traces[decoded], target)
+            if target.enclave:
+                memory.charge(costs.eexit_cycles)
+            spent.append(self.spec.cycles_to_us(memory.cycles - start))
+        return spent
+
+    def measure_at(self, n_subscriptions: int) -> List[FilterMeasurement]:
+        """Grow the index to ``n_subscriptions`` and measure matching:
+        one measurement per configuration, in the sweep's order."""
         if n_subscriptions < self._registered:
             raise ValueError("sweep sizes must be non-decreasing")
         for index in range(self._registered, n_subscriptions):
             self.engine.register(self.dataset.subscriptions[index],
                                  index)
         self._registered = n_subscriptions
-        # Registration ran untraced: reconstruct the page residency it
-        # would have produced so the measured matching phase does not
-        # pay registration's first-touch faults.
-        arena = self.engine.arena
-        memory = self.platform.memory
-        memory.prefault(arena.base, arena.allocated_bytes, self.enclave)
-
-        costs = self.spec.costs
+        n = len(self.publications)
+        for target in self.targets:
+            # Registration ran untraced: reconstruct the page residency
+            # it would have produced so the measured matching phase
+            # does not pay registration's first-touch faults.
+            target.memory.prefault(target.base,
+                                   self.arena.allocated_bytes,
+                                   target.enclave)
         # Warm-up pass: the paper averages 1 000 publications, which
         # amortises compulsory misses to nothing; with our smaller
         # batches we measure the steady state explicitly.
-        for event in self.publications if not self.encrypted else (
-                decode_header(self._channel.open(blob)[0],
-                              names=self._names)
-                for blob in self._wire):
-            self.engine.match(event)
-        memory.cache.reset_counters()
-        memory.epc.reset_counters()
-        start_cycles = memory.cycles
-        visited_total = 0
+        for index in range(n):
+            traces = self._walk(index)
+            for target, decoded in zip(self.targets, self._decodes):
+                self.arena.replay(traces[decoded], target)
+        starts = []
+        for target in self.targets:
+            target.memory.cache.reset_counters()
+            target.memory.epc.reset_counters()
+            starts.append(target.memory.cycles)
+        self._visited = dict.fromkeys(self._visited, 0)
         wall_start = time.perf_counter()
-        for index, event in enumerate(self.publications):
-            if self.enclave:
-                memory.charge(costs.eenter_cycles)
-            if self.encrypted:
-                blob = self._wire[index]
-                plaintext, _aad = self._channel.open(blob)
-                blocks = (len(blob) + 15) // 16
-                memory.charge(costs.aes_setup_cycles
-                              + blocks * costs.aes_block_cycles)
-                event = decode_header(plaintext, names=self._names)
-            visited_total += self.engine.match(event).nodes_visited
-            if self.enclave:
-                memory.charge(costs.eexit_cycles)
-        wall_elapsed = time.perf_counter() - wall_start
-
-        n = len(self.publications)
-        configuration = ("in" if self.enclave else "out") + \
-            ("-aes" if self.encrypted else "-plain")
-        return FilterMeasurement(
+        for index in range(n):
+            self.publish(index)
+        wall_us = (time.perf_counter() - wall_start) / n * 1e6
+        return [FilterMeasurement(
             workload=self.dataset.name,
             n_subscriptions=n_subscriptions,
-            configuration=configuration,
+            configuration=label,
             mean_us=self.spec.cycles_to_us(
-                memory.cycles - start_cycles) / n,
-            wall_us=wall_elapsed / n * 1e6,
-            llc_miss_rate=memory.cache.miss_rate,
-            epc_faults=memory.epc.faults,
+                target.memory.cycles - start) / n,
+            wall_us=wall_us,
+            llc_miss_rate=target.memory.cache.miss_rate,
+            epc_faults=target.memory.epc.faults,
             index_bytes=self.engine.index_bytes,
-            nodes_visited=visited_total / n,
-        )
+            nodes_visited=self._visited[decoded] / n,
+        ) for label, target, decoded, start in zip(
+            self.configurations, self.targets, self._decodes, starts)]
 
 
-def measure_filter(dataset: Dataset, n_subscriptions: int, enclave: bool,
-                   encrypted: bool,
+def measure_filter(dataset: Dataset, n_subscriptions: int,
+                   configuration: str,
                    spec: Optional[PlatformSpec] = None,
                    n_publications: Optional[int] = None
                    ) -> FilterMeasurement:
-    """One-shot measurement in one of the paper's four configurations."""
-    sweep = FilterSweep(dataset, enclave, encrypted, spec,
-                        n_publications)
-    return sweep.measure_at(n_subscriptions)
+    """One-shot measurement in one of :data:`CONFIGURATIONS`."""
+    sweep = FilterSweep(dataset, [configuration], spec, n_publications)
+    return sweep.measure_at(n_subscriptions)[0]
 
 
 class AspeSweep:
@@ -280,17 +323,17 @@ def measure_aspe(dataset: Dataset, n_subscriptions: int,
 def run_fig5(sizes: Optional[Sequence[int]] = None,
              n_publications: int = 40,
              workload: str = "e100a1") -> List[FilterMeasurement]:
-    """In/out x AES/plain sweep over the subscription-count axis."""
+    """In/out x AES/plain sweep over the subscription-count axis.
+
+    One index, measured in all four configurations at every size; the
+    rows come curve by curve, in :data:`CONFIGURATIONS` order.
+    """
     sizes = list(sizes) if sizes is not None \
         else default_subscription_sizes()
     dataset = build_dataset(workload, max(sizes), n_publications)
-    results = []
-    for enclave in (False, True):
-        for encrypted in (False, True):
-            sweep = FilterSweep(dataset, enclave, encrypted)
-            for size in sorted(sizes):
-                results.append(sweep.measure_at(size))
-    return results
+    sweep = FilterSweep(dataset, CONFIGURATIONS)
+    by_size = [sweep.measure_at(size) for size in sorted(sizes)]
+    return [row for curve in zip(*by_size) for row in curve]
 
 
 # -- Figure 6: workload comparison, plaintext outside ------------------------------------
@@ -308,9 +351,9 @@ def run_fig6(sizes: Optional[Sequence[int]] = None,
     results = []
     for name in workloads:
         dataset = build_dataset(name, max(sizes), n_publications)
-        sweep = FilterSweep(dataset, enclave=False, encrypted=False)
+        sweep = FilterSweep(dataset, ["out-plain"])
         for size in sorted(sizes):
-            results.append(sweep.measure_at(size))
+            results += sweep.measure_at(size)
     return results
 
 
@@ -320,7 +363,11 @@ def run_fig7(sizes: Optional[Sequence[int]] = None,
              n_publications: int = 20,
              workloads: Optional[Sequence[str]] = None
              ) -> List[FilterMeasurement]:
-    """Out-ASPE vs In-AES vs Out-AES (+ cache-miss rate) per workload."""
+    """Out-ASPE vs In-AES vs Out-AES (+ cache-miss rate) per workload.
+
+    In-AES and Out-AES share one index per workload; the ASPE baseline
+    keeps its own encrypted store.
+    """
     from repro.workloads.spec import workload_names
     sizes = list(sizes) if sizes is not None \
         else default_subscription_sizes()
@@ -329,13 +376,11 @@ def run_fig7(sizes: Optional[Sequence[int]] = None,
     results = []
     for name in workloads:
         dataset = build_dataset(name, max(sizes), n_publications)
-        in_sweep = FilterSweep(dataset, enclave=True, encrypted=True)
-        out_sweep = FilterSweep(dataset, enclave=False, encrypted=True)
+        sweep = FilterSweep(dataset, ["in-aes", "out-aes"])
         aspe_sweep = AspeSweep(dataset)
         for size in sorted(sizes):
             results.append(aspe_sweep.measure_at(size))
-            results.append(in_sweep.measure_at(size))
-            results.append(out_sweep.measure_at(size))
+            results += sweep.measure_at(size)
     return results
 
 
@@ -359,56 +404,53 @@ def run_fig8(n_subscriptions: Optional[int] = None,
              workload: str = "e80a1",
              spec: Optional[PlatformSpec] = None
              ) -> List[RegistrationPoint]:
-    """Populate the store in/out of an enclave; ratio vs DB size.
+    """Populate one store, paid in and out of an enclave; ratio vs DB size.
 
-    Uses the EPC-scaled platform spec by default: the usable EPC is
-    ``BENCH_EPC_BYTES - BENCH_EPC_RESERVED``; the paging cliff appears
-    once the index outgrows it (paper: >90 MB; here scaled down).
+    One insert stream is traced (:class:`~repro.sgx.memory.TraceArena`)
+    and each insert's trace is paid twice, by an enclave arena and an
+    untrusted arena on two platforms of ``spec``. By default that is the
+    EPC-scaled spec: the usable EPC is ``BENCH_EPC_BYTES -
+    BENCH_EPC_RESERVED``; the paging cliff appears once the index
+    outgrows it (paper: >90 MB; here scaled down).
     """
     if n_subscriptions is None:
         n_subscriptions = 60000 if full_mode() else 25000
     if spec is None:
         spec = bench_spec(epc=True)
     dataset = build_dataset(workload, n_subscriptions, 1)
-    subscriptions = dataset.subscriptions
-
-    measurements: Dict[bool, List[Tuple[int, float, int]]] = {}
-    for enclave in (False, True):
-        platform = SgxPlatform(spec=spec)
-        arena = platform.memory.new_arena(enclave=enclave)
-        forest = ContainmentForest(arena=arena)
-        memory = platform.memory
-        samples: List[Tuple[int, float, int]] = []
-        for index, subscription in enumerate(subscriptions):
-            cycles_before = memory.cycles
-            faults_before = memory.epc.faults if enclave \
-                else memory.minor_faults
-            forest.insert(subscription, index)
-            cycles = memory.cycles - cycles_before
-            faults_after = memory.epc.faults if enclave \
-                else memory.minor_faults
-            samples.append((forest.index_bytes,
-                            spec.cycles_to_us(cycles),
-                            faults_after - faults_before))
-        measurements[enclave] = samples
+    recorder = TraceArena(spec)
+    forest = ContainmentForest(arena=recorder)
+    targets = [MemorySubsystem(spec).new_arena(enclave=enclave)
+               for enclave in (True, False)]
+    # per insert: index bytes, then µs and faults in, µs and faults out
+    samples: List[List[float]] = []
+    for index, subscription in enumerate(dataset.subscriptions):
+        forest.insert(subscription, index)
+        trace = recorder.take()
+        sample = [forest.index_bytes]
+        for arena in targets:
+            before = arena.memory.snapshot()
+            recorder.replay(trace, arena)
+            spent = arena.memory.snapshot().delta(before)
+            sample += (spec.cycles_to_us(spent.cycles),
+                       spent.epc_faults if arena.enclave
+                       else spent.minor_faults)
+        samples.append(sample)
 
     # Bin by database size; each Fig. 8 point averages a window.
-    max_bytes = measurements[True][-1][0]
-    bin_edges = [max_bytes * (i + 1) / bin_count
-                 for i in range(bin_count)]
+    max_bytes = samples[-1][0]
     points: List[RegistrationPoint] = []
-    for edge_index, edge in enumerate(bin_edges):
-        lo = bin_edges[edge_index - 1] if edge_index else 0
-        in_window = [(us, faults) for size, us, faults
-                     in measurements[True] if lo < size <= edge]
-        out_window = [(us, faults) for size, us, faults
-                      in measurements[False] if lo < size <= edge]
-        if not in_window or not out_window:
+    lo = 0
+    for edge_index in range(bin_count):
+        edge = max_bytes * (edge_index + 1) / bin_count
+        window = [sample for sample in samples if lo < sample[0] <= edge]
+        lo = edge
+        if not window:
             continue
-        in_us = sum(us for us, _f in in_window) / len(in_window)
-        out_us = sum(us for us, _f in out_window) / len(out_window)
-        in_faults = sum(f for _us, f in in_window)
-        out_faults = sum(f for _us, f in out_window)
+        _bytes, in_us, in_faults, out_us, out_faults = map(sum,
+                                                           zip(*window))
+        in_us /= len(window)
+        out_us /= len(window)
         points.append(RegistrationPoint(
             db_bytes=int(edge),
             time_ratio_in_out=in_us / out_us if out_us else 0.0,
@@ -434,13 +476,13 @@ def run_containment_ablation(sizes: Optional[Sequence[int]] = None,
     dataset = build_dataset(workload, max(sizes), n_publications)
     spec = bench_spec()
     rows = []
-    sweep = FilterSweep(dataset, enclave=False, encrypted=False)
+    sweep = FilterSweep(dataset, ["out-plain"])
     platform = SgxPlatform(spec=spec)
     arena = platform.memory.new_arena(enclave=False)
     naive = NaiveMatcher(arena=arena)
     registered = 0
     for size in sorted(sizes):
-        poset_us = sweep.measure_at(size).mean_us
+        poset_us = sweep.measure_at(size)[0].mean_us
         for index in range(registered, size):
             naive.insert(dataset.subscriptions[index], index)
         registered = size

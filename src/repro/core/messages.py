@@ -115,7 +115,10 @@ def _scatter(blob: bytes, names: Dict[bytes, str], row: int, n: int,
     unpacking the fields and then decoding them one by one, in that
     order: a bad layout (:func:`~repro.crypto.encoding.unpack_fields`)
     outranks an odd field count, which outranks a bad name or value
-    (the first, name before value), which outranks an empty header.
+    (the first, name before value), which outranks an empty header. A
+    field that does not decode — invalid UTF-8, an ``f`` body that is
+    not 8 bytes — is a :class:`RoutingError`, like every other fault
+    of an authenticated header, so the router quarantines its frame.
     """
     count = int.from_bytes(blob[:2], "big")
     if not count or count & 1:
@@ -163,8 +166,10 @@ def _scatter(blob: bytes, names: Dict[bytes, str], row: int, n: int,
             if column is None:
                 column = columns[name] = [None] * n
             column[row] = value
-    except Exception:
+    except Exception as exc:
         unpack_fields(blob)     # a bad layout outranks a bad field
+        if isinstance(exc, (struct.error, UnicodeDecodeError)):
+            raise RoutingError(f"malformed header field: {exc}") from exc
         raise
     if end != len(blob):
         unpack_fields(blob)     # raises: truncated, or trailing bytes

@@ -8,8 +8,11 @@ simulated platform; whether that arena is an *enclave* arena or an
 configurations — exactly the paper's methodology.
 
 Every operation returns the work done (nodes visited, predicates
-evaluated) and charges the platform's cycle account, from which the
-benchmarks read simulated matching time.
+evaluated) and charges it, memory touches and compute cycles alike,
+to the arena: the platform's cycle account, from which the benchmarks
+read simulated matching time — or, for the figure sweeps, a
+:class:`~repro.sgx.memory.TraceArena` that records it once for every
+configuration's platform to pay.
 """
 
 from __future__ import annotations
@@ -102,10 +105,11 @@ class MatchMemo:
 class MatchingEngine:
     """Containment-based filter bound to a simulated memory arena.
 
-    The one match loop of the repository: the routing enclave, the
-    cluster slices and the Fig. 5-7 sweeps each hold an engine over
-    their own ``arena`` (without one, a fresh arena is taken from
-    ``platform`` in the ``enclave`` or untrusted space). An arena in
+    The one match loop of the repository: the routing enclave and the
+    cluster slices each hold an engine over their own ``arena``
+    (without one, a fresh arena is taken from ``platform`` in the
+    ``enclave`` or untrusted space), the Fig. 5-7 sweeps one per
+    dataset over a trace arena. An arena in
     protected memory makes traversals pay MEE costs on LLC misses and
     EPC faults when the index outgrows the protected region.
 
@@ -246,9 +250,9 @@ class MatchingEngine:
             # already accounted via arena touches; charge the
             # constraint comparisons themselves.
             costs = memory.costs
-            memory.charge(costs.node_visit_cycles
-                          + costs.predicate_eval_cycles
-                          * subscription.n_constraints)
+            self.arena.charge(costs.node_visit_cycles
+                              + costs.predicate_eval_cycles
+                              * subscription.n_constraints)
         return memory.spec.cycles_to_us(memory.cycles - start_cycles)
 
     def unregister(self, subscription: Subscription,
@@ -329,8 +333,8 @@ class MatchingEngine:
             matched, visited, evaluated = zip(
                 *[self.forest.match_traced(event)
                   for event in pending.events()])
-        memory.charge(sum(visited) * costs.node_visit_cycles
-                      + sum(evaluated) * costs.predicate_eval_cycles)
+        self.arena.charge(sum(visited) * costs.node_visit_cycles
+                          + sum(evaluated) * costs.predicate_eval_cycles)
         elapsed = memory.spec.cycles_to_us(
             memory.cycles - start_cycles) / len(pending)
         for slot, subscribers, n_visited, n_evaluated in zip(

@@ -29,7 +29,8 @@ from repro.sgx.cache import CacheModel
 from repro.sgx.cpu import PlatformSpec, SKYLAKE_I7_6700
 from repro.sgx.epc import EpcManager
 
-__all__ = ["MemorySubsystem", "MemoryArena", "MemoryCounters"]
+__all__ = ["MemorySubsystem", "MemoryArena", "TraceArena",
+           "MemoryCounters"]
 
 #: Enclave allocations live in a disjoint upper address range.
 ENCLAVE_BASE = 1 << 40
@@ -81,7 +82,7 @@ class MemorySubsystem:
 
     __slots__ = ("spec", "costs", "cache", "epc", "cycles",
                  "_untrusted_pages", "minor_faults", "_line_shift",
-                 "_page_shift")
+                 "_page_shift", "_next_base")
 
     def __init__(self, spec: PlatformSpec = SKYLAKE_I7_6700) -> None:
         self.spec = spec
@@ -96,6 +97,10 @@ class MemorySubsystem:
         self._page_shift = spec.page_bytes.bit_length() - 1
         if 1 << self._page_shift != spec.page_bytes:
             raise SgxError("page size must be a power of two")
+        #: where the next untrusted / enclave arena of this platform
+        #: starts: the first at the space's base, the rest
+        #: ``MemoryArena.ARENA_SPAN`` apart, in creation order
+        self._next_base = [UNTRUSTED_BASE, ENCLAVE_BASE]
 
     # -- hot path ----------------------------------------------------------
 
@@ -237,8 +242,9 @@ class MemoryArena:
     """Bump allocator with a size-bucketed freelist.
 
     Arenas within the same subsystem and space are laid out one after
-    another; allocations are cache-line aligned so that distinct nodes
-    do not share lines (conservative but simple).
+    another, so an arena's addresses depend on its platform alone;
+    allocations are cache-line aligned so that distinct nodes do not
+    share lines (conservative but simple).
 
     :meth:`free` returns a block to a freelist keyed by its aligned
     capacity; a later :meth:`alloc` of the same capacity reuses the
@@ -248,8 +254,6 @@ class MemoryArena:
     monotonically.
     """
 
-    _next_enclave_base = ENCLAVE_BASE
-    _next_untrusted_base = UNTRUSTED_BASE
     #: Gap between arenas, large enough for any experiment in this repo.
     ARENA_SPAN = 1 << 36
 
@@ -262,14 +266,8 @@ class MemoryArena:
         self.memory = memory
         self.enclave = enclave
         self.name = name
-        cls = MemoryArena
-        if enclave:
-            self.base = cls._next_enclave_base
-            cls._next_enclave_base += cls.ARENA_SPAN
-        else:
-            self.base = cls._next_untrusted_base
-            cls._next_untrusted_base += cls.ARENA_SPAN
-        self._cursor = self.base
+        self.base = self._cursor = memory._next_base[enclave]
+        memory._next_base[enclave] += self.ARENA_SPAN
         self._align = memory.spec.cache_line_bytes
         #: capacity (aligned size) -> reusable addresses, LIFO.
         self._free: Dict[int, List[int]] = {}
@@ -349,3 +347,56 @@ class MemoryArena:
     def touch_runs(self, runs: Iterable[Tuple[int, int]]) -> None:
         """Record a batch of ``(address, n_bytes)`` accesses in order."""
         self.memory.touch_many(*self.memory.spans(runs), self.enclave)
+
+    def charge(self, cycles: float) -> None:
+        """Charge the compute cycles of work on this arena's data."""
+        self.memory.charge(cycles)
+
+
+class TraceArena(MemoryArena):
+    """An arena that records what its index touches and charges.
+
+    One index, several platforms: an index that allocates here is
+    built and walked once; :meth:`take` hands over what a walk or an
+    insert recorded — its :meth:`touch_many` batches and compute
+    charges, in order — and :meth:`replay` pays that trace on a
+    *target*, an arena of another platform of the same spec, moved to
+    the target's base. Each target keeps its own LLC, EPC and cycle
+    account and is charged what an index of its own would have cost
+    it: arena bases are whole pages and whole LLC set spans apart, so
+    the moved lines fall in the same sets.
+    """
+
+    __slots__ = ("trace",)
+
+    def __init__(self, spec: PlatformSpec) -> None:
+        super().__init__(MemorySubsystem(spec), enclave=False)
+        self.trace: List[object] = []
+
+    def touch_many(self, lines: Sequence[int],
+                   pages: Sequence[int]) -> None:
+        self.trace.append((lines, pages))
+
+    def charge(self, cycles: float) -> None:
+        self.trace.append(cycles)
+
+    def take(self) -> List[object]:
+        """The trace recorded since the last take."""
+        trace, self.trace = self.trace, []
+        return trace
+
+    def replay(self, trace: List[object], target: MemoryArena) -> None:
+        """Pay ``trace`` on ``target``, in recorded order."""
+        memory = target.memory
+        offset = target.base - self.base
+        line_offset = offset // memory.spec.cache_line_bytes
+        page_offset = offset // memory.spec.page_bytes
+        for entry in trace:
+            if type(entry) is not tuple:
+                memory.charge(entry)
+                continue
+            lines, pages = entry
+            if offset:
+                lines = np.add(lines, line_offset)
+                pages = np.add(pages, page_offset)
+            memory.touch_many(lines, pages, target.enclave)

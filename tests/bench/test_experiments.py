@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.experiments import (AspeSweep, FilterSweep, bench_spec,
+from repro.bench.experiments import (CONFIGURATIONS, AspeSweep,
+                                     FilterSweep, bench_spec,
                                      default_subscription_sizes,
                                      measure_aspe, measure_filter,
                                      run_containment_ablation, run_fig8,
@@ -22,43 +23,83 @@ def dataset():
 class TestFilterSweep:
 
     def test_monotone_sizes_enforced(self, dataset):
-        sweep = FilterSweep(dataset, enclave=False, encrypted=False)
+        sweep = FilterSweep(dataset, ["out-plain"])
         sweep.measure_at(200)
         with pytest.raises(ValueError):
             sweep.measure_at(100)
 
     def test_configuration_labels(self, dataset):
-        for enclave, encrypted, label in (
-                (False, False, "out-plain"), (False, True, "out-aes"),
-                (True, False, "in-plain"), (True, True, "in-aes")):
-            m = measure_filter(dataset, 100, enclave, encrypted)
+        for label in CONFIGURATIONS:
+            m = measure_filter(dataset, 100, label)
             assert m.configuration == label
             assert m.mean_us > 0
             assert m.n_subscriptions == 100
 
+    def test_unknown_configuration_rejected(self, dataset):
+        with pytest.raises(ValueError):
+            FilterSweep(dataset, ["in-rot13"])
+
+    def test_one_sweep_equals_one_sweep_per_configuration(self, dataset):
+        """One index paid by four platforms measures what four
+        indexes, one per platform, measure (``wall_us`` aside) — on a
+        geometry where the walks miss the LLC and fault the EPC."""
+        spec = scaled_spec(llc_bytes=16 * 1024, epc_bytes=512 * 1024,
+                           epc_reserved_bytes=400 * 1024)
+        shared = FilterSweep(dataset, CONFIGURATIONS, spec, 4)
+        alone = [FilterSweep(dataset, [label], spec, 4)
+                 for label in CONFIGURATIONS]
+        for size in SIZES:
+            together = shared.measure_at(size)
+            apart = [sweep.measure_at(size)[0] for sweep in alone]
+            for row in together + apart:
+                row.wall_us = 0.0
+            assert together == apart
+        assert min(row.llc_miss_rate for row in together) > 0
+        assert together[-1].epc_faults > 0
+
     def test_encryption_overhead_small_and_positive(self, dataset):
-        plain = measure_filter(dataset, 300, False, False)
-        encrypted = measure_filter(dataset, 300, False, True)
+        plain = measure_filter(dataset, 300, "out-plain")
+        encrypted = measure_filter(dataset, 300, "out-aes")
         overhead = encrypted.mean_us - plain.mean_us
         assert 0 < overhead < 5.0  # paper: below 5 us
 
     def test_enclave_adds_transition_cost(self, dataset):
-        out = measure_filter(dataset, 100, False, False)
-        inside = measure_filter(dataset, 100, True, False)
+        out = measure_filter(dataset, 100, "out-plain")
+        inside = measure_filter(dataset, 100, "in-plain")
         assert inside.mean_us > out.mean_us
 
     def test_more_subscriptions_cost_more(self, dataset):
-        sweep = FilterSweep(dataset, enclave=False, encrypted=False)
-        small = sweep.measure_at(100).mean_us
-        large = sweep.measure_at(400).mean_us
-        assert large > small
+        sweep = FilterSweep(dataset, ["out-plain"])
+        small, = sweep.measure_at(100)
+        large, = sweep.measure_at(400)
+        assert large.mean_us > small.mean_us
+
+    def test_each_configuration_pays_at_its_own_base(self, dataset):
+        """The enclave target's EPC holds exactly the pages of its own
+        arena's extent: the replayed walks were moved to its base."""
+        sweep = FilterSweep(dataset, ["out-plain", "in-plain"],
+                            n_publications=3)
+        sweep.measure_at(200)
+        inside = sweep.targets[1]
+        page = sweep.spec.page_bytes
+        first = inside.base // page
+        last = (inside.base + sweep.arena.allocated_bytes - 1) // page
+        epc = inside.memory.epc
+        assert epc.is_resident(first) and epc.is_resident(last)
+        assert epc.resident_pages == last - first + 1
+
+    def test_rows_follow_the_configurations(self, dataset):
+        sweep = FilterSweep(dataset, ["in-aes", "out-plain"],
+                            n_publications=2)
+        assert [m.configuration for m in sweep.measure_at(50)] == \
+            ["in-aes", "out-plain"]
 
 
 class TestAspeSweep:
 
     def test_aspe_slower_than_scbr(self, dataset):
         aspe = measure_aspe(dataset, 400)
-        scbr = measure_filter(dataset, 400, False, True)
+        scbr = measure_filter(dataset, 400, "out-aes")
         assert aspe.mean_us > 2 * scbr.mean_us
 
     def test_aspe_configuration_label(self, dataset):

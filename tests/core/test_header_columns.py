@@ -61,14 +61,20 @@ def _reference_value(blob):
 
 
 def reference_decode_header(blob):
-    """The header decode before the column decoder, without its memo."""
+    """The header decode before the column decoder, without its memo;
+    a field that does not decode is a RoutingError, so that the router
+    quarantines the frame (the decoder it replaced let ``struct.error``
+    and ``UnicodeDecodeError`` through)."""
     fields = unpack_fields(blob)
     if len(fields) % 2:
         raise RoutingError("odd field count in header")
     header = {}
-    for i in range(0, len(fields), 2):
-        header[validate_attribute_name(fields[i].decode("utf-8"))] = \
-            validate_value(_reference_value(fields[i + 1]))
+    try:
+        for i in range(0, len(fields), 2):
+            header[validate_attribute_name(fields[i].decode("utf-8"))] = \
+                validate_value(_reference_value(fields[i + 1]))
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise RoutingError(f"malformed header field: {exc}") from exc
     return Event.validated(header)
 
 
@@ -278,6 +284,16 @@ POISON = [
      "NetworkError: truncated field body"),
     (_pack([(b"symbol", b"sHAL")]) + b"\x00",
      "NetworkError: trailing bytes after packed fields"),
+    # fields that do not decode: a short float, invalid UTF-8
+    (_pack([(b"symbol", b"sHAL"), (b"price", b"f\x00\x00\x00")]),
+     "RoutingError: malformed header field: "
+     "unpack requires a buffer of 8 bytes"),
+    (_pack([(b"symbol", b"s\xc3")]),
+     "RoutingError: malformed header field: 'utf-8' codec can't decode "
+     "byte 0xc3 in position 0: unexpected end of data"),
+    (_pack([(b"sym\xffbol", b"sHAL")]),
+     "RoutingError: malformed header field: 'utf-8' codec can't decode "
+     "byte 0xff in position 3: invalid start byte"),
 ]
 
 
@@ -297,6 +313,22 @@ def test_a_poison_header_in_a_batch_is_quarantined_as_before(
     letters = list(router.dead_letters)
     assert [(letter.frame, letter.reason, letter.detail)
             for letter in letters] == [(poison, "poison-frame", detail)]
+
+
+@pytest.mark.parametrize("plaintext,detail", POISON)
+def test_a_poison_header_frame_is_quarantined_by_the_pump(
+        world, plaintext, detail):
+    router, provider, publisher, alice = world
+    good = publisher.make_publication({"symbol": "HAL"}, b"ok")
+    poison = build_publish(provider.keys.channel().protect(plaintext),
+                           parse_publish(good)[1])
+    publisher.endpoint.send("router", [poison, good])
+    assert router.pump() == 2
+    alice.pump()
+    assert alice.received == [b"ok"]
+    assert [(letter.frame, letter.reason, letter.detail)
+            for letter in router.dead_letters] == \
+        [(poison, "poison-frame", detail)]
 
 
 def test_a_rejected_batch_is_charged_up_to_its_first_bad_header(world):
