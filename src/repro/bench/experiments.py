@@ -197,16 +197,11 @@ class FilterSweep:
                                  index)
         self._registered = n_subscriptions
         n = len(self.publications)
-        for target in self.targets:
-            # Registration ran untraced: reconstruct the page residency
-            # it would have produced so the measured matching phase
-            # does not pay registration's first-touch faults.
-            target.memory.prefault(target.base,
-                                   self.arena.allocated_bytes,
-                                   target.enclave)
         # Warm-up pass: the paper averages 1 000 publications, which
         # amortises compulsory misses to nothing; with our smaller
-        # batches we measure the steady state explicitly.
+        # batches we measure the steady state explicitly. It also
+        # faults in the pages the walks read, which the untraced
+        # registration never touched.
         for index in range(n):
             traces = self._walk(index)
             for target, decoded in zip(self.targets, self._decodes):

@@ -96,6 +96,11 @@ def advert_digest(exclude_link: str, entries: List[bytes]) -> bytes:
 class ScbrEnclaveLibrary(EnclaveLibrary):
     """Trusted routing engine (the enclave 'shared library')."""
 
+    #: Seven code pages: the size of the engine's source text when the
+    #: size became a declaration. Not derived from the bytecode, whose
+    #: length differs between CPython versions.
+    CODE_BYTES = 26_020
+
     def __init__(self, runtime, rsa_bits: int = 768,
                  memo_capacity: int = 0,
                  matcher_backend: str = "forest") -> None:
@@ -215,10 +220,13 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         fields = unpack_fields(plaintext)
         if len(fields) != 2:
             raise RoutingError("malformed provisioning payload")
+        # Every field is decoded, and SK keyed, before any is installed:
+        # a payload that fails either leaves the engine as before.
         sk, provider_pk_blob = fields
-        self._sk = sk
-        self._sk_channel = SecureChannel(sk)
-        self._provider_pk = decode_public_key(provider_pk_blob)
+        provider_pk = decode_public_key(provider_pk_blob)
+        channel = SecureChannel(sk)
+        self._sk, self._provider_pk, self._sk_channel = (
+            sk, provider_pk, channel)
         return True
 
     # -- registration (Fig. 4, step 3) -----------------------------------------------
@@ -235,8 +243,6 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         route deliveries; the constraints themselves stay sealed.
         """
         channel = self._require_provisioned()
-        if self._provider_pk is None:
-            raise EnclaveError("provider key missing")
         self._provider_pk.verify(envelope, signature)
         plaintext, aad = channel.open(envelope)
         self._charge_aes(len(envelope))
@@ -375,20 +381,23 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         """
         blob = SealedBlob.from_bytes(sealed_bytes)
         payload = unseal(self.runtime, blob, counter_id=counter_id)
-        self._counter_id = counter_id
         fields = unpack_fields(payload)
         if len(fields) != 4:
             raise RoutingError("malformed sealed state")
+        # As in provision: decode everything, then install it.
         sk, provider_pk_blob, entries_blob, app_data = fields
-        self._sk = sk
-        self._sk_channel = SecureChannel(sk)
-        self._provider_pk = decode_public_key(provider_pk_blob)
-        # A restored engine starts cold: whatever this instance indexed
-        # or memoised before the restore is dropped.
-        self._engine.reset(
+        provider_pk = decode_public_key(provider_pk_blob)
+        registrations = [
             (decode_subscription(sub_blob), client.decode("utf-8"))
             for sub_blob, client in map(unpack_fields,
-                                        unpack_fields(entries_blob)))
+                                        unpack_fields(entries_blob))]
+        channel = SecureChannel(sk)
+        self._counter_id = counter_id
+        self._sk, self._provider_pk, self._sk_channel = (
+            sk, provider_pk, channel)
+        # A restored engine starts cold: whatever this instance indexed
+        # or memoised before the restore is dropped.
+        self._engine.reset(registrations)
         self._restored_app_data = app_data
         return self._engine.n_subscriptions
 
@@ -570,12 +579,8 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         re-installing any prefix of the advert history converges to
         the newest advert. Returns the number of stored entries.
         """
-        channel = self._require_provisioned()
-        plaintext, aad = channel.open(blob)
-        self._charge_aes(len(blob))
-        if aad != ADVERT_AAD_PREFIX + from_broker.encode():
-            raise RoutingError(
-                "summary advert bound to a different broker")
+        plaintext = self._open_advert(blob, ADVERT_AAD_PREFIX,
+                                      from_broker, "summary")
         sentinel = LINK_PREFIX + from_broker
         engine = self._engine
         stale = [node.subscription
@@ -588,6 +593,16 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
             engine.register(decode_subscription(entry), sentinel)
         self._m_advert_installs.inc()
         return len(entries)
+
+    def _open_advert(self, blob: bytes, aad_prefix: bytes,
+                     from_broker: str, kind: str) -> bytes:
+        """Open an advert sealed under SK; it must be bound to
+        ``from_broker``."""
+        plaintext, aad = self._require_provisioned().open(blob)
+        self._charge_aes(len(blob))
+        if aad != aad_prefix + from_broker.encode():
+            raise RoutingError(f"{kind} advert bound to a different broker")
+        return plaintext
 
     def _installed_entries(self, sentinel: str) -> List[bytes]:
         """Sorted encoded subscriptions held under one link sentinel."""
@@ -626,12 +641,8 @@ class ScbrEnclaveLibrary(EnclaveLibrary):
         also makes WAL replay of delta records idempotent: re-applying
         an already-applied delta finds base != installed and no-ops.
         """
-        channel = self._require_provisioned()
-        plaintext, aad = channel.open(blob)
-        self._charge_aes(len(blob))
-        if aad != ADVERT_DELTA_AAD_PREFIX + from_broker.encode():
-            raise RoutingError(
-                "delta advert bound to a different broker")
+        plaintext = self._open_advert(blob, ADVERT_DELTA_AAD_PREFIX,
+                                      from_broker, "delta")
         fields = unpack_fields(plaintext)
         if len(fields) != 4:
             raise RoutingError("malformed delta advert payload")

@@ -96,9 +96,11 @@ class OverlayNetwork:
         self._matcher_backend = matcher_backend
 
         # Every broker is its own machine: own platform, registered
-        # with the one attestation service the provider trusts. The
-        # enclave measurement is code-only, so one expected MRENCLAVE
-        # covers the whole fleet (including brokers that join later).
+        # with the one attestation service the provider trusts.
+        # MRENCLAVE commits to the engine's code, defaults, ecall table
+        # and declared size alone, nothing of the platform, so one
+        # expected value covers the whole fleet (including brokers that
+        # join later).
         self._platforms: Dict[str, SgxPlatform] = {}
         for broker in topology.brokers:
             platform = SgxPlatform(attestation_key_bits=768)

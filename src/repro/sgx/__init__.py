@@ -18,7 +18,7 @@ from repro.sgx.enclave import (Enclave, EnclaveBuilder, Report, Sigstruct,
                                TrustedRuntime, mr_signer_of)
 from repro.sgx.epc import EpcManager
 from repro.sgx.integrity_tree import IntegrityTree
-from repro.sgx.measurement import MeasurementLog, measure_code
+from repro.sgx.measurement import MeasurementLog
 from repro.sgx.mee import MemoryEncryptionEngine
 from repro.sgx.memory import MemoryArena, MemoryCounters, MemorySubsystem
 from repro.sgx.perfcounters import (PerfCounterSession, RusageSnapshot,
@@ -34,7 +34,7 @@ __all__ = [
     "CostModel", "PlatformSpec", "SKYLAKE_I7_6700", "scaled_spec",
     "Enclave", "EnclaveBuilder", "Report", "Sigstruct", "TrustedRuntime",
     "mr_signer_of",
-    "EpcManager", "IntegrityTree", "MeasurementLog", "measure_code",
+    "EpcManager", "IntegrityTree", "MeasurementLog",
     "MemoryEncryptionEngine", "MemoryArena", "MemoryCounters",
     "MemorySubsystem",
     "PerfCounterSession", "RusageSnapshot", "read_counters",

@@ -1,12 +1,25 @@
 """Enclave lifecycle: ECREATE/EADD/EEXTEND/EINIT, EENTER/EEXIT, EREPORT.
 
 The unit of trusted execution. An enclave is built from a *signed
-library* — here a Python class whose source code is measured page by
-page exactly like the SGX loader measures a shared object — and after
-EINIT exposes its declared ecalls. Entering and leaving the enclave
-charges the documented transition costs; data the trusted code
-allocates lives in an enclave :class:`~repro.sgx.memory.MemoryArena`,
-so every touch is accounted against the EPC and the MEE.
+library* — here a Python class — and after EINIT exposes its declared
+ecalls. The library declares its loaded size (``CODE_BYTES``), which
+sizes ECREATE, the EADDed pages and the code pages touched on load.
+Its identity is its live code: every class of its MRO but ``object``
+by qualified name, every function in each class body by bytecode,
+names, constants (a def's docstring left out, nested code recursed)
+and default values, and every other class-body entry but the dunder
+data by value, so the ``ECALLS`` entry-point table too. The loader
+EEXTENDs that form's SHA-256 into the first page, so MRENCLAVE moves
+with a changed statement or default, an added or removed ``@ecall``,
+an override or a method replaced at run time, and not with a comment,
+a docstring's wording or a line shift. The form is CPython bytecode,
+so MRENCLAVE differs between interpreter versions, as a real
+enclave's does between compilers.
+
+Entering and leaving the enclave charges the documented transition
+costs; data the trusted code allocates lives in an enclave
+:class:`~repro.sgx.memory.MemoryArena`, so every touch is accounted
+against the EPC and the MEE.
 
 The developer-facing sugar (declaring ecalls, generating proxies) lives
 in :mod:`repro.sgx.sdk`; this module is the "hardware" behaviour.
@@ -15,11 +28,13 @@ in :mod:`repro.sgx.sdk`; this module is the "hardware" behaviour.
 from __future__ import annotations
 
 import hashlib
-import inspect
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Type
+from types import CodeType
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.crypto.cmac import cmac
+from repro.crypto.encoding import pack_fields
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.errors import AuthenticationError, EnclaveError, SgxError
 from repro.sgx.measurement import MeasurementLog
@@ -170,6 +185,70 @@ class TrustedRuntime:
         return result
 
 
+def _code_form(code: CodeType) -> bytes:
+    """Bytecode, names and constants of ``code``, nested code recursed,
+    a def's docstring left out."""
+    consts = code.co_consts
+    if _holds_docstring(code):
+        consts = consts[1:]
+    return pack_fields([code.co_code, " ".join(code.co_names).encode(),
+                        pack_fields([_const_form(c) for c in consts])])
+
+
+def _holds_docstring(code: CodeType) -> bool:
+    """Whether ``co_consts[0]`` is a docstring slot. CPython 3.14 flags
+    a def that has a docstring (CO_HAS_DOCSTRING); before, every def
+    (CO_OPTIMIZED, named by an identifier) holds its docstring or None
+    there, and no other code does."""
+    if sys.version_info >= (3, 14):
+        return bool(code.co_flags & 0x4000000)
+    return bool(code.co_flags & 0x1) and code.co_name.isidentifier()
+
+
+def _const_form(value: Any) -> bytes:
+    """A constant's bytes; frozenset members in a fixed order."""
+    if isinstance(value, CodeType):
+        return b"code" + _code_form(value)
+    if isinstance(value, tuple):
+        return b"tuple" + pack_fields([_const_form(v) for v in value])
+    if isinstance(value, frozenset):
+        return b"frozenset" + pack_fields(sorted(map(_const_form, value)))
+    return repr(value).encode()
+
+
+def _functions(value: Any) -> List[Any]:
+    """The functions a class-body entry binds: itself, a static or class
+    method's function, a property's accessors."""
+    value = getattr(value, "__func__", value)
+    if isinstance(value, property):
+        return [fn for fn in (value.fget, value.fset, value.fdel) if fn]
+    return [value] if hasattr(value, "__code__") else []
+
+
+def _entry_form(value: Any) -> bytes:
+    """A class-body entry: each function it binds by code and default
+    values; an entry that binds none (``ECALLS``, say) by value."""
+    functions = _functions(value)
+    if not functions:
+        return _const_form(value)
+    return pack_fields([
+        pack_fields([_code_form(fn.__code__), _const_form(fn.__defaults__),
+                     _const_form(tuple((fn.__kwdefaults__ or {}).items()))])
+        for fn in functions])
+
+
+def _code_identity(library: Type) -> bytes:
+    """SHA-256 over the canonical form of ``library``'s live code: each
+    class of the MRO but ``object`` by qualified name, and its class-body
+    entries but the dunder data (``__doc__``, ``__module__``, ...)."""
+    return hashlib.sha256(pack_fields([
+        pack_fields([cls.__qualname__.encode()] + [
+            pack_fields([name.encode(), _entry_form(value)])
+            for name, value in vars(cls).items()
+            if _functions(value) or not name.startswith("__")])
+        for cls in library.__mro__[:-1]])).digest()
+
+
 def _marshal_cycles(costs, values: Tuple[Any, ...]) -> float:
     """Boundary-copy cost for byte-like arguments/results."""
     total = 0
@@ -184,22 +263,21 @@ def _marshal_cycles(costs, values: Tuple[Any, ...]) -> float:
 class EnclaveBuilder:
     """Builds and initializes an enclave from a trusted library class.
 
-    The loader path mirrors the SDK: ECREATE reserves the protected
-    address range, each code page is EADDed and EEXTENDed in 256-byte
-    chunks (so the measurement commits to the full code), and EINIT
-    verifies the SIGSTRUCT against launch control.
+    The loader path mirrors the SDK: ECREATE reserves the library's
+    declared ``CODE_BYTES``, page-rounded; each page is EADDed and
+    EEXTENDed in 256-byte chunks, the first page opening with the
+    SHA-256 of the library's live code (so the measurement commits to
+    every function of its classes, their defaults and its ``ECALLS``);
+    and EINIT verifies the SIGSTRUCT against launch control.
     """
 
-    def __init__(self, platform: SgxPlatform,
-                 library: Type["object"]) -> None:
+    def __init__(self, platform: SgxPlatform, library: Type) -> None:
         self.platform = platform
         self.library_class = library
-        try:
-            self._code = inspect.getsource(library).encode()
-        except (OSError, TypeError):
-            # Classes defined in a REPL have no source file; fall back
-            # to their qualified name (weaker identity, still usable).
-            self._code = repr(library).encode()
+        # The loaded image: the code's digest, zero-filled to the
+        # declared size in whole pages.
+        self._pages = max(-(-library.CODE_BYTES // _PAGE), 1)
+        self._image = _code_identity(library).ljust(self._pages * _PAGE, b"\0")
         self._log = MeasurementLog()
         self._measured = False
 
@@ -207,17 +285,13 @@ class EnclaveBuilder:
         """Run ECREATE/EADD/EEXTEND over the library code pages."""
         if self._measured:
             raise EnclaveError("enclave already measured")
-        code = self._code
-        n_pages = (len(code) + _PAGE - 1) // _PAGE
-        self._log.ecreate(max(n_pages, 1) * _PAGE)
-        for page_index in range(max(n_pages, 1)):
-            offset = page_index * _PAGE
+        image = self._image
+        self._log.ecreate(len(image))
+        for offset in range(0, len(image), _PAGE):
             self._log.eadd(offset, PAGE_READ | PAGE_EXEC)
-            page = code[offset:offset + _PAGE].ljust(_PAGE, b"\x00")
-            for chunk_offset in range(0, _PAGE, _MEASURE_CHUNK):
-                self._log.eextend(
-                    offset, chunk_offset,
-                    page[chunk_offset:chunk_offset + _MEASURE_CHUNK])
+            for chunk in range(offset, offset + _PAGE, _MEASURE_CHUNK):
+                self._log.eextend(offset, chunk - offset,
+                                  image[chunk:chunk + _MEASURE_CHUNK])
         self._measured = True
         return self._log.finalize()
 
@@ -240,7 +314,7 @@ class EnclaveBuilder:
         if not self.platform.launch_allowed(sigstruct.mr_signer):
             raise EnclaveError("launch control rejected this signer")
         return Enclave(self.platform, self.library_class, sigstruct,
-                       self._code, library_args, library_kwargs)
+                       self._pages, library_args, library_kwargs)
 
 
 class Enclave:
@@ -252,7 +326,7 @@ class Enclave:
     """
 
     def __init__(self, platform: SgxPlatform, library_class: Type,
-                 sigstruct: Sigstruct, code: bytes,
+                 sigstruct: Sigstruct, code_pages: int,
                  library_args: Tuple[Any, ...],
                  library_kwargs: Dict[str, Any]) -> None:
         self.platform = platform
@@ -270,8 +344,7 @@ class Enclave:
             raise EnclaveError(
                 f"{library_class.__name__} declares no ECALLS")
         # Load (touch) the code pages into the EPC.
-        n_pages = max((len(code) + _PAGE - 1) // _PAGE, 1)
-        for page_index in range(n_pages):
+        for _page in range(code_pages):
             self.arena.touch(self.arena.alloc(_PAGE), _PAGE)
         # Instantiate the trusted library inside the enclave.
         self.runtime = TrustedRuntime(self)

@@ -3,8 +3,9 @@
 Real SGX builds MRENCLAVE as a SHA-256 digest over the sequence of
 ECREATE/EADD/EEXTEND operations that constructed the enclave, so the
 measurement commits to both page *contents* and *layout*. The simulator
-reproduces that: the builder logs each operation into a
-:class:`MeasurementLog` and the final digest is the enclave identity
+reproduces that: the builder logs each operation, its fields
+length-framed by :func:`~repro.crypto.encoding.pack_fields`, into a
+:class:`MeasurementLog`, and the final digest is the enclave identity
 used by attestation and sealing.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import hashlib
 
-__all__ = ["MeasurementLog", "measure_code"]
+from repro.crypto.encoding import pack_fields
+
+__all__ = ["MeasurementLog"]
 
 
 class MeasurementLog:
@@ -41,17 +44,10 @@ class MeasurementLog:
     def _record(self, *parts: bytes) -> None:
         if self._finalized:
             raise RuntimeError("measurement log already finalized")
-        for part in parts:
-            self._digest.update(len(part).to_bytes(4, "big"))
-            self._digest.update(part)
+        self._digest.update(pack_fields(parts))
         self.n_operations += 1
 
     def finalize(self) -> bytes:
         """EINIT: freeze and return the 32-byte MRENCLAVE."""
         self._finalized = True
         return self._digest.digest()
-
-
-def measure_code(code_bytes: bytes) -> bytes:
-    """Digest of a code blob, used for expected-measurement checks."""
-    return hashlib.sha256(code_bytes).digest()

@@ -49,7 +49,13 @@ class EnclaveLibrary(metaclass=_EnclaveLibraryMeta):
     constructor argument and must not keep references to untrusted
     mutable state (the simulator cannot enforce this, but the tests
     check the declared surface).
+
+    ``CODE_BYTES`` declares the loaded code size, which sizes the
+    enclave (ECREATE, EADD) and its code-page faults at load; a
+    subclass inherits it unless it declares its own.
     """
+
+    CODE_BYTES = 4096
 
     def __init__(self, runtime: TrustedRuntime) -> None:
         self.runtime = runtime

@@ -9,12 +9,16 @@ from repro.core.keys import ProviderKeyChain
 from repro.core.messages import (NAME_MEMO_LIMIT, decode_public_key,
                                  encode_header, encode_public_key,
                                  encode_subscription, hybrid_encrypt)
+from repro.core.protocol import build_register, build_unregister
+from repro.core.router import Router
 from repro.crypto.encoding import pack_fields
 from repro.crypto.rsa import _generate_keypair_unchecked
-from repro.errors import (AuthenticationError, EnclaveError,
-                          MatchingError, RollbackError, RoutingError)
+from repro.errors import (AuthenticationError, CryptoError, EnclaveError,
+                          MatchingError, NetworkError, RollbackError,
+                          RoutingError)
 from repro.matching.events import Event
 from repro.matching.subscriptions import Subscription
+from repro.network.bus import MessageBus
 from repro.sgx.platform import SgxPlatform
 from repro.sgx.sdk import load_enclave
 
@@ -82,6 +86,59 @@ class TestProvisioning:
         blob = hybrid_encrypt(enclave_pk, payload, aad=b"wrong")
         with pytest.raises(RoutingError):
             enclave.ecall("provision", blob)
+
+    def test_a_failed_provision_installs_nothing(self, vendor_key):
+        """An authenticated payload whose provider-key field does not
+        decode leaves the engine unprovisioned: REG and UNREG frames
+        are then poison frames, and the pump keeps going."""
+        bus = MessageBus()
+        router = Router(bus, SgxPlatform(attestation_key_bits=768),
+                        vendor_key, rsa_bits=768)
+        keys = ProviderKeyChain(rsa_bits=768)
+        _report, pubkey_blob = router.attestation_report(b"\x00" * 32)
+        payload = pack_fields([keys.sk,
+                               encode_public_key(keys.public_key)[:-1]])
+        with pytest.raises(NetworkError, match="truncated field body"):
+            router.provision(hybrid_encrypt(
+                decode_public_key(pubkey_blob), payload,
+                aad=PROVISION_AAD))
+        envelope = keys.channel().protect(
+            encode_subscription(Subscription.parse({"x": 1})),
+            aad=b"alice")
+        signature = keys.rsa.sign(envelope)
+        frames = [build_register(envelope, signature),
+                  build_unregister(envelope, signature)]
+        bus.endpoint("provider").send("router", frames)
+        assert router.pump() == 2
+        assert [(letter.frame, letter.reason)
+                for letter in router.dead_letters] == [
+            (frame, "poison-frame") for frame in frames]
+        router.close()
+
+    def test_a_reprovision_with_a_bad_sk_keeps_the_first_pair(
+            self, setup, vendor_key):
+        """SK is keyed before anything is installed: an SK of no AES
+        key size fails the re-provision and leaves the first SK, its
+        channel and the first provider key in place, sealed state
+        included."""
+        platform, enclave, keys = setup
+        provision(enclave, keys)
+        other = ProviderKeyChain(rsa_bits=768)
+        _report, pubkey_blob = enclave.ecall("attestation_report",
+                                             b"\x00" * 32)
+        payload = pack_fields([b"short",
+                               encode_public_key(other.public_key)])
+        with pytest.raises(CryptoError, match="AES key size"):
+            enclave.ecall("provision", hybrid_encrypt(
+                decode_public_key(pubkey_blob), payload,
+                aad=PROVISION_AAD))
+        assert register(enclave, keys, {"x": 1}, "alice") == "alice"
+        sealed, counter_id = enclave.ecall("seal_state")
+        enclave.destroy()
+        fresh = load_enclave(platform, ScbrEnclaveLibrary, vendor_key,
+                             rsa_bits=768)
+        assert fresh.ecall("restore_state", sealed, counter_id) == 1
+        assert publish(fresh, keys, {"x": 1}) == ["alice"]
 
 
 class TestRegistrationAndMatching:

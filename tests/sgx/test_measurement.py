@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sgx.measurement import MeasurementLog, measure_code
+from repro.sgx.measurement import MeasurementLog
 
 
 class TestMeasurementLog:
@@ -73,11 +73,3 @@ class TestMeasurementLog:
         log.ecreate(4096)
         assert len(log.finalize()) == 32
 
-
-class TestMeasureCode:
-
-    def test_stable(self):
-        assert measure_code(b"lib") == measure_code(b"lib")
-
-    def test_sensitive(self):
-        assert measure_code(b"lib-a") != measure_code(b"lib-b")
