@@ -662,10 +662,6 @@ def run_columnar_ablation(sizes: Optional[Sequence[int]] = None,
     for workload in workloads:
         dataset = build_dataset(workload, max(sizes), n_events)
         events = list(dataset.publications)
-        while len(events) < n_events:
-            events.extend(
-                dataset.publications[:n_events - len(events)])
-        events = events[:n_events]
         forest = ContainmentForest()
         plane = ColumnarMatchPlane(forest)
         registered = 0

@@ -5,34 +5,38 @@ trades the per-event walk for a *batch* plane compiled from the
 registered subscription set:
 
 * per attribute, the constraints of every stored subscription are
-  placed in an :class:`_AttributeTable` as their
-  :class:`~repro.matching.predicates.ConstraintForm` says — a hash
-  bucket per pin, an "always" list for bare ``exists`` constraints,
-  *bound arrays* for the other numeric intervals (one row per
-  constraint: closed float64 ``lo`` and ``hi`` columns and the slot),
-  and a residual list of compiled closures for the rest (exclusion
-  sets, string wildcards, bounds float64 cannot carry);
+  placed as their :class:`~repro.matching.predicates.ConstraintForm`
+  says — in the attribute's :class:`_AttributeTable`, a hash bucket per
+  pin, an "always" list for bare ``exists`` constraints and a residual
+  list of compiled closures for the rest (exclusion sets, string
+  wildcards, bounds float64 cannot carry); every other numeric interval
+  is a *bound row* (closed float64 ``lo`` and ``hi``, the slot, the
+  table) of :class:`_BoundRows`, one store for all tables, a region
+  per table;
 * a batch's deficits are one ``n_events x n_slots`` grid of bytes,
-  each row starting as the subscriptions' constraint counts, and the
-  batch is evaluated column-wise, one pass per attribute: the batch
+  each row starting as the subscriptions' constraint counts. The batch
   arrives as one value column per attribute
   (:class:`~repro.matching.events.EventColumns`, what the wire decoder
-  writes; a list of events is transposed into it), and a column's
-  float64 form (:func:`~repro.matching.predicates.encode_values`)
-  meets the table's bound arrays in one vectorised compare (``lo <=
-  v`` and ``v <= hi``, an ``n_events x n_rows`` boolean matrix) that
-  is subtracted from the grid's slot columns in one scatter; buckets,
-  "always" and closures decrement single bytes of the same grid, per
-  event;
+  writes; a list of events is transposed into it). Buckets, "always"
+  and closures decrement single bytes of the grid, per event, on the
+  tables that hold some. Every bound row of the plane then meets the
+  batch in one pass, whatever the number of tables: the columns'
+  float64 form (:meth:`~repro.matching.events.EventColumns.
+  encoded_rows`) is repeated onto the rows, one compare per side
+  (``lo <= v`` and ``v <= hi``, an ``n_rows x n_events`` boolean
+  matrix) says which rows each event satisfies, a slot's satisfied
+  rows are summed by one gather per *layer* (a subscription has at most
+  one row per table, so a handful), and the sums are subtracted from
+  the grid at once;
 * a subscription matches an event exactly when its deficit reaches
-  zero — every one of its constraints was satisfied by a distinct
-  attribute pass — and the zero bytes of an event's row are found with
-  C-speed ``bytearray.find`` scans, so emission cost is proportional
-  to the matches, not to the stored set.
+  zero — every one of its constraints was satisfied — and one
+  ``nonzero`` over the grid finds the zeros, event by event, so
+  emission cost is proportional to the matches, not to the stored set.
 
 There is one representation of a bound and one path over it, no
-crossover constant: one event against a table of a few dozen rows
-pays numpy's fixed price (measured in EXPERIMENTS.md).
+crossover constant: a batch costs a fixed set of numpy calls plus work
+proportional to its rows times its events, not a price per table
+(measured in EXPERIMENTS.md).
 
 The poset (:class:`~repro.matching.poset.ContainmentForest`) remains
 the authoritative registration and covering structure. The plane is a
@@ -51,15 +55,18 @@ and the order of rows.
 Memory-trace fidelity: when built over an arena the plane allocates
 one column block per attribute plus one accumulator block, and traced
 batch matching reports *coalesced runs* over exactly the column bytes
-each pass consulted — the LLC/EPC/MEE models keep observing the real
-access pattern (sequential column streams, one accumulator sweep per
-event) instead of the forest's pointer-chasing node touches.
+the batch consulted, one per table in table order and then one
+accumulator sweep per event — the LLC/EPC/MEE models keep observing
+the real access pattern (sequential column streams) instead of the
+forest's pointer-chasing node touches;
+:meth:`~repro.sgx.memory.MemoryArena.touch_runs` hands them to the
+memory model as int64 arrays of lines and pages.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -67,7 +74,7 @@ import numpy as np
 from repro.errors import MatchingError
 from repro.matching.events import Event, EventColumns
 from repro.matching.poset import ContainmentForest, PosetNode
-from repro.sgx.memory import MemoryArena
+from repro.sgx.memory import MemoryArena, concat_ranges
 
 __all__ = ["ColumnarMatchPlane", "MATCHER_BACKENDS",
            "validate_backend"]
@@ -95,6 +102,7 @@ FREE_SLOT_ARITY = 1
 BULK_SHARE = 1 / 4
 
 _INF = math.inf
+_NAN = math.nan
 
 
 def validate_backend(backend: str) -> str:
@@ -107,41 +115,32 @@ def validate_backend(backend: str) -> str:
 
 
 class _AttributeTable:
-    """Compiled constraint tables for one attribute.
+    """The scalar placements and the modelled block of one attribute.
 
-    Every stored constraint lands in exactly one placement, read off
-    its :class:`~repro.matching.predicates.ConstraintForm`:
+    Every stored constraint is counted here (``n_entries``, which
+    sizes the modelled block) and lands in exactly one placement, read
+    off its :class:`~repro.matching.predicates.ConstraintForm`:
 
     * ``eq_buckets`` — a pin (numeric or string): ``value ->
       [subscription indexes]``, an O(1) probe per event;
     * ``always`` — bare ``exists`` constraints (satisfied by any
       present value of any type);
-    * the **bound arrays** — every other constraint with bounds, one
-      row per constraint in three parallel columns: ``lo`` and ``hi``
-      (float64, both *closed*) and ``sub`` (the slot). One-sided and
-      two-sided constraints are rows of the same arrays, in no
-      particular order, and ``sub`` holds no slot twice (a
-      subscription has one constraint per attribute);
+    * a **bound row** of the plane's :class:`_BoundRows` — every other
+      constraint with bounds; :meth:`add` hands its closed bounds back
+      to the plane, which keeps them in region ``index`` of the store;
     * ``residual`` — compiled closures for every constraint of no
-      other form (exact but rare; kept off the arrays).
-
-    Rows are placed into ``_pending`` and moved into the arrays by
-    :meth:`seal` — once per compile or catch-up, so a compile builds
-    each column with one numpy call.
+      other form (exact but rare; kept off the store).
     """
 
-    __slots__ = ("attribute", "eq_buckets", "lo", "hi", "sub",
-                 "_pending", "always", "residual", "n_entries",
-                 "n_buckets", "address", "size")
+    __slots__ = ("attribute", "index", "eq_buckets", "always",
+                 "residual", "n_entries", "n_buckets", "address", "size")
 
-    def __init__(self, attribute: str) -> None:
+    def __init__(self, attribute: str, index: int) -> None:
         self.attribute = attribute
+        #: The table's place in the plane's ``_tables``, and so its
+        #: region of the bound store.
+        self.index = index
         self.eq_buckets: Dict[object, List[int]] = {}
-        self.lo = np.empty(0, dtype=np.float64)
-        self.hi = np.empty(0, dtype=np.float64)
-        self.sub = np.empty(0, dtype=np.intp)
-        #: ``(lo, hi, sub)`` rows not yet in the arrays.
-        self._pending: List[Tuple[float, float, int]] = []
         self.always: List[int] = []
         self.residual: List[Tuple[object, int]] = []
         self.n_entries = 0
@@ -149,8 +148,10 @@ class _AttributeTable:
         self.address = 0
         self.size = 0
 
-    def add(self, constraint, sub_index: int) -> None:
-        """Store one constraint; :meth:`seal` before the next probe."""
+    def add(self, constraint, sub_index: int
+            ) -> Optional[Tuple[float, float]]:
+        """Store one constraint; its closed ``(lo, hi)`` if it is a
+        bound row, which the caller places in the store."""
         self.n_entries += 1
         pin, bounds, always = constraint.form
         if pin is not None:
@@ -163,22 +164,15 @@ class _AttributeTable:
         elif always:
             self.always.append(sub_index)
         elif bounds is not None:
-            self._pending.append(bounds + (sub_index,))
+            return bounds
         else:
             self.residual.append((constraint.compile(), sub_index))
-
-    def seal(self) -> None:
-        """Append the pending rows to the bound arrays."""
-        if self._pending:
-            self.lo, self.hi, self.sub = (
-                np.concatenate((column, np.array(new, dtype=column.dtype)))
-                for column, new in zip((self.lo, self.hi, self.sub),
-                                       zip(*self._pending)))
-            self._pending = []
+        return None
 
     def discard(self, constraint, sub_index: int) -> None:
         """Delete the entry :meth:`add` stored — no tombstone is left,
-        so a probe consults exactly the rows a fresh compile would."""
+        so a pass consults exactly the entries a fresh compile would.
+        A bound row is the store's to delete."""
         self.n_entries -= 1
         pin, bounds, always = constraint.form
         if pin is not None:
@@ -189,81 +183,32 @@ class _AttributeTable:
                 self.n_buckets -= 1
         elif always:
             self.always.remove(sub_index)
-        elif bounds is not None:
-            # The arrays keep no order: the last row takes the place
-            # of the one that names the slot.
-            self.seal()
-            columns = (self.lo, self.hi, self.sub)
-            row = int(np.flatnonzero(self.sub == sub_index)[0])
-            last = len(self.sub) - 1
-            for column in columns:
-                column[row] = column[last]
-            self.lo, self.hi, self.sub = (
-                column[:last] for column in columns)
-        else:
+        elif bounds is None:
             residual = self.residual
             del residual[[sub for _test, sub in residual].index(sub_index)]
-
-    def bound_slots(self) -> List[int]:
-        """The slots the bound arrays name, after checking the arrays:
-        sealed, parallel, of the dtypes the pass relies on, every row a
-        non-empty closed interval (so no NaN), no slot named twice."""
-        columns = (self.lo, self.hi, self.sub)
-        dtypes = (np.float64, np.float64, np.intp)
-        if self._pending or any(
-                column.dtype != dtype or column.shape != self.sub.shape
-                for column, dtype in zip(columns, dtypes)):
-            raise MatchingError(
-                f"bound arrays out of step on {self.attribute!r}")
-        if not (self.lo <= self.hi).all():
-            raise MatchingError(
-                f"bound row is no closed interval on {self.attribute!r}")
-        slots = self.sub.tolist()
-        if len(set(slots)) != len(slots):
-            raise MatchingError(
-                f"slot named twice in the bounds of {self.attribute!r}")
-        return slots
 
     def modelled_bytes(self) -> int:
         return (COLUMN_BASE_BYTES
                 + COLUMN_ENTRY_BYTES * self.n_entries
                 + BUCKET_HEADER_BYTES * self.n_buckets)
 
-    def probe(self, values: list, batch: EventColumns, cells: bytearray,
-              grid, visited: list, consulted: list, counts) -> int:
-        """One pass of a batch's value column over this table.
+    def scan(self, values: list, cells: bytearray, n_slots: int,
+             visited: list, consulted: list) -> None:
+        """The scalar placements' pass over a batch's value column.
 
-        ``values`` is ``batch``'s column of the attribute: one entry
-        per event, None where the header lacks it. Every constraint an
-        event's value satisfies costs its slot one decrement in that
-        event's row of the grid (``cells`` is the grid's buffer: the
-        scalar placements address it directly). Subscriptions touched
-        and tests consulted are added per event — to the lists
-        ``visited`` / ``consulted`` for the scalar placements, to the
-        two rows of the array ``counts`` for the bound arrays. Returns
-        the most tests any one event consulted, -1 if no event carries
-        the attribute.
-
-        The bound arrays take the whole batch in one compare: ``lo <=
-        v`` and ``v <= hi`` as ``n_events x n_rows`` booleans, their
-        conjunction subtracted from the grid's ``sub`` columns. A row
-        with a finite lower bound counts as consulted when that bound
-        admits the value and as touched when the upper one does too; a
-        row without one is consulted only where it is satisfied (the
-        counts of a bisect to the admitted prefix, resp. suffix, of a
-        list sorted by that bound). The column is
-        :func:`~repro.matching.predicates.encode_values`'s, from
-        :meth:`EventColumns.encoded`.
+        ``values`` holds one entry per event, None where the header
+        lacks the attribute. Every pin, ``always`` entry and closure
+        an event's value satisfies costs its slot one decrement in
+        that event's row of the deficit bytes ``cells``; subscriptions
+        touched and tests consulted are added to ``visited`` /
+        ``consulted`` per event.
         """
-        n_slots = grid.shape[1]
         always, buckets, residual = \
             self.always, self.eq_buckets, self.residual
         fixed = (1 if buckets else 0) + len(residual)
-        most = -1
         for index, value in enumerate(values):
             if value is None:
                 continue
-            most = fixed
             start = index * n_slots
             touched = len(always)
             for sub in always:
@@ -279,16 +224,197 @@ class _AttributeTable:
                     touched += 1
             visited[index] += touched
             consulted[index] += fixed
-        if most < 0 or not len(self.sub):
-            return most
-        down, up = batch.encoded(self.attribute)
-        admit = self.lo <= down[:, None]
-        satisfied = admit & (up[:, None] <= self.hi)
-        tests = (admit & (satisfied | (self.lo > -_INF))).sum(axis=1)
-        counts[0] += satisfied.sum(axis=1)
-        counts[1] += tests
-        grid[:, self.sub] -= satisfied
-        return fixed + int(tests.max())
+
+
+class _BoundRows:
+    """Every table's bound constraints, as the rows of one store.
+
+    Five parallel columns, one entry per row: ``lo`` and ``hi``
+    (float64, both *closed*), ``slot`` (the subscription), ``table``
+    and ``layer``. Row 0 is the *sentinel*; after it comes one region
+    per table, in the plane's ``_tables`` order: region ``k`` is
+    ``caps[k + 1]`` rows from ``starts[k]``, of which the first
+    ``counts[k]`` are live and the rest inert padding; no region is
+    empty, not even a table's without bound rows. The sentinel and the
+    padding have NaN bounds, which no value meets, and slot and layer
+    0. ``table`` is ``k + 1`` on every row of region ``k`` and 0 on the
+    sentinel: the row of the batch's value matrix the row meets.
+
+    A subscription has at most one constraint per attribute, so at
+    most ``len(layers)`` bound rows: ``layers[l, s]`` is the row of
+    slot ``s``'s ``l``-th, and ``layer`` that ``l``; past a slot's
+    last row ``layers`` names the sentinel. ``layers`` grows on
+    demand, in depth and in slots.
+
+    New rows wait in ``pending`` until :meth:`seal` writes them, all at
+    once. A delete moves its region's last live row into the hole. A
+    region with no room left, or a table created or dropped, lays every
+    region out anew (:meth:`_relayout`) with an eighth of its rows
+    spare, so writes that come and go stay in place.
+    """
+
+    __slots__ = ("lo", "hi", "slot", "table", "layer", "caps", "starts",
+                 "counts", "layers", "pending")
+
+    def __init__(self) -> None:
+        self.lo = np.full(1, _NAN)
+        self.hi = np.full(1, _NAN)
+        self.slot = np.zeros(1, dtype=np.intp)
+        self.table = np.zeros(1, dtype=np.intp)
+        self.layer = np.zeros(1, dtype=np.intp)
+        #: Rows per region, the sentinel's first.
+        self.caps = np.ones(1, dtype=np.intp)
+        self.starts = np.zeros(0, dtype=np.intp)
+        self.counts = np.zeros(0, dtype=np.intp)
+        self.layers = np.zeros((1, 0), dtype=np.intp)
+        #: ``(lo, hi, slot, table index)`` rows not yet written, each
+        #: slot's consecutive.
+        self.pending: List[Tuple[float, float, int, int]] = []
+
+    def _write(self, rows: np.ndarray, lo, hi, slot, layer) -> None:
+        self.lo[rows] = lo
+        self.hi[rows] = hi
+        self.slot[rows] = slot
+        self.layer[rows] = layer
+        self.layers[layer, slot] = rows
+
+    def _grow_layers(self, depth: int, width: int) -> None:
+        layers = self.layers
+        old_depth, old_width = layers.shape
+        if depth > old_depth or width > old_width:
+            self.layers = np.zeros(
+                (max(depth, old_depth), max(width, 2 * old_width)),
+                dtype=np.intp)
+            self.layers[:old_depth, :old_width] = layers
+
+    def _relayout(self, keep: np.ndarray, needed: np.ndarray) -> None:
+        """Lay the regions out afresh: new region ``j`` takes the live
+        rows of old region ``keep[j]`` (none where that is -1), with
+        room for ``needed[j]`` rows and spare ones."""
+        kept = keep >= 0
+        counts = np.zeros(len(keep), dtype=np.intp)
+        counts[kept] = self.counts[keep[kept]]
+        rows = concat_ranges(self.starts[keep[kept]], counts[kept])
+        moved = (self.lo[rows], self.hi[rows], self.slot[rows],
+                 self.layer[rows])
+        caps = np.ones(len(keep) + 1, dtype=np.intp)
+        caps[1:] += needed + needed // 8
+        ends = np.cumsum(caps)
+        size = int(ends[-1])
+        self.lo = np.full(size, _NAN)
+        self.hi = np.full(size, _NAN)
+        self.slot = np.zeros(size, dtype=np.intp)
+        self.layer = np.zeros(size, dtype=np.intp)
+        self.table = np.repeat(np.arange(len(caps)), caps)
+        self.caps, self.starts, self.counts = caps, ends[:-1], counts
+        self._write(concat_ranges(self.starts[kept], counts[kept]), *moved)
+
+    def seal(self, n_tables: int, n_slots: int) -> None:
+        """Write the pending rows, with a region for each of
+        ``n_tables`` tables and layers for ``n_slots`` slots."""
+        self._grow_layers(0, n_slots)
+        pending = self.pending
+        n_regions = len(self.counts)
+        if not pending and n_regions == n_tables:
+            return
+        rows = np.fromiter(chain.from_iterable(pending), np.float64,
+                           count=4 * len(pending)).reshape(-1, 4)
+        pending.clear()
+        slots = rows[:, 2].astype(np.intp)
+        tables = rows[:, 3].astype(np.intp)
+        needed = np.bincount(tables, minlength=n_tables)
+        needed[:n_regions] += self.counts
+        if n_regions < n_tables or (needed > self.caps[1:]).any():
+            keep = np.arange(n_tables)
+            keep[n_regions:] = -1
+            self._relayout(keep, needed)
+        # A row goes to its region's first free rows, in pending order,
+        number = np.arange(len(rows))
+        order = np.argsort(tables, kind="stable")
+        ranked = tables[order]
+        target = np.empty(len(rows), dtype=np.intp)
+        target[order] = self.starts[ranked] + self.counts[ranked] \
+            + number - np.searchsorted(ranked, ranked)
+        # and to its slot's next layer: a slot had no rows before.
+        first = np.ones(len(rows), dtype=bool)
+        np.not_equal(slots[1:], slots[:-1], out=first[1:])
+        layer = number - np.maximum.accumulate(np.where(first, number, 0))
+        self._grow_layers(int(layer.max(initial=-1)) + 1, n_slots)
+        self.counts = needed
+        self._write(target, rows[:, 0], rows[:, 1], slots, layer)
+
+    def delete(self, slot: int) -> None:
+        """Delete every row of ``slot``: the last live row of each
+        row's region takes its place."""
+        layers = self.layers
+        if slot >= layers.shape[1]:
+            return              # a slot that never held a row
+        lo, hi, slots, layer = self.lo, self.hi, self.slot, self.layer
+        starts, counts, table = self.starts, self.counts, self.table
+        for row in layers[:, slot].tolist():
+            if not row:
+                break
+            region = table[row] - 1
+            last = starts[region] + counts[region] - 1
+            counts[region] -= 1
+            if row != last:
+                lo[row], hi[row] = lo[last], hi[last]
+                moved, depth = slots[last], layer[last]
+                slots[row], layer[row] = moved, depth
+                layers[depth, moved] = row
+            lo[last] = hi[last] = _NAN
+            slots[last] = layer[last] = 0
+        layers[:, slot] = 0
+
+    def drop(self, regions: List[int]) -> None:
+        """Drop the regions of emptied tables; the later ones move up."""
+        keep = np.delete(np.arange(len(self.counts)), regions)
+        self._relayout(keep, self.counts[keep])
+
+    def check(self, n_tables: int, n_slots: int) -> List[int]:
+        """The slots the live rows name, after checking the store: no
+        row pending; the columns parallel and of the dtypes the pass
+        relies on; the regions where ``caps`` puts them, non-empty,
+        and every row's ``table`` its region's; the live rows closed
+        intervals (so no NaN); the sentinel and the padding inert;
+        ``layers`` naming exactly the live rows, each at its
+        ``layer``, a slot's rows its first layers; no slot twice in a
+        region."""
+        columns = (self.lo, self.hi, self.slot, self.table, self.layer)
+        dtypes = (np.float64, np.float64, np.intp, np.intp, np.intp)
+        size = int(self.caps.sum())
+        if self.pending or len(self.caps) != n_tables + 1 \
+                or len(self.counts) != n_tables \
+                or self.layers.shape[1] < n_slots or any(
+                    column.dtype != dtype or column.shape != (size,)
+                    for column, dtype in zip(columns, dtypes)):
+            raise MatchingError("bound store out of step")
+        if self.caps[0] != 1 or (self.caps[1:] < self.counts).any() \
+                or (self.caps < 1).any() \
+                or (self.starts != np.cumsum(self.caps)[:-1]).any() \
+                or (self.table != np.repeat(np.arange(n_tables + 1),
+                                            self.caps)).any():
+            raise MatchingError("bound store regions drifted")
+        live = np.zeros(size, dtype=bool)
+        live[concat_ranges(self.starts, self.counts)] = True
+        if not (self.lo[live] <= self.hi[live]).all():
+            raise MatchingError("bound row is no closed interval")
+        inert = ~live
+        if not (np.isnan(self.lo[inert]).all()
+                and np.isnan(self.hi[inert]).all()) \
+                or self.slot[inert].any() or self.layer[inert].any():
+            raise MatchingError("sentinel or padding row is not inert")
+        rows = np.flatnonzero(live)
+        slots = self.slot[rows]
+        filled = self.layers != 0
+        if (self.layers[self.layer[rows], slots] != rows).any() \
+                or np.count_nonzero(filled) != len(rows) \
+                or (filled[1:] & ~filled[:-1]).any():
+            raise MatchingError("layers out of step with the rows")
+        slots = slots.tolist()
+        if len(set(zip(slots, self.table[rows].tolist()))) != len(slots):
+            raise MatchingError("slot named twice in a table's rows")
+        return slots
 
 
 class ColumnarMatchPlane:
@@ -334,9 +460,12 @@ class ColumnarMatchPlane:
         self._tables: List[_AttributeTable] = []
         #: ``attribute -> table``: ``_tables`` by name.
         self._table_of: Dict[str, _AttributeTable] = {}
+        #: Every table's bound constraints, one region per table.
+        self._bounds = _BoundRows()
         #: Slot -> the live subscriber set of the node compiled there.
-        #: A slot is a subscription's index in every table and in the
-        #: deficit bytes; ``_free`` lists the slots of removed nodes.
+        #: A slot is a subscription's index in every table, in the
+        #: bound store and in the deficit bytes; ``_free`` lists the
+        #: slots of removed nodes.
         self._subscribers: List[Set[object]] = []
         self._arity = b""
         self._free: List[int] = []
@@ -376,6 +505,8 @@ class ColumnarMatchPlane:
         """
         slot_of, table_of = self._slot_of, self._table_of
         subscribers, free = self._subscribers, self._free
+        tables, store = self._tables, self._bounds
+        pending = store.pending
         arity = bytearray(self._arity)
         edited: Dict[_AttributeTable, None] = {}   # in first-edit order
         for node, created in changes:
@@ -395,32 +526,43 @@ class ColumnarMatchPlane:
                     subscribers.append(node.subscribers)
                     arity.append(n_constraints)
                 slot_of[node] = slot
+                for attribute, constraint in items:
+                    table = table_of.get(attribute)
+                    if table is None:
+                        table = table_of[attribute] = \
+                            _AttributeTable(attribute, len(tables))
+                        tables.append(table)
+                    bounds = table.add(constraint, slot)
+                    if bounds is not None:
+                        pending.append(bounds + (slot, table.index))
+                    edited[table] = None
             else:
                 slot = slot_of.pop(node)
                 subscribers[slot] = set()
                 arity[slot] = FREE_SLOT_ARITY
                 free.append(slot)
-            for attribute, constraint in items:
-                table = table_of.get(attribute)
-                if created:
-                    if table is None:
-                        table = table_of[attribute] = \
-                            _AttributeTable(attribute)
-                        self._tables.append(table)
-                    table.add(constraint, slot)
-                else:
+                for attribute, constraint in items:
+                    table = table_of[attribute]
                     table.discard(constraint, slot)
-                edited[table] = None
+                    edited[table] = None
+                if pending:     # the node may be this catch-up's own
+                    store.seal(len(tables), len(subscribers))
+                store.delete(slot)
         self._arity = bytes(arity)
+        store.seal(len(tables), len(subscribers))
+        emptied = [table for table in edited if not table.n_entries]
+        if emptied:
+            store.drop([table.index for table in emptied])
+            for table in emptied:
+                del table_of[table.attribute]
+            tables[:] = [table for table in tables if table.n_entries]
+            for index, table in enumerate(tables):
+                table.index = index
         # The modelled memory follows: an emptied table is dropped, a
         # resized one moves to a block of its new size, and the
         # accumulator is as long as the live nodes are many.
         traced = self.arena is not None
         for table in edited:
-            table.seal()
-            if not table.n_entries:
-                self._tables.remove(table)
-                del table_of[table.attribute]
             size = table.modelled_bytes() \
                 if traced and table.n_entries else 0
             if size != table.size:
@@ -500,30 +642,36 @@ class ColumnarMatchPlane:
         """Verify the compiled structures (used by property tests).
 
         Edits in place are where a stale row, a lopsided array or a
-        leaked block would creep in: the bound arrays must be parallel
-        and well-formed (:meth:`_AttributeTable.bound_slots`), no
-        bucket or table may be empty, the tables must name exactly the
-        live slots — each as often as its arity — the live slots must
-        hold the forest's subscriber sets, and the blocks booked must
-        be the arena's.
+        leaked block would creep in: the bound store must be well
+        formed (:meth:`_BoundRows.check`) with one region per table, no
+        bucket or table may be empty, the tables and the store must
+        name exactly the live slots — each as often as its arity — the
+        live slots must hold the forest's subscriber sets, and the
+        blocks booked must be the arena's.
         """
         self.ensure_compiled()
         n_slots = len(self._subscribers)
         if len(self._arity) != n_slots:
             raise MatchingError("arity bytes out of step with the slots")
         named = [0] * n_slots
-        for table in self._tables:
-            slots = table.always + table.bound_slots()
+        for slot in self._bounds.check(len(self._tables), n_slots):
+            named[slot] += 1
+        counts = self._bounds.counts.tolist()
+        for index, table in enumerate(self._tables):
+            if table.index != index:
+                raise MatchingError(
+                    f"table {table.attribute!r} lost its region")
+            slots = list(table.always)
             for bucket in table.eq_buckets.values():
                 if not bucket:
                     raise MatchingError(
                         f"empty bucket on {table.attribute!r}")
                 slots += bucket
             slots += [sub for _test, sub in table.residual]
-            if not slots:
+            if not slots and not counts[index]:
                 raise MatchingError(
                     f"empty table kept for {table.attribute!r}")
-            if table.n_entries != len(slots) \
+            if table.n_entries != len(slots) + counts[index] \
                     or table.n_buckets != len(table.eq_buckets):
                 raise MatchingError(
                     f"entry counts drifted on {table.attribute!r}")
@@ -573,50 +721,74 @@ class ColumnarMatchPlane:
         n_events = len(batch)
         n_slots = len(self._arity)
         # The batch's deficits: one row of slot bytes per event, in
-        # one buffer — numpy subtracts whole columns of it, the scalar
-        # placements and the zero scan address the bytes.
+        # one buffer — the scalar placements address its bytes, numpy
+        # subtracts the bound rows' counts from all of it at once.
         cells = bytearray(self._arity * n_events)
         grid = np.frombuffer(cells, dtype=np.uint8).reshape(
             n_events, n_slots)
         visited = [0] * n_events
         consulted = [0] * n_events
-        counts = np.zeros((2, n_events), dtype=np.intp)
         columns = batch.columns
-        runs: List[Tuple[int, int]] = []
-        for table in self._tables:
-            values = columns.get(table.attribute)
-            if values is None:
-                continue    # no event carries the attribute
-            most = table.probe(values, batch, cells, grid, visited,
-                               consulted, counts)
-            # Each event streams the entries it consulted of this
-            # column; the batch pass coalesces them into one run.
-            if traced and most >= 0:
-                runs.append((table.address, min(
-                    table.size,
-                    COLUMN_BASE_BYTES + COLUMN_ENTRY_BYTES * most)))
+        tables = self._tables
+        for table in tables:
+            if table.always or table.eq_buckets or table.residual:
+                column = columns.get(table.attribute)
+                if column is not None:
+                    table.scan(column, cells, n_slots, visited, consulted)
+        # Every bound row meets its table's value column in one pass:
+        # ``lo <= v`` and ``v <= hi``, ``n_rows x n_events`` booleans.
+        # (Array methods and ufunc reductions throughout: numpy's
+        # module-level wrappers such as ``np.take`` are Python calls.)
+        store = self._bounds
+        down, up = batch.encoded_rows([None] + [
+            table.attribute if count else None
+            for table, count in zip(tables, store.counts.tolist())])
+        lo = store.lo[:, None]
+        values = down.repeat(store.caps, axis=0)
+        admit = np.less_equal(lo, values)
+        if up is not down:
+            values = up.repeat(store.caps, axis=0)
+        satisfied = np.less_equal(values, store.hi[:, None])
+        del values      # the batch's largest temporary
+        satisfied &= admit
+        # A row with a finite lower bound counts as consulted when
+        # that bound admits the value, one without only where it is
+        # satisfied (the counts of a bisect to the admitted prefix,
+        # resp. suffix, of a list sorted by that bound); the tests per
+        # table and event are sums over its region.
+        admit &= lo > -_INF
+        admit |= satisfied
+        tests = np.add.reduceat(admit.view(np.uint8), store.starts,
+                                axis=0, dtype=np.int32)
+        # A slot's satisfied rows: one gather per layer, the sentinel's
+        # row false.
+        met = np.add.reduce(satisfied.view(np.uint8).take(
+            store.layers[:, :n_slots], axis=0), axis=0, dtype=np.uint8)
+        grid -= met.T
         # Counts leave the plane as Python ints, never numpy scalars.
-        bound_visited, bound_consulted = counts.tolist()
-        visited = [a + b for a, b in zip(visited, bound_visited)]
-        consulted = [a + b for a, b in zip(consulted, bound_consulted)]
-        matched: List[Set[object]] = []
+        visited = [a + b for a, b in zip(
+            visited, np.add.reduce(met, axis=0, dtype=np.intp).tolist())]
+        consulted = [a + b for a, b in zip(
+            consulted, np.add.reduce(tests, axis=0).tolist())]
+        # A subscription matches where its deficit reached zero.
+        matched: List[Set[object]] = [set() for _ in range(n_events)]
         subscribers = self._subscribers
-        acc_address = self._acc_address
-        acc_size = self._acc_size
-        for index in range(n_events):
-            start = index * n_slots
-            end = start + n_slots
-            result: Set[object] = set()
-            position = cells.find(0, start, end)
-            while position != -1:
-                result |= subscribers[position - start]
-                position = cells.find(0, position + 1, end)
-            matched.append(result)
-            if traced:
-                # One accumulator sweep per event: the deficit row is
-                # written by every pass and scanned once for zeros.
-                runs.append((acc_address, acc_size))
+        hit_events, hit_slots = (grid == 0).nonzero()
+        for index, slot in zip(hit_events.tolist(), hit_slots.tolist()):
+            matched[index] |= subscribers[slot]
         if traced:
+            # Each event streams the entries it consulted of a column;
+            # the batch pass coalesces them into one run per table.
+            # Then one accumulator sweep per event: the deficit row is
+            # written by every pass and scanned once for zeros.
+            runs = [(table.address, min(
+                table.size, COLUMN_BASE_BYTES + COLUMN_ENTRY_BYTES * (
+                    (1 if table.eq_buckets else 0) + len(table.residual)
+                    + most)))
+                for table, most in zip(
+                    tables, np.maximum.reduce(tests, axis=1).tolist())
+                if table.attribute in columns]
+            runs += [(self._acc_address, self._acc_size)] * n_events
             self.arena.touch_runs(runs)
         return matched, visited, consulted
 
@@ -627,8 +799,9 @@ class ColumnarMatchPlane:
 
     def match_batch(self, events: Union[Iterable[Event], EventColumns]
                     ) -> List[Set[object]]:
-        """Untraced batch matching: one column pass per attribute.
-        ``events`` is a sequence of events or an :class:`EventColumns`."""
+        """Untraced batch matching: one pass over the plane's bound
+        rows. ``events`` is a sequence of events or an
+        :class:`EventColumns`."""
         batch = EventColumns.of(events)
         if not batch:
             return []

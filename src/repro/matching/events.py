@@ -10,9 +10,9 @@ headers as one value column per attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Dict, Iterable, Iterator, List, Optional, Set, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class EventColumns:
     ``columns[attribute][i]`` is the ``i``-th header's value, None
     where that header lacks the attribute; an attribute no header
     carries has no column. This is the form the columnar plane
-    evaluates, one pass per attribute table, and the form the wire
+    evaluates, all its bound rows in one pass, and the form the wire
     decoder (:func:`repro.core.messages.decode_headers`) writes
     directly, so a decoded batch reaches the plane without a dict per
     header. The batch also knows which columns hold a string or an int
@@ -158,16 +158,33 @@ class EventColumns:
             self._columns, self._irregular = columns, irregular
         return self._columns
 
-    def encoded(self, attribute: str) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`encode_values` of the column of ``attribute``, one of
-        :attr:`columns`: a column of floats, ints float64 holds and
-        gaps is one float64 conversion (None is NaN), with ``up is
-        down``."""
-        column = self._columns[attribute]
-        if attribute in self._irregular:
-            return encode_values(column)
-        down = np.array(column, dtype=np.float64)
-        return down, down
+    def encoded_rows(self, attributes: Sequence[Optional[str]]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`encode_values` of the columns of ``attributes``, one
+        row each: ``(down, up)``, two ``len(attributes) x n`` float64
+        matrices. A name that is None or has no column is a row of
+        NaN. The columns of floats, ints float64 holds and gaps are one
+        float64 conversion together (None is NaN); ``up is down``
+        unless a column holds an int past ``±2**53``."""
+        columns = self.columns
+        irregular = self._irregular
+        gap = [None] * self.n
+        down = np.array(
+            [gap if name in irregular else columns.get(name, gap)
+             for name in attributes], dtype=np.float64)
+        wide = []
+        for row, name in enumerate(attributes):
+            if name in irregular:
+                low, high = encode_values(columns[name])
+                down[row] = low
+                if high is not low:
+                    wide.append((row, high))
+        up = down
+        if wide:
+            up = down.copy()
+            for row, high in wide:
+                up[row] = high
+        return down, up
 
     def events(self) -> List[Event]:
         """One :class:`Event` per header, in batch order."""

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.crypto.cmac import cmac
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, \
-    _generate_keypair_unchecked
+from repro.crypto.rsa import RsaPublicKey, _generate_keypair_unchecked
 from repro.errors import AttestationError, AuthenticationError
 from repro.sgx.enclave import Report
 from repro.sgx.platform import SgxPlatform

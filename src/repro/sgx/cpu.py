@@ -105,11 +105,6 @@ class PlatformSpec:
     def epc_usable_pages(self) -> int:
         return self.epc_usable_bytes // self.page_bytes
 
-    @property
-    def llc_sets(self) -> int:
-        return self.llc_bytes // (self.cache_line_bytes
-                                  * self.llc_associativity)
-
     def cycles_to_us(self, cycles: float) -> float:
         """Convert a cycle count to microseconds on this platform."""
         return cycles / self.clock_hz * 1e6

@@ -31,12 +31,12 @@ import hashlib
 import sys
 from dataclasses import dataclass
 from types import CodeType
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.crypto.cmac import cmac
 from repro.crypto.encoding import pack_fields
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.errors import AuthenticationError, EnclaveError, SgxError
+from repro.errors import AuthenticationError, EnclaveError
 from repro.sgx.measurement import MeasurementLog
 from repro.sgx.memory import MemoryArena
 from repro.sgx.platform import KeyPolicy, SgxPlatform
@@ -253,9 +253,7 @@ def _marshal_cycles(costs, values: Tuple[Any, ...]) -> float:
     """Boundary-copy cost for byte-like arguments/results."""
     total = 0
     for value in values:
-        if isinstance(value, (bytes, bytearray, memoryview)):
-            total += len(value)
-        elif isinstance(value, str):
+        if isinstance(value, (bytes, bytearray, memoryview, str)):
             total += len(value)
     return total * costs.boundary_copy_cycles_per_byte
 

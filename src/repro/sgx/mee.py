@@ -15,7 +15,7 @@ memory controller.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.crypto.ctr import AesCtr
 from repro.errors import MemoryLockError

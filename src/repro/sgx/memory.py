@@ -69,6 +69,15 @@ class MemoryCounters:
         )
 
 
+def concat_ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``range(first, first + count)`` of every pair, concatenated in
+    order: one ``repeat`` and one ``arange``, no Python step per pair.
+    ``counts`` must be non-negative."""
+    ends = counts.cumsum()
+    return (firsts - ends + counts).repeat(counts) \
+        + np.arange(np.add.reduce(counts))
+
+
 def _collapsed(pages: np.ndarray) -> List[int]:
     """``pages`` without consecutive repeats, as Python ints."""
     keep = np.empty(len(pages), dtype=bool)
@@ -82,7 +91,7 @@ class MemorySubsystem:
 
     __slots__ = ("spec", "costs", "cache", "epc", "cycles",
                  "_untrusted_pages", "minor_faults", "_line_shift",
-                 "_page_shift", "_next_base")
+                 "_page_shift", "_shifts", "_next_base")
 
     def __init__(self, spec: PlatformSpec = SKYLAKE_I7_6700) -> None:
         self.spec = spec
@@ -97,6 +106,9 @@ class MemorySubsystem:
         self._page_shift = spec.page_bytes.bit_length() - 1
         if 1 << self._page_shift != spec.page_bytes:
             raise SgxError("page size must be a power of two")
+        #: the line and the page shift, as a column: ``touch_runs``
+        #: shifts every run by both at once
+        self._shifts = np.array([[self._line_shift], [self._page_shift]])
         #: where the next untrusted / enclave arena of this platform
         #: starts: the first at the space's base, the rest
         #: ``MemoryArena.ARENA_SPAN`` apart, in creation order
@@ -116,18 +128,6 @@ class MemorySubsystem:
                       (end >> self._line_shift) + 1),
                 range(address >> self._page_shift,
                       (end >> self._page_shift) + 1))
-
-    def spans(self, runs: Iterable[Tuple[int, int]]
-              ) -> Tuple[List[int], List[int]]:
-        """:meth:`span` of each ``(address, n_bytes)`` run, flattened
-        in order: the two arguments :meth:`touch_many` takes."""
-        lines: List[int] = []
-        pages: List[int] = []
-        for address, n_bytes in runs:
-            run_lines, run_pages = self.span(address, n_bytes)
-            lines += run_lines
-            pages += run_pages
-        return lines, pages
 
     def touch(self, address: int, n_bytes: int, enclave: bool) -> None:
         """Account for a data access of ``n_bytes`` at ``address``."""
@@ -345,8 +345,24 @@ class MemoryArena:
         self.memory.touch_many(lines, pages, self.enclave)
 
     def touch_runs(self, runs: Iterable[Tuple[int, int]]) -> None:
-        """Record a batch of ``(address, n_bytes)`` accesses in order."""
-        self.memory.touch_many(*self.memory.spans(runs), self.enclave)
+        """Record a batch of ``(address, n_bytes)`` accesses in order
+        (``n_bytes >= 0``; a sequence of pairs or an ``n x 2`` integer
+        array).
+
+        Each run reads :meth:`MemorySubsystem.span` of its bytes; the
+        lines and the pages of all runs, in order, reach
+        :meth:`MemorySubsystem.touch_many` as two int64 arrays, expanded
+        together by one ``repeat`` and one ``arange``, with no Python
+        step per run.
+        """
+        memory = self.memory
+        runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+        first = runs[:, 0]
+        firsts = first >> memory._shifts
+        counts = ((first + runs[:, 1] - 1) >> memory._shifts) - firsts + 1
+        units = concat_ranges(firsts.ravel(), counts.ravel())
+        n_lines = np.add.reduce(counts[0])
+        memory.touch_many(units[:n_lines], units[n_lines:], self.enclave)
 
     def charge(self, cycles: float) -> None:
         """Charge the compute cycles of work on this arena's data."""

@@ -18,7 +18,7 @@ use HKDF-SHA-256 instead of the hardware's AES-CMAC KDF tree.
 from __future__ import annotations
 
 import secrets
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.crypto.hkdf import hkdf
 from repro.crypto.rsa import RsaPrivateKey, _generate_keypair_unchecked

@@ -10,10 +10,9 @@ host an object whose methods transparently perform ecalls.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Type, TypeVar
 
 from repro.crypto.rsa import RsaPrivateKey
-from repro.errors import EnclaveError
 from repro.sgx.enclave import Enclave, EnclaveBuilder, TrustedRuntime
 from repro.sgx.platform import SgxPlatform
 

@@ -55,21 +55,18 @@ def test_decode_grows_by_at_most_one_call_per_attribute():
         assert grown <= 38 - 8
 
 
-def test_encoding_a_column_makes_no_call_per_value():
-    """The plane's float64 form of a column (``EventColumns.encoded``)
-    is one call per column, two for a column of strings, whatever
-    the number of rows."""
+def test_encoding_the_columns_makes_no_call_per_value():
+    """The plane's float64 form of the columns
+    (``EventColumns.encoded_rows``) is a fixed number of calls for the
+    whole batch — one more for the column of strings — whatever the
+    number of rows or columns."""
     names = {}
     counts = []
-    for n_headers in (32, 64):
-        batch = decode_headers(_blobs(n_headers, 38), names)
+    for n_headers, width in ((32, 38), (64, 38), (64, 8)):
+        batch = decode_headers(_blobs(n_headers, width), names)
         columns = list(batch.columns)
-        assert len(columns) == 38
-
-        def encode_all():
-            for name in columns:
-                batch.encoded(name)
-
-        counts.append(sum(_calls(encode_all).values()))
-    # encode_all, one per column, and encode_values for the symbols
-    assert counts[0] == counts[1] == 1 + 38 + 1
+        assert len(columns) == width
+        counts.append(sum(_calls(batch.encoded_rows, columns).values()))
+    # encoded_rows, its list comprehension, the columns property and
+    # encode_values for the symbols
+    assert counts == [4, 4, 4]

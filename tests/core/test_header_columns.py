@@ -23,6 +23,7 @@ field, then decode and check them pair by pair):
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -167,14 +168,17 @@ def _check_columns(batch, expected):
     assert len(batch) == len(expected)
     assert set(batch.columns) == set().union(
         *(event.header for event in expected))
-    for name, column in batch.columns.items():
+    names = list(batch.columns)
+    down, up = batch.encoded_rows([None] + names + ["absent"])
+    assert down.shape == up.shape == (len(names) + 2, len(expected))
+    assert np.isnan(down[[0, -1]]).all() and np.isnan(up[[0, -1]]).all()
+    for row, (name, column) in enumerate(batch.columns.items(), 1):
         assert len(column) == len(expected)
         for event, value in zip(expected, column):
             assert _same(value, event.header.get(name))
-        down, up = batch.encoded(name)
         reference_down, reference_up = encode_values(column)
-        assert down.tobytes() == reference_down.tobytes()
-        assert up.tobytes() == reference_up.tobytes()
+        assert down[row].tobytes() == reference_down.tobytes()
+        assert up[row].tobytes() == reference_up.tobytes()
 
 
 @given(BLOBS)
@@ -210,7 +214,7 @@ def test_wide_ints_keep_their_bracket():
     wide = 2 ** 53 + 1
     batch = decode_headers([_pack([(b"n", _encode_value(wide))]),
                             _pack([(b"n", _encode_value(1.5))])])
-    down, up = batch.encoded("n")
+    (down,), (up,) = batch.encoded_rows(["n"])
     assert int(down[0]) < wide < int(up[0])
     assert down[1] == up[1] == 1.5
 

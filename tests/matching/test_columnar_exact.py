@@ -182,10 +182,11 @@ def test_a_batch_is_its_events_in_any_order(world, data):
 
 
 def bound_rows(plane, attribute):
-    """``(rows in the bound arrays, residual closures)``."""
+    """``(live rows of the table's region of the bound store, residual
+    closures)``."""
     plane.ensure_compiled()
     table = plane._table_of[attribute]
-    return len(table.sub), len(table.residual)
+    return int(plane._bounds.counts[table.index]), len(table.residual)
 
 
 def test_value_between_adjacent_floats():
@@ -211,7 +212,7 @@ def test_value_between_adjacent_floats():
           -10 ** 400)])
     assert matches == [{0, 3, 5}, {0, 1, 2}, {0, 1, 2, 4}, {0, 3, 5},
                        {0, 4, 6}, {4, 6}, {3, 5}]
-    # closed float64-exact bounds ride the arrays; open ones this far
+    # closed float64-exact bounds are rows of the store; open ones this far
     # out, and ints float64 cannot hold, are closures
     assert bound_rows(plane, "x") == (3, 4)
     plane.check_invariants()

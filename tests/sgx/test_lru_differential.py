@@ -7,7 +7,7 @@ EPC loop kept under ``tests/``. Tiny geometries keep every regime in
 reach of a short op list: all-hit batches, batches with misses and
 evictions, duplicates inside a batch, flushes, EREMOVE, prefault, and
 each paging policy. Every batch goes in twice over, as the Python
-sequences ``MemorySubsystem.spans`` builds and as the int64 arrays a
+sequences ``reference_spans.spans`` builds and as the int64 arrays a
 poset walk hands over (whose pages reach the EPC with consecutive
 repeats collapsed); the stamp store behind the cache is exercised
 where its addressing could go wrong — lines of several chunks and
@@ -29,6 +29,7 @@ from repro.sgx.memory import MemoryCounters, MemorySubsystem
 from repro.sgx.paging import POLICY_NAMES
 
 from .reference_lru import ReferenceEpc, ReferenceLru, ReferenceMemory
+from .reference_spans import spans
 
 SPACE_BYTES = 32 * 1024     # 512 lines, 8 pages
 
@@ -57,7 +58,7 @@ def _apply(memory, reference, op, as_arrays):
     kind = op[0]
     if kind == "batch":
         _kind, batch, enclave = op
-        lines, pages = memory.spans(batch)
+        lines, pages = spans(memory, batch)
         if as_arrays:
             lines, pages = (np.array(part, dtype=np.int64)
                             for part in (lines, pages))
@@ -225,7 +226,7 @@ def test_array_batch_spanning_two_arenas(policy):
     runs = [(span + 64 * k, 64) for k in range(0, 48, 3)] + \
         [(2 * span + 64 * k, 64) for k in range(0, 48, 5)]
     for batch in (runs, runs[::-1], runs + runs[:7]):
-        lines, pages = memory.spans(batch)
+        lines, pages = spans(memory, batch)
         memory.touch_many(np.array(lines, dtype=np.int64),
                           np.array(pages, dtype=np.int64), True)
         for address, n_bytes in batch:

@@ -19,6 +19,8 @@ from repro.sgx.cpu import scaled_spec
 from repro.sgx.epc import EpcManager
 from repro.sgx.memory import MemorySubsystem
 
+from .reference_spans import spans
+
 
 def tiny_spec(epc_pages: int = 4, llc_bytes: int = 4 * 1024):
     return scaled_spec(llc_bytes=llc_bytes,
@@ -115,16 +117,16 @@ class TestFlushResidency:
 
     def test_untrusted_first_touch_minor_fault_only_once(self):
         memory = MemorySubsystem(tiny_spec())
-        memory.touch_many(*memory.spans([(0, 8), (8, 8), (4096, 8)]),
+        memory.touch_many(*spans(memory, [(0, 8), (8, 8), (4096, 8)]),
                           enclave=False)
         assert memory.minor_faults == 2  # two distinct pages
-        memory.touch_many(*memory.spans([(16, 8), (4100, 8)]),
+        memory.touch_many(*spans(memory, [(16, 8), (4100, 8)]),
                           enclave=False)
         assert memory.minor_faults == 2  # no re-fault
 
     def test_enclave_first_touch_epc_fault_only_once(self):
         memory = MemorySubsystem(tiny_spec(epc_pages=8))
-        memory.touch_many(*memory.spans([(0, 64), (64, 64)]),
+        memory.touch_many(*spans(memory, [(0, 64), (64, 64)]),
                           enclave=True)
         assert memory.epc.faults == 1
         memory.touch_many(*memory.span(128, 64), enclave=True)
@@ -151,7 +153,7 @@ class TestTouchManyEquivalence:
         batched = MemorySubsystem(spec)
         looped = MemorySubsystem(spec)
         runs = self._runs(seed, 120)
-        batched.touch_many(*batched.spans(runs), enclave=enclave)
+        batched.touch_many(*spans(batched, runs), enclave=enclave)
         for address, n_bytes in runs:
             looped.touch(address, n_bytes, enclave=enclave)
         assert batched.snapshot() == looped.snapshot()
@@ -166,7 +168,7 @@ class TestTouchManyEquivalence:
         spec = tiny_spec(epc_pages=3, llc_bytes=4 * 1024)
         batched = MemorySubsystem(spec)
         looped = MemorySubsystem(spec)
-        batched.touch_many(*batched.spans(runs), enclave=enclave)
+        batched.touch_many(*spans(batched, runs), enclave=enclave)
         for address, n_bytes in runs:
             looped.touch(address, n_bytes, enclave=enclave)
         assert batched.snapshot() == looped.snapshot()
